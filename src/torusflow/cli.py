@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every run echoes its resolved configuration and a sha256 of it, so a result
-file pins down exactly what produced it.  Reports go to stdout as JSON (or
-to --out); sampled series go to CSV files.  Exit codes: 0 success, 1 a
-numerical procedure failed and a failure manifest was emitted, 2 bad usage.
+Every run echoes its resolved configuration and a sha256 of the options
+that change the numbers (output paths are echoed but not hashed), so a
+result file pins down exactly what produced it.  Reports go to stdout as
+JSON (or to --out); sampled series go to CSV files.  Exit codes: 0
+success, 1 a numerical procedure failed and a failure manifest was
+emitted, 2 bad usage.
 """
 
 from __future__ import annotations
@@ -36,9 +38,14 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serialisable: {type(obj)!r}")
 
 
+# options that only say where results are written: echoed, never hashed
+OUTPUT_ONLY = ("out", "csv", "records")
+
+
 def _config_echo(args):
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    blob = json.dumps(cfg, sort_keys=True, default=_jsonable)
+    hashed = {k: v for k, v in cfg.items() if k not in OUTPUT_ONLY}
+    blob = json.dumps(hashed, sort_keys=True, default=_jsonable)
     return cfg, hashlib.sha256(blob.encode()).hexdigest()
 
 

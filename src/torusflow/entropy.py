@@ -11,6 +11,14 @@ the base points (minimum over deck images) plus the circle distance between
 the tangent direction angles, weighted 1:1.  Any equivalent metric gives
 the same growth rates; this one is the cheapest to evaluate.
 
+Counting makes one greedy pass per eps that serves every horizon at once:
+each candidate's launch-near kept samples get one batched time scan for
+the first probe index at which the pair separates, and each horizon
+compares those indices with its window length.  The scan repeats the
+per-pair test of _pair_separates elementwise in float32, with no
+reduction across pairs, so the counts are bit-identical to scanning each
+(candidate, kept) pair on its own for each horizon.
+
 Three monotonicity properties are guaranteed structurally rather than
 numerically:
 
@@ -143,6 +151,16 @@ def phase_distance(u, v):
     return math.hypot(dx, dy) + da
 
 
+def _wrapped_delta(a, b, period):
+    """Circle distance |a - b| modulo period, in the dtype of a - b.
+
+    The period is cast to that dtype first, so float32 operands stay in
+    float32 arithmetic.
+    """
+    d = np.abs(a - b)
+    return np.minimum(d, d.dtype.type(period) - d, out=d)
+
+
 def dynamical_distance(spec, u, v, t_max, dt_probe=0.05, step_h=0.0125):
     """Largest phase distance of the two orbits over the probe time grid.
 
@@ -153,12 +171,9 @@ def dynamical_distance(spec, u, v, t_max, dt_probe=0.05, step_h=0.0125):
     _, probes = probe_trajectories(spec, states, float(t_max), dt_probe, step_h)
     a = probes[0].astype(np.float64)
     b = probes[1].astype(np.float64)
-    dx = np.abs(a[:, 0] - b[:, 0])
-    dx = np.minimum(dx, 1.0 - dx)
-    dy = np.abs(a[:, 1] - b[:, 1])
-    dy = np.minimum(dy, 1.0 - dy)
-    da = np.abs(a[:, 2] - b[:, 2])
-    da = np.minimum(da, TWO_PI - da)
+    dx = _wrapped_delta(a[:, 0], b[:, 0], 1.0)
+    dy = _wrapped_delta(a[:, 1], b[:, 1], 1.0)
+    da = _wrapped_delta(a[:, 2], b[:, 2], TWO_PI)
     return float((np.hypot(dx, dy) + da).max())
 
 
@@ -182,39 +197,91 @@ def _pair_separates(probes, i, j, k_limit, eps, chunk=512):
     return False
 
 
+def _first_separations(probes, i, js, k_stop, eps, chunk=512):
+    """First probe index at which sample i is eps-apart from each sample js.
+
+    Pairs that do not separate before k_stop read k_stop.  The float32
+    arithmetic is elementwise and the same as _pair_separates', so
+    first < k_limit holds exactly when _pair_separates(probes, i, j,
+    k_limit, eps) does, for every k_limit <= k_stop.  The scan runs in time
+    chunks and drops each pair once it has separated, which bounds the
+    temporaries on long windows.
+    """
+    first = np.full(len(js), k_stop, dtype=np.intp)
+    live = np.arange(len(js))
+    eps32 = np.float32(eps)
+    for s in range(0, k_stop, chunk):
+        if not len(live):
+            break
+        e = min(s + chunk, k_stop)
+        a = probes[i, s:e]
+        b = probes[js[live], s:e]
+        dx = _wrapped_delta(a[:, 0], b[:, :, 0], 1.0)
+        dy = _wrapped_delta(a[:, 1], b[:, :, 1], 1.0)
+        da = _wrapped_delta(a[:, 2], b[:, :, 2], TWO_PI)
+        # sum metric without the square root, as in _pair_separates
+        rest = eps32 - da
+        pos2 = dx * dx + dy * dy
+        hit = (rest <= 0.0) | (pos2 >= rest * rest)
+        found = hit.any(axis=1)
+        first[live[found]] = s + hit[found].argmax(axis=1)
+        live = live[~found]
+    return first
+
+
+def separated_counts(probes, eps, k_limits, m_limit=None):
+    """Greedy separated-set sizes over the first m_limit samples, per window.
+
+    For each window length k in k_limits (in probes), samples are scanned
+    in index order and one is kept when its dynamical distance to every
+    sample kept for that window reaches eps within the first k probes.
+    All windows share one pass: the samples kept in some window that are
+    eps-near the candidate at launch get one time scan for their first
+    separating probe index, and each window compares those indices with
+    its own length.  Pairs already eps-apart at launch need no time scan.
+    Returns an integer array with one count per entry of k_limits.
+    """
+    n_probes = probes.shape[1]
+    m = probes.shape[0] if m_limit is None else int(m_limit)
+    k_limits = np.asarray(k_limits, dtype=np.intp)
+    if m > probes.shape[0]:
+        raise ValidationError(f"the probe array holds {probes.shape[0]} "
+                              f"samples, fewer than the {m} asked for")
+    k_stop = int(k_limits.max(initial=0))
+    if k_stop > n_probes:
+        raise ValidationError(f"the probe array holds {n_probes} probes per "
+                              f"sample, fewer than the {k_stop} of the "
+                              f"longest window")
+    eps = float(eps)
+    start = probes[:m, 0, :].astype(np.float64)
+    kept = np.zeros((len(k_limits), m), dtype=bool)
+    # samples kept in at least one window, and their launch points
+    pool = np.empty(m, dtype=np.intp)
+    pool_start = np.empty((m, 3))
+    n_pool = 0
+    for i in range(m):
+        ps = pool_start[:n_pool]
+        dx = _wrapped_delta(ps[:, 0], start[i, 0], 1.0)
+        dy = _wrapped_delta(ps[:, 1], start[i, 1], 1.0)
+        rest = eps - _wrapped_delta(ps[:, 2], start[i, 2], TWO_PI)
+        pos2 = dx * dx + dy * dy
+        near = pool[:n_pool][(rest > 0.0) & (pos2 < rest * rest)]
+        first = _first_separations(probes, i, near, k_stop, eps)
+        blocked = kept[:, near] & (first >= k_limits[:, None])
+        kept[:, i] = ~blocked.any(axis=1)
+        if kept[:, i].any():
+            pool[n_pool] = i
+            pool_start[n_pool] = start[i]
+            n_pool += 1
+    return kept.sum(axis=1)
+
+
 def separated_count(probes, eps, k_limit, m_limit=None):
     """Greedy separated-set size over the first m_limit samples.
 
-    Samples are scanned in index order; one is kept when its dynamical
-    distance to every kept sample reaches eps within the window.  Pairs
-    already eps-apart at launch need no time scan.
+    The one-window case of separated_counts.
     """
-    m = probes.shape[0] if m_limit is None else int(m_limit)
-    eps = float(eps)
-    start = probes[:m, 0, :].astype(np.float64)
-    kept = []
-    kept_start = np.empty((m, 3))
-    for i in range(m):
-        ok = True
-        if kept:
-            ks = kept_start[:len(kept)]
-            dx = np.abs(ks[:, 0] - start[i, 0])
-            dx = np.minimum(dx, 1.0 - dx)
-            dy = np.abs(ks[:, 1] - start[i, 1])
-            dy = np.minimum(dy, 1.0 - dy)
-            da = np.abs(ks[:, 2] - start[i, 2])
-            da = np.minimum(da, TWO_PI - da)
-            rest = eps - da
-            pos2 = dx * dx + dy * dy
-            near = np.nonzero((rest > 0.0) & (pos2 < rest * rest))[0]
-            for idx in near:
-                if not _pair_separates(probes, i, kept[idx], k_limit, eps):
-                    ok = False
-                    break
-        if ok:
-            kept_start[len(kept)] = start[i]
-            kept.append(i)
-    return len(kept)
+    return int(separated_counts(probes, eps, [k_limit], m_limit)[0])
 
 
 @dataclass
@@ -283,7 +350,9 @@ def estimate_entropy(spec, params=None, probes=None):
 
     probes may be passed in to rerun the counting stage on an existing
     integration (the array from probe_trajectories); otherwise the run
-    integrates its own batch.
+    integrates its own batch.  A probe array with fewer than n_samples
+    samples, or too few probes for the longest horizon, raises
+    ValidationError.
     """
     params = params or PRESETS["calibration"]
     if probes is None:
@@ -291,14 +360,10 @@ def estimate_entropy(spec, params=None, probes=None):
         _, probes = probe_trajectories(spec, states, params.horizons[-1],
                                        params.dt_probe, params.step_h)
     m = params.n_samples
-    if probes.shape[0] < m:
-        raise ValidationError("probe array is smaller than n_samples")
-
+    k_limits = [int(round(T / params.dt_probe)) + 1 for T in params.horizons]
     raw = np.empty((len(params.horizons), len(params.epsilons)), dtype=int)
     for j, eps in enumerate(params.epsilons):
-        for i, T in enumerate(params.horizons):
-            k_limit = int(round(T / params.dt_probe)) + 1
-            raw[i, j] = separated_count(probes, eps, k_limit, m_limit=m)
+        raw[:, j] = separated_counts(probes, eps, k_limits, m_limit=m)
 
     counts = np.maximum.accumulate(raw, axis=0)          # longer horizon
     counts = np.maximum.accumulate(counts, axis=1)       # finer resolution

@@ -85,6 +85,16 @@ def test_config_hash_tracks_inputs(capsys):
     assert json.loads(out3)["config_sha256"] != json.loads(out1)["config_sha256"]
 
 
+def test_config_hash_ignores_output_paths(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TORUSFLOW_OUT", str(tmp_path))
+    docs = []
+    for name in ("a.json", "b.json"):
+        assert run(capsys, "gallery", "--out", name)[0] == 0
+        docs.append(json.loads((tmp_path / name).read_text()))
+    assert docs[0]["config_sha256"] == docs[1]["config_sha256"]
+    assert [d["config"]["out"] for d in docs] == ["a.json", "b.json"]
+
+
 def test_csf_circle_run(capsys):
     code, out, _ = run(capsys, "csf", "--metric", "flat",
                        "--circle", "0.5,0.5,0.15", "--n", "64")

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torusflow import entropy
 from torusflow.entropy import (PRESETS, EntropyParams, dynamical_distance,
                                estimate_entropy, phase_distance,
                                probe_trajectories, sample_phase_points,
-                               separated_count)
+                               separated_count, separated_counts)
 from torusflow.errors import ValidationError
+from torusflow.metrics import gallery
 
 TINY = EntropyParams(n_samples=256, horizons=(2.0, 4.0, 6.0, 8.0),
                      epsilons=(1.25, 1.0))
@@ -168,3 +172,154 @@ def test_estimate_json_and_csv(flat, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "horizon,epsilon,count"
     assert len(lines) == 1 + 4 * 2
+
+
+def test_estimate_entropy_rejects_short_windows(flat):
+    params = EntropyParams(n_samples=32, horizons=(2.0, 4.0),
+                           epsilons=(1.25, 1.0))
+    states = sample_phase_points(flat, params.n_samples, params.seed)
+    _, probes = probe_trajectories(flat, states, 2.0, params.dt_probe,
+                                   params.step_h)
+    with pytest.raises(ValidationError):
+        estimate_entropy(flat, params, probes=probes)
+
+
+def test_separated_count_rejects_m_limit_beyond_samples():
+    probes = _static_probes([(0.1, 0.1, 0.0), (0.6, 0.6, 1.0)])
+    with pytest.raises(ValidationError):
+        separated_count(probes, 0.5, k_limit=4, m_limit=3)
+
+
+# -- separated_counts against the per-pair greedy scan it replaced ----------
+
+def _reference_count(probes, eps, k_limit, m_limit=None):
+    """Greedy count for one window, one _pair_separates call per pair."""
+    m = probes.shape[0] if m_limit is None else int(m_limit)
+    eps = float(eps)
+    start = probes[:m, 0, :].astype(np.float64)
+    kept = []
+    kept_start = np.empty((m, 3))
+    for i in range(m):
+        ok = True
+        if kept:
+            ks = kept_start[:len(kept)]
+            dx = np.abs(ks[:, 0] - start[i, 0])
+            dx = np.minimum(dx, 1.0 - dx)
+            dy = np.abs(ks[:, 1] - start[i, 1])
+            dy = np.minimum(dy, 1.0 - dy)
+            da = np.abs(ks[:, 2] - start[i, 2])
+            da = np.minimum(da, entropy.TWO_PI - da)
+            rest = eps - da
+            pos2 = dx * dx + dy * dy
+            near = np.nonzero((rest > 0.0) & (pos2 < rest * rest))[0]
+            for idx in near:
+                if not entropy._pair_separates(probes, i, kept[idx], k_limit,
+                                               eps):
+                    ok = False
+                    break
+        if ok:
+            kept_start[len(kept)] = start[i]
+            kept.append(i)
+    return len(kept)
+
+
+def _reference_counts(probes, eps, k_limits, m_limit=None):
+    return [_reference_count(probes, eps, k, m_limit) for k in k_limits]
+
+
+# dyadic grids holding the wrap edges 0, 0.5 and +-pi: on them the float32
+# arithmetic is exact, so distances equal to eps and coincident samples
+# occur often
+_POSITION_GRID = [k / 8 for k in range(8)]
+_ANGLE_GRID = [0.0, math.pi, -math.pi, 0.25, -0.5, 1.0]
+_EPS_GRID = [0.125, 0.25, 0.5, 0.75, 1.5]
+
+
+@st.composite
+def _count_cases(draw):
+    m = draw(st.integers(1, 40))
+    n_probes = draw(st.integers(1, 24))
+    shape = (m, n_probes)
+    if draw(st.booleans()):
+        # uniform picks from the grids; hypothesis' own draws favour a few
+        # simple values, which seldom line up a distance equal to eps
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        cols = [rng.choice(grid, size=shape) for grid in
+                (_POSITION_GRID, _POSITION_GRID, _ANGLE_GRID)]
+        eps = draw(st.sampled_from(_EPS_GRID))
+    else:
+        position = (st.sampled_from(_POSITION_GRID)
+                    | st.floats(0.0, 1.0, exclude_max=True))
+        angle = st.sampled_from(_ANGLE_GRID) | st.floats(-math.pi, math.pi)
+        size = m * n_probes
+        cols = [np.reshape(draw(st.lists(elem, min_size=size,
+                                         max_size=size)), shape)
+                for elem in (position, position, angle)]
+        eps = draw(st.sampled_from(_EPS_GRID) | st.floats(0.01, 4.0))
+    probes = np.stack(cols, axis=2).astype(np.float32)
+    k_limits = sorted(draw(st.lists(st.integers(0, n_probes), min_size=1,
+                                    max_size=4)))
+    m_limit = draw(st.one_of(st.none(), st.integers(0, m)))
+    return probes, eps, k_limits, m_limit
+
+
+@settings(deadline=None)
+@given(_count_cases())
+def test_separated_counts_match_pairwise_scan(case):
+    probes, eps, k_limits, m_limit = case
+    got = separated_counts(probes, eps, k_limits, m_limit)
+    assert got.tolist() == _reference_counts(probes, eps, k_limits, m_limit)
+
+
+def _phase_gaps(a, b):
+    """Phase distance of two probe rows at every probe, in float64."""
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    dx = np.abs(a[:, 0] - b[:, 0])
+    dy = np.abs(a[:, 1] - b[:, 1])
+    da = np.abs(a[:, 2] - b[:, 2])
+    dx, dy = np.minimum(dx, 1.0 - dx), np.minimum(dy, 1.0 - dy)
+    da = np.minimum(da, entropy.TWO_PI - da)
+    return np.hypot(dx, dy) + da
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_separated_counts_match_pairwise_scan_at_eps_ties(seed):
+    # a tight cluster, with eps the largest distance of its first pair
+    # rounded to float32: that pair's test is decided in the last bits, so
+    # arithmetic in any other precision or order changes the count
+    rng = np.random.default_rng(seed)
+    base = rng.uniform([0.0, 0.0, -math.pi], [1.0, 1.0, math.pi])
+    probes = base + rng.uniform(-0.05, 0.05, size=(6, 12, 3))
+    probes[:, :, :2] %= 1.0
+    probes[:, :, 2] = (probes[:, :, 2] + math.pi) % entropy.TWO_PI - math.pi
+    probes = probes.astype(np.float32)
+    eps = float(np.float32(_phase_gaps(probes[0], probes[1]).max()))
+    k_limits = list(range(13))
+    got = separated_counts(probes, eps, k_limits)
+    assert got.tolist() == _reference_counts(probes, eps, k_limits)
+
+
+@pytest.mark.parametrize("name", ["two-frequency", "liouville"])
+@pytest.mark.parametrize("seed", [PRESETS["dichotomy"].seed, 7])
+def test_separated_counts_match_pairwise_scan_on_flows(name, seed):
+    params = PRESETS["dichotomy"]
+    spec = gallery(name)
+    states = sample_phase_points(spec, 512, seed)
+    _, probes = probe_trajectories(spec, states, params.horizons[-1],
+                                   params.dt_probe, params.step_h)
+    k_limits = [int(round(T / params.dt_probe)) + 1 for T in params.horizons]
+    for eps in params.epsilons:
+        got = separated_counts(probes, eps, k_limits)
+        assert got.tolist() == _reference_counts(probes, eps, k_limits)
+
+
+def test_entropy_workload_table_is_pinned(twofreq):
+    # the two-frequency table of the benchmark's entropy workload at its
+    # seed 1, which draws sample seed 1016164991
+    params = EntropyParams(n_samples=512, seed=1016164991,
+                           horizons=(3.0, 6.0, 9.0, 12.0),
+                           epsilons=(1.5, 1.25))
+    res = estimate_entropy(twofreq, params)
+    assert res.counts == [[66, 105], [133, 204], [200, 272], [252, 305]]
