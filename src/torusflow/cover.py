@@ -148,28 +148,27 @@ def torus_self_crossings(traj, class_radius=2, theta_min=sg.THETA_MIN,
     (t1, t2): event times are ordered t1 < t2 and loop_class is the deck
     class of the loop run from t1 to t2, with (0, 0) for contractible ones.
     """
-    out = []
     ident = DeckTransform(0, 0)
     events, _ = self_intersections(traj, theta_min=theta_min, refine=refine)
-    out.extend((ev, ident) for ev in events)
+    out = [(ev, ident) for ev in events]
     r = int(class_radius)
-    for m in range(0, r + 1):
-        for n in range(-r, r + 1):
-            if m == 0 and n <= 0:
-                continue
-            tau = DeckTransform(m, n)
-            events, _ = translate_intersections(traj, tau, theta_min=theta_min,
-                                                refine=refine)
-            # an event (ta, tb) asserts lift(ta) = tau(lift(tb)); the loop
-            # class compares the later lift point against the earlier one
-            for ev in events:
-                if ev.t1 > ev.t2:
-                    ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,
-                                              -ev.sign, ev.margin)
-                    loop = tau
-                else:
-                    loop = tau.inverse()
-                out.append((ev, loop))
+    taus = [DeckTransform(m, n) for m in range(0, r + 1)
+            for n in range(-r, r + 1) if m > 0 or n > 0]
+    found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
+                                  [(tau.m, tau.n) for tau in taus],
+                                  traj.v, traj.v, theta_min=theta_min,
+                                  refine=refine)
+    for tau, (events, _) in zip(taus, found):
+        # an event (ta, tb) asserts lift(ta) = tau(lift(tb)); the loop
+        # class compares the later lift point against the earlier one
+        for ev in events:
+            if ev.t1 > ev.t2:
+                ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,
+                                          -ev.sign, ev.margin)
+                loop = tau
+            else:
+                loop = tau.inverse()
+            out.append((ev, loop))
     out.sort(key=lambda pair: (pair[0].t1, pair[0].t2))
     return out
 
@@ -234,15 +233,17 @@ def intersection_census(traj, class_radius=3, horizons=(100.0, 200.0, 400.0),
     if horizons[-1] > traj.horizon + 1e-9:
         raise ValidationError(
             f"census horizon {horizons[-1]} exceeds trajectory horizon {traj.horizon}")
+    reps = primitive_classes(class_radius)
+    powers = [k for k in range(-class_radius, class_radius + 1) if k != 0]
+    etas = [rep.power(k) for rep in reps for k in powers]
+    found = iter(sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
+                                       [(eta.m, eta.n) for eta in etas],
+                                       theta_min=theta_min, refine=False))
     classes = {}
-    for rep in primitive_classes(class_radius):
+    for rep in reps:
         counts = {}
-        for k in range(-class_radius, class_radius + 1):
-            if k == 0:
-                continue
-            eta = rep.power(k)
-            events, _ = translate_intersections(traj, eta, theta_min=theta_min,
-                                                refine=False)
+        for k in powers:
+            events, _ = next(found)
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
         classes[rep.class_key()] = ClassCensus(class_key=rep.class_key(),

@@ -1,13 +1,17 @@
 """Transversal crossing detection between sampled plane curves.
 
 Curves arrive as polylines with a parameter value per node (trajectory time
-or curve parameter).  Candidate segment pairs come from a uniform spatial
-hash, the exact crossing point of each candidate pair is solved in closed
-form, and crossings whose |sin| of intersection angle falls below a margin
-threshold are reported separately as tangential events rather than being
-counted.  When node velocities are available the crossing is polished on a
-local cubic Hermite model of each curve, which recovers the intersection of
-the underlying smooth curves to about 1e-8 for sampling steps near 0.01.
+or curve parameter).  The engine, `crossings_by_shift`, meets polyline A
+with a list of translates B + shift: A goes into a uniform spatial hash once
+(cells twice the 95th-percentile segment length, keyed by column and row
+within A's cell range; a segment longer than a cell is hashed in pieces no
+longer than a cell), and each translate is rasterised onto the same grid
+and looked up in it.  Candidate pairs get an exact closed-form solve, and
+crossings whose |sin| of intersection angle falls below a margin threshold
+are reported separately as tangential events rather than being counted.
+When node velocities are available the crossing is polished on a local
+cubic Hermite model of each curve, which recovers the intersection of the
+underlying smooth curves to about 1e-8 for sampling steps near 0.01.
 """
 
 from __future__ import annotations
@@ -36,62 +40,89 @@ class IntersectionEvent:
         return (self.x, self.y)
 
 
-def _cell_entries(xy, cell, origin):
-    """(cell_key entries, segment ids) covering each segment's bounding box."""
-    a = xy[:-1]
-    b = xy[1:]
-    ix0 = np.floor((np.minimum(a[:, 0], b[:, 0]) - origin[0]) / cell).astype(np.int64)
-    ix1 = np.floor((np.maximum(a[:, 0], b[:, 0]) - origin[0]) / cell).astype(np.int64)
-    iy0 = np.floor((np.minimum(a[:, 1], b[:, 1]) - origin[1]) / cell).astype(np.int64)
-    iy1 = np.floor((np.maximum(a[:, 1], b[:, 1]) - origin[1]) / cell).astype(np.int64)
-    nx = ix1 - ix0 + 1
-    ny = iy1 - iy0 + 1
-    counts = nx * ny
-    total = int(counts.sum())
-    seg = np.repeat(np.arange(len(a)), counts)
-    k = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nxr = np.repeat(nx, counts)
-    cx = np.repeat(ix0, counts) + (k % nxr)
-    cy = np.repeat(iy0, counts) + (k // nxr)
-    return cx, cy, seg
+def _pieces(xy, cell):
+    """Bounding boxes of a polyline's segments, long segments cut into pieces.
+
+    A segment longer than `cell` is cut into equal pieces no longer than a
+    cell; the pieces share their cut points and keep the parent's segment
+    id.  Returns (lo, hi, seg, pad): (2, P) lower and upper box corners
+    (x row, y row), (P,) segment ids, and the number of cells by which to
+    widen each piece's cell range, 1 for cut pieces so that rounding of the
+    cut points never drops the cell of a point on the parent segment.
+    """
+    a = xy[:-1].T
+    b = xy[1:].T
+    n = np.maximum(np.ceil(np.hypot(*(b - a)) / cell), 1.0).astype(np.int64)
+    seg = np.repeat(np.arange(len(n)), n)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)
+    nr = n[seg]
+    d = (b - a)[:, seg]
+    p = np.where(k == 0, a[:, seg], a[:, seg] + k / nr * d)
+    q = np.where(k == nr - 1, b[:, seg], a[:, seg] + (k + 1) / nr * d)
+    return np.minimum(p, q), np.maximum(p, q), seg, (nr > 1).astype(float)
 
 
-def _candidate_pairs(xyA, xyB, same_curve):
-    """Segment index pairs whose bounding boxes share a hash cell."""
-    lens = np.hypot(*(xyA[1:] - xyA[:-1]).T)
-    lensB = np.hypot(*(xyB[1:] - xyB[:-1]).T)
-    scale = max(np.percentile(lens, 95), np.percentile(lensB, 95), 1e-9)
-    cell = 2.0 * scale
-    origin = (min(xyA[:, 0].min(), xyB[:, 0].min()),
-              min(xyA[:, 1].min(), xyB[:, 1].min()))
-    cxA, cyA, segA = _cell_entries(xyA, cell, origin)
-    if same_curve:
-        cxB, cyB, segB = cxA, cyA, segA
-    else:
-        cxB, cyB, segB = _cell_entries(xyB, cell, origin)
-    width = int(max(cxA.max(), cxB.max())) + 2
-    keyA = cxA * width + cyA
-    keyB = cxB * width + cyB
-    order = np.argsort(keyB, kind="stable")
-    keyBs = keyB[order]
-    segBs = segB[order]
-    lo = np.searchsorted(keyBs, keyA, side="left")
-    hi = np.searchsorted(keyBs, keyA, side="right")
-    counts = hi - lo
-    mask = counts > 0
-    if not mask.any():
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    segA_rep = np.repeat(segA[mask], counts[mask])
-    k = np.arange(int(counts[mask].sum()))
-    k -= np.repeat(np.cumsum(counts[mask]) - counts[mask], counts[mask])
-    segB_rep = segBs[np.repeat(lo[mask], counts[mask]) + k]
+def _cell_entries(boxes, shift, cell, origin, top):
+    """Hash entries (cell key, segment id) for the cells each piece of B +
+    shift covers.
+
+    Cell (cx, cy) counts from `origin` in steps of `cell`; only cells in
+    [0, top] are listed, so the key cx * (top_y + 1) + cy names one cell.
+    """
+    lo, hi, seg, pad = boxes
+    i0 = np.floor((lo + shift - origin) / cell) - pad
+    i1 = np.floor((hi + shift - origin) / cell) + pad
+    i0 = np.maximum(i0, 0.0).astype(np.int64)
+    i1 = np.minimum(i1, top).astype(np.int64)
+    span = i1 - i0
+    # a piece spans a few cells per axis (none when it misses A's range):
+    # list cell (i0x + dx, i0y + dy) of the pieces spanning that far
+    w = int(span.max()) + 1
+    reach_x = [span[0] >= d for d in range(w)]
+    reach_y = [span[1] >= d for d in range(w)]
+    rows = int(top[1, 0]) + 1
+    base = i0[0] * rows + i0[1]
+    keys, segs = [base[:0]], [seg[:0]]
+    for dx in range(w):
+        for dy in range(w):
+            hit = reach_x[dx] & reach_y[dy]
+            keys.append(base[hit] + (dx * rows + dy))
+            segs.append(seg[hit])
+    return np.concatenate(keys), np.concatenate(segs)
+
+
+class _CellTable:
+    """Polyline A's spatial hash on a grid from A's lower corner (`origin`)
+    to its largest cell indices (`top`): the occupied cell keys, ascending,
+    and for keys[i] the segments segs[start[i]:start[i] + count[i]]."""
+
+    def __init__(self, xyA, boxesA, cell):
+        self.cell = cell
+        self.origin = xyA.min(axis=0)[:, None]
+        self.top = np.floor((xyA.max(axis=0)[:, None] - self.origin) / cell)
+        keys, segs = _cell_entries(boxesA, 0.0, cell, self.origin, self.top)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        self.start = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.count = np.diff(np.append(self.start, len(keys)))
+        self.keys, self.segs = keys[self.start], segs[order]
+
+
+def _candidate_pairs(table, boxesB, shift, n_segB, same_curve):
+    """Segment index pairs (A, B + shift), ordered by (A, B), sharing a cell."""
+    keys, segB = _cell_entries(boxesB, shift, table.cell, table.origin,
+                               table.top)
+    at = np.minimum(np.searchsorted(table.keys, keys), len(table.keys) - 1)
+    counts = np.where(table.keys[at] == keys, table.count[at], 0)
+    segB_rep = np.repeat(segB, counts)
+    k = np.arange(len(segB_rep)) - np.repeat(np.cumsum(counts) - counts, counts)
+    segA_rep = table.segs[np.repeat(table.start[at], counts) + k]
     if same_curve:
         keep = segA_rep < segB_rep - 1
-    else:
-        keep = np.ones(len(segA_rep), dtype=bool)
-    pair = segA_rep[keep] * np.int64(len(xyB) - 1) + segB_rep[keep]
-    pair = np.unique(pair)
-    return pair // (len(xyB) - 1), pair % (len(xyB) - 1)
+        segA_rep, segB_rep = segA_rep[keep], segB_rep[keep]
+    pair = np.sort(segA_rep * np.int64(n_segB) + segB_rep)
+    pair = pair[np.diff(pair, prepend=-1) != 0]
+    return pair // n_segB, pair % n_segB
 
 
 def _hermite(p0, p1, m0, m1, u):
@@ -150,50 +181,85 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0, tol=1e-10):
 
 def crossings(xyA, tA, xyB, tB, vA=None, vB=None, theta_min=THETA_MIN,
               same_curve=False, t_sep=SELF_T_SEP, cyclic_span=None, refine=True):
-    """All transversal crossings between two polylines.
+    """All transversal crossings between two polylines: (events, tangential).
+
+    The single-shift case of `crossings_by_shift`, which documents the
+    arguments and the result.
+    """
+    return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB,
+                              theta_min=theta_min, same_curve=same_curve,
+                              t_sep=t_sep, cyclic_span=cyclic_span,
+                              refine=refine)[0]
+
+
+def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
+                       theta_min=THETA_MIN, same_curve=False, t_sep=SELF_T_SEP,
+                       cyclic_span=None, refine=True):
+    """Crossings of polyline A with each translate B + shift, A hashed once.
 
     Parameters
     ----------
     xyA, xyB : (N, 2) node positions; tA, tB: (N,) node parameters
+    shifts : sequence of (dx, dy) translations of B, deck shifts in practice
     vA, vB : optional node velocities enabling Hermite refinement
     theta_min : events with |sin angle| below this go to the tangential list
-    same_curve : self-intersection mode; skips adjacent segments and pairs
-        with parameter separation below t_sep
+    same_curve : self-intersection mode (B is A, zero shift); skips adjacent
+        segments and pairs with parameter separation below t_sep
     cyclic_span : period of the parameter for closed curves; the t_sep
         filter then uses cyclic parameter distance
     refine : polish on the local cubic model when velocities are available
 
     Returns
     -------
-    (events, tangential) : two lists of IntersectionEvent, events sorted by
-    (t1, t2).  Tangential events carry the same fields but margins below
-    theta_min and are never counted by callers.
+    One (events, tangential) pair per shift, in order: two lists of
+    IntersectionEvent, events sorted by (t1, t2).  Tangential events carry
+    the same fields but margins below theta_min and are never counted by
+    callers.  Each shift is solved and refined as its own batch, so its
+    events do not depend on which other shifts share the call.
     """
-    xyA = np.asarray(xyA, dtype=float)
-    xyB = np.asarray(xyB, dtype=float)
-    tA = np.asarray(tA, dtype=float)
-    tB = np.asarray(tB, dtype=float)
+    xyA, xyB, tA, tB, shifts = (np.asarray(v, dtype=float)
+                                for v in (xyA, xyB, tA, tB, shifts))
+    shifts = shifts.reshape(-1, 2)
+    out = [([], []) for _ in shifts]
     if len(xyA) < 2 or len(xyB) < 2:
-        return [], []
+        return out
     # cheap reject: disjoint bounding boxes
-    if (xyA[:, 0].max() < xyB[:, 0].min() or xyB[:, 0].max() < xyA[:, 0].min()
-            or xyA[:, 1].max() < xyB[:, 1].min() or xyB[:, 1].max() < xyA[:, 1].min()):
-        return [], []
-    iA, iB = _candidate_pairs(xyA, xyB, same_curve)
-    if len(iA) == 0:
-        return [], []
+    loA, hiA = xyA.min(axis=0), xyA.max(axis=0)
+    loB, hiB = xyB.min(axis=0), xyB.max(axis=0)
+    live = np.flatnonzero(
+        ~((loB + shifts > hiA) | (hiB + shifts < loA)).any(axis=1))
+    if len(live) == 0:
+        return out
+    if not refine or vA is None or vB is None:
+        vA = vB = None
+    lensA = np.hypot(*(xyA[1:] - xyA[:-1]).T)
+    lensB = np.hypot(*(xyB[1:] - xyB[:-1]).T)
+    cell = 2.0 * max(np.percentile(lensA, 95), np.percentile(lensB, 95), 1e-9)
+    boxesA = _pieces(xyA, cell)
+    boxesB = boxesA if xyB is xyA else _pieces(xyB, cell)
+    table = _CellTable(xyA, boxesA, cell)
+    for i in live:
+        iA, iB = _candidate_pairs(table, boxesB, shifts[i][:, None],
+                                  len(xyB) - 1, same_curve)
+        out[i] = _events(xyA, tA, vA, xyB + shifts[i], tB, vB, iA, iB,
+                         theta_min, same_curve, t_sep, cyclic_span)
+    return out
+
+
+def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, theta_min, same_curve, t_sep,
+            cyclic_span):
+    """Exact crossings of the candidate segment pairs, refined when vA is set."""
     a = xyA[iA]
     r = xyA[iA + 1] - a
     c = xyB[iB]
     s = xyB[iB + 1] - c
     denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
     diff = c - a
-    nz = denom != 0.0
-    tpar = np.empty_like(denom)
-    upar = np.empty_like(denom)
-    tpar[nz] = (diff[nz, 0] * s[nz, 1] - diff[nz, 1] * s[nz, 0]) / denom[nz]
-    upar[nz] = (diff[nz, 0] * r[nz, 1] - diff[nz, 1] * r[nz, 0]) / denom[nz]
-    hit = nz & (tpar >= 0.0) & (tpar < 1.0) & (upar >= 0.0) & (upar < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tpar = (diff[:, 0] * s[:, 1] - diff[:, 1] * s[:, 0]) / denom
+        upar = (diff[:, 0] * r[:, 1] - diff[:, 1] * r[:, 0]) / denom
+    hit = ((denom != 0.0) & (tpar >= 0.0) & (tpar < 1.0)
+           & (upar >= 0.0) & (upar < 1.0))
     if not hit.any():
         return [], []
     iA, iB = iA[hit], iB[hit]
@@ -202,7 +268,7 @@ def crossings(xyA, tA, xyB, tB, vA=None, vB=None, theta_min=THETA_MIN,
     pts = a + tpar[:, None] * r
     tanA, tanB = r, s
 
-    if refine and vA is not None and vB is not None:
+    if vA is not None:
         ra, rb, rpts, da, db, ok = _refine_hermite(
             xyA, np.asarray(vA, float), tA, iA, tpar,
             xyB, np.asarray(vB, float), tB, iB, upar)
@@ -234,12 +300,3 @@ def crossings(xyA, tA, xyB, tB, vA=None, vB=None, theta_min=THETA_MIN,
                                margin=float(margin[j]))
         (events if margin[j] >= theta_min else tangential).append(ev)
     return events, tangential
-
-
-def count_crossings(xyA, xyB, theta_min=THETA_MIN):
-    """Number of transversal crossings between two polylines (no refinement)."""
-    n = len(xyA)
-    ev, _ = crossings(xyA, np.arange(n, dtype=float), xyB,
-                      np.arange(len(xyB), dtype=float), refine=False,
-                      theta_min=theta_min)
-    return len(ev)

@@ -98,22 +98,14 @@ class ClosedCurve:
         n = self.n_nodes
         events, _ = sg.crossings(p, t, p, t, theta_min=theta_min,
                                  same_curve=True, t_sep=1.5, cyclic_span=float(n))
-        count = len(events)
         # crossings between the period and distinct translates of itself,
         # each torus point showing up for exactly one half-lattice shift
-        lo = p.min(axis=0)
-        hi = p.max(axis=0)
-        for jj in range(0, int(math.ceil(hi[0] - lo[0])) + 1):
-            kk_lo = -int(math.ceil(hi[1] - lo[1])) - 1
-            for kk in range(kk_lo, -kk_lo + 1):
-                if jj == 0 and kk <= 0:
-                    continue
-                shift = np.array([jj, kk], dtype=float)
-                if (lo + shift > hi).any() or (hi + shift < lo).any():
-                    continue
-                ev, _ = sg.crossings(p, t, p + shift, t, theta_min=theta_min)
-                count += len(ev)
-        return count
+        span = np.ceil(p.max(axis=0) - p.min(axis=0)).astype(int)
+        shifts = [(jj, kk) for jj in range(0, span[0] + 1)
+                  for kk in range(-span[1] - 1, span[1] + 2)
+                  if jj > 0 or kk > 0]
+        found = sg.crossings_by_shift(p, t, p, t, shifts, theta_min=theta_min)
+        return len(events) + sum(len(ev) for ev, _ in found)
 
 
 def circle_curve(center, radius, n=128):
@@ -456,15 +448,12 @@ def torus_crossing_count(curveA, curveB, theta_min=sg.THETA_MIN):
     tB = np.arange(len(pB), dtype=float)
     loA, hiA = pA.min(axis=0), pA.max(axis=0)
     loB, hiB = pB.min(axis=0), pB.max(axis=0)
-    count = 0
-    for jj in range(int(math.floor(loA[0] - hiB[0])), int(math.ceil(hiA[0] - loB[0])) + 1):
-        for kk in range(int(math.floor(loA[1] - hiB[1])), int(math.ceil(hiA[1] - loB[1])) + 1):
-            shift = np.array([jj, kk], dtype=float)
-            if (loB + shift > hiA).any() or (hiB + shift < loA).any():
-                continue
-            ev, _ = sg.crossings(pA, tA, pB + shift, tB, theta_min=theta_min)
-            count += len(ev)
-    return count
+    first = np.floor(loA - hiB).astype(int)
+    last = np.ceil(hiA - loB).astype(int)
+    shifts = [(jj, kk) for jj in range(first[0], last[0] + 1)
+              for kk in range(first[1], last[1] + 1)]
+    found = sg.crossings_by_shift(pA, tA, pB, tB, shifts, theta_min=theta_min)
+    return sum(len(ev) for ev, _ in found)
 
 
 def arc_crossing_count(xyA, tA, xyB, tB, endpoint_guard=1e-3,
