@@ -7,102 +7,4 @@ translates, curve-shortening limits, minimal closed geodesics per homotopy
 class, and separated-set estimates of topological entropy.
 """
 
-from .errors import (
-    AxesNotDisjoint,
-    DegenerateSpacing,
-    EndpointCollision,
-    HorizonTooShort,
-    MetricFormatError,
-    NotConverged,
-    NotEscaping,
-    NumericalBlowup,
-    PrimitiveRequired,
-    StepFailure,
-    TorusflowError,
-    ValidationError,
-)
-from .metrics import (
-    MetricSpec,
-    MetricValue,
-    christoffel,
-    conformal_bump,
-    conformal_metric,
-    eval_metric,
-    flat_metric,
-    gallery,
-    gallery_names,
-    gauss_curvature,
-    gauss_curvature_grid,
-    liouville_metric,
-    load_metric,
-    resolve_metric,
-    save_metric,
-    total_curvature,
-    two_frequency,
-)
-from .flow import (
-    Trajectory,
-    UnitTangent,
-    classify_ray,
-    flow_map,
-    integrate,
-    integrate_batch,
-    integrate_rays,
-    unit_tangent,
-)
-from .cover import (
-    DeckTransform,
-    DirectionEstimate,
-    DoubleLoopWitness,
-    IntersectionCensus,
-    RotationNumber,
-    Strip,
-    apply_deck,
-    asymptotic_direction,
-    detect_anchored_crossing_pair,
-    detect_double_loop,
-    direction_antisymmetry,
-    direction_field,
-    fit_strip,
-    hit_rotation_targets,
-    intersection_census,
-    max_projective_jump,
-    primitive_classes,
-    self_intersections,
-    torus_self_crossings,
-    translate_intersections,
-)
-from .shortening import (
-    ClosedCurve,
-    FlowResult,
-    circle_curve,
-    evolve,
-    find_contractible_geodesic,
-    intersection_monotonicity_probe,
-    straight_class_curve,
-    torus_crossing_count,
-)
-from .axes import (
-    Axis,
-    FlatnessReport,
-    FoliationReport,
-    check_foliation,
-    find_minimal_axis,
-    flatness_test,
-    grid_shortest_class_length,
-    line_deviation,
-    shoot_closed_geodesic,
-)
-from .entropy import (
-    EntropyEstimate,
-    EntropyParams,
-    PRESETS,
-    dynamical_distance,
-    estimate_entropy,
-    phase_distance,
-    probe_trajectories,
-    sample_phase_points,
-    separated_count,
-)
-
 __version__ = "0.1.0"

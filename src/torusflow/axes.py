@@ -22,8 +22,8 @@ import numpy as np
 
 from . import shortening as sh
 from .errors import NotConverged, ValidationError
-from .flow import Trajectory, integrate, unit_tangent
-from .metrics import gauss_curvature_grid, total_curvature
+from .flow import integrate, unit_tangent
+from .metrics import gauss_curvature_grid, quadratic_form, total_curvature
 
 
 def _class_frame(klass):
@@ -221,13 +221,10 @@ def grid_shortest_class_length(spec, klass, n=512, margin=0.35,
     # trapezoid of the endpoint quadratic forms, same order as midpoints
     # but free of per-move series evaluations
     f = spec.fields(P[..., 0].ravel(), P[..., 1].ravel(), order=0)
-    gE = f["E"].reshape(Ns + 1, W)
-    gF = f["F"].reshape(Ns + 1, W)
-    gG = f["G"].reshape(Ns + 1, W)
+    g = {k: f[k].reshape(Ns + 1, W) for k in ("E", "F", "G")}
 
     def seg_weights(delta, di, dj):
-        q = (gE * delta[0] ** 2 + 2.0 * gF * delta[0] * delta[1]
-             + gG * delta[1] ** 2)
+        q = quadratic_form(g, delta[0], delta[1])
         src = q[:Ns + 1 - di] if di else q
         dst = q[di:]
         if dj > 0:

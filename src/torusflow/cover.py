@@ -25,7 +25,7 @@ import numpy as np
 from . import segments as sg
 from .errors import (AxesNotDisjoint, NotEscaping, PrimitiveRequired,
                      ValidationError)
-from .flow import Trajectory, integrate_batch
+from .flow import Trajectory, integrate_rays, unit_tangent
 
 IntersectionEvent = sg.IntersectionEvent
 
@@ -39,9 +39,6 @@ class DeckTransform:
 
     m: int
     n: int
-
-    def apply_point(self, p):
-        return (p[0] + self.m, p[1] + self.n)
 
     def apply_array(self, xy):
         return np.asarray(xy, dtype=float) + np.array([self.m, self.n], dtype=float)
@@ -82,13 +79,6 @@ class DeckTransform:
     def class_key(self):
         rep = self.class_rep()
         return f"{rep.m}/{rep.n}"
-
-    def direction(self):
-        """Unit vector of the translation."""
-        norm = math.hypot(self.m, self.n)
-        if norm == 0:
-            raise PrimitiveRequired("identity translation has no direction")
-        return (self.m / norm, self.n / norm)
 
 
 def primitive_classes(radius):
@@ -282,13 +272,6 @@ class RotationNumber:
         if dx != 0.0:
             return cls.finite(dy / dx)
         return cls.infinity()
-
-    def direction(self):
-        """Unit representative with the sign convention of class_rep."""
-        if self.infinite:
-            return (0.0, 1.0)
-        n = math.hypot(1.0, self.slope)
-        return (1.0 / n, self.slope / n)
 
     def projective_angle(self):
         """Angle in [0, pi) of the corresponding line through the origin."""
@@ -549,25 +532,15 @@ def direction_field(spec, base, angles, horizon=300.0, dt=0.1, h=0.01):
     samples, so the cost per angle is small.  Returns a list of
     DirectionEstimate in the order of `angles`.
     """
-    from .flow import unit_tangent
-    states = []
-    for a in angles:
-        v = unit_tangent(spec, base, float(a))
-        states.append([v.x, v.y, v.vx, v.vy])
-    times, samples = integrate_batch(spec, np.array(states), horizon, h=h,
-                                     sample_dt=dt)
-    out = []
-    for i in range(len(angles)):
-        xy = samples[i, :, 0:2]
-        traj = Trajectory(spec_name=spec.name, t=times, xy=xy,
-                          v=samples[i, :, 2:4], s=times, rtol=float("nan"),
-                          atol=float("nan"), method="rk4-batch")
-        out.append(asymptotic_direction(traj))
-    return out
+    tangents = [unit_tangent(spec, base, float(a)) for a in angles]
+    return [asymptotic_direction(ray)
+            for ray in integrate_rays(spec, tangents, horizon, dt=dt, h=h)]
 
 
 def max_projective_jump(estimates):
     """Largest angular jump of the direction line between adjacent estimates."""
+    if len(estimates) < 2:
+        raise ValidationError("a projective jump needs at least two estimates")
     ang = np.array([e.rotation.projective_angle() for e in estimates])
     d = np.abs(np.diff(ang))
     d = np.minimum(d, math.pi - d)

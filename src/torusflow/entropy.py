@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .flow import integrate_batch
+from .metrics import quadratic_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +79,8 @@ class EntropyParams:
             raise ValidationError("horizons must be ascending")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):
             raise ValidationError("epsilons must be descending")
+        if not (self.dt_probe > 0 and self.step_h > 0):
+            raise ValidationError("dt_probe and step_h must be positive")
         ratio = self.dt_probe / self.step_h
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("dt_probe must be a multiple of step_h")
@@ -113,8 +116,7 @@ def sample_phase_points(spec, n_samples, seed):
     theta = TWO_PI * u[:, 2]
     cx = np.cos(theta)
     sy = np.sin(theta)
-    f = spec.fields(x, y, order=0)
-    norm = np.sqrt(f["E"] * cx * cx + 2.0 * f["F"] * cx * sy + f["G"] * sy * sy)
+    norm = np.sqrt(quadratic_form(spec.fields(x, y, order=0), cx, sy))
     return np.stack([x, y, cx / norm, sy / norm], axis=1)
 
 

@@ -21,10 +21,6 @@ class StepFailure(TorusflowError):
     """Adaptive integrator could not reach the requested horizon."""
 
 
-class HorizonTooShort(ValidationError):
-    """Requested analysis horizon is below the documented minimum."""
-
-
 class NotEscaping(TorusflowError):
     """Asymptotic-direction estimate requested for a trajectory that has not escaped."""
 
@@ -39,10 +35,6 @@ class DegenerateSpacing(TorusflowError):
 
 class NumericalBlowup(TorusflowError):
     """Curvature exploded without the curve shrinking; step-halving budget exhausted."""
-
-
-class EndpointCollision(TorusflowError):
-    """Evolving curve ran into an endpoint of the static probe segment."""
 
 
 class NotConverged(TorusflowError):

@@ -1,13 +1,15 @@
 """Geodesic flow on the universal cover of a Fourier torus metric.
 
-Two integration engines live here.  `integrate` drives a single geodesic
-with an adaptive high-order Runge-Kutta method (DOP853, tolerance 1e-10 by
-default) and samples the dense output on a uniform time grid; it is the
-precision path used for exactness tests, shooting and certified runs.
-`integrate_batch` advances many geodesics simultaneously with a fixed-step
-classical RK4; each trajectory in the batch is computed by arithmetic that
-does not depend on the rest of the batch, which the entropy sampler relies
-on for reproducibility.
+`integrate` is the one adaptive path: it drives a single geodesic with a
+high-order Runge-Kutta method (DOP853, tolerance 1e-10 by default) and
+samples the dense output on a uniform time grid.  It is the precision path
+used for exactness tests, shooting and certified runs; the time-t image of
+a tangent is `integrate(...).final_tangent()`.  `integrate_batch` advances
+many geodesics simultaneously with a fixed-step classical RK4; each
+trajectory in the batch is computed by arithmetic that does not depend on
+the rest of the batch, which the entropy sampler relies on for
+reproducibility.  `integrate_rays` wraps each batch member as a
+Trajectory with its arclength.
 
 Unit speed is an invariant of the continuous flow, so the g-norm of the
 velocity is monitored as an accuracy certificate and never renormalized.
@@ -16,27 +18,23 @@ velocity is monitored as an accuracy certificate and never renormalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import HorizonTooShort, StepFailure, ValidationError
-from .metrics import geodesic_accel
+from .errors import StepFailure, ValidationError
+from .metrics import geodesic_accel, quadratic_form
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_DT = 0.01
 
-MIN_CLASSIFY_HORIZON = 100.0
-
 
 def g_norm(spec, point, v):
     """Riemannian norm of a tangent vector at a cover point."""
     f = spec.fields(np.asarray([point[0]]), np.asarray([point[1]]), order=0)
-    E, F, G = f["E"][0], f["F"][0], f["G"][0]
-    vx, vy = v
-    return math.sqrt(E * vx * vx + 2.0 * F * vx * vy + G * vy * vy)
+    return math.sqrt(quadratic_form(f, v[0], v[1])[0])
 
 
 @dataclass(frozen=True)
@@ -47,21 +45,6 @@ class UnitTangent:
     y: float
     vx: float
     vy: float
-
-    @property
-    def base(self):
-        return (self.x, self.y)
-
-    @property
-    def velocity(self):
-        return (self.vx, self.vy)
-
-    def reversed(self):
-        return UnitTangent(self.x, self.y, -self.vx, -self.vy)
-
-    def angle(self):
-        """Euclidean angle of the velocity (chart angle, not g-angle)."""
-        return math.atan2(self.vy, self.vx)
 
 
 def unit_tangent(spec, base, direction):
@@ -111,16 +94,12 @@ class Trajectory:
     def horizon(self):
         return float(self.t[-1])
 
-    def initial_tangent(self):
-        return UnitTangent(*self.xy[0], *self.v[0])
-
     def final_tangent(self):
         return UnitTangent(*self.xy[-1], *self.v[-1])
 
     def speeds(self, spec):
         f = spec.fields(self.xy[:, 0], self.xy[:, 1], order=0)
-        vx, vy = self.v[:, 0], self.v[:, 1]
-        return np.sqrt(f["E"] * vx * vx + 2.0 * f["F"] * vx * vy + f["G"] * vy * vy)
+        return np.sqrt(quadratic_form(f, self.v[:, 0], self.v[:, 1]))
 
     def speed_drift(self, spec):
         """Max deviation of the g-speed from 1 over all samples."""
@@ -145,8 +124,7 @@ def _sample_times(T, dt):
 
 def _arclength(spec, xy, v, t):
     f = spec.fields(xy[:, 0], xy[:, 1], order=0)
-    sp = np.sqrt(f["E"] * v[:, 0] ** 2 + 2 * f["F"] * v[:, 0] * v[:, 1]
-                 + f["G"] * v[:, 1] ** 2)
+    sp = np.sqrt(quadratic_form(f, v[:, 0], v[:, 1]))
     ds = 0.5 * (sp[1:] + sp[:-1]) * np.diff(t)
     return np.concatenate([[0.0], np.cumsum(ds)])
 
@@ -159,8 +137,8 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     spec : MetricSpec
     v0 : UnitTangent (validated to be g-unit within 1e-9)
     T : positive horizon; the backward ray of v0 is the forward ray of
-        v0.reversed()
-    dt : uniform sampling step of the returned Trajectory
+        the tangent with negated velocity
+    dt : positive uniform sampling step of the returned Trajectory
 
     Raises
     ------
@@ -169,6 +147,8 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     _check_unit(spec, v0)
     if T <= 0:
         raise ValidationError("horizon T must be positive")
+    if not dt > 0:
+        raise ValidationError("sampling step dt must be positive")
 
     def rhs(t, y):
         ax, ay = geodesic_accel(spec, y[0:1], y[1:2], y[2:3], y[3:4])
@@ -185,27 +165,6 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     s = _arclength(spec, xy, v, ts)
     return Trajectory(spec_name=spec.name, t=ts, xy=xy, v=v, s=s,
                       rtol=rtol, atol=atol, method="dop853")
-
-
-def flow_map(spec, v0, t, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Time-t image of a unit tangent under the geodesic flow."""
-    _check_unit(spec, v0)
-    if t == 0:
-        return v0
-    sign = 1.0
-    if t < 0:
-        v0, t, sign = v0.reversed(), -t, -1.0
-
-    def rhs(tt, y):
-        ax, ay = geodesic_accel(spec, y[0:1], y[1:2], y[2:3], y[3:4])
-        return (y[2], y[3], ax[0], ay[0])
-
-    sol = solve_ivp(rhs, (0.0, t), [v0.x, v0.y, v0.vx, v0.vy],
-                    method="DOP853", rtol=rtol, atol=atol)
-    if sol.status != 0:
-        raise StepFailure(f"flow map stalled at t={sol.t[-1]:g}")
-    x, y, vx, vy = sol.y[:, -1]
-    return UnitTangent(x, y, sign * vx, sign * vy)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +198,8 @@ def integrate_batch(spec, states, T, h=0.005, sample_every=None, sample_dt=None)
     y = np.array(states, dtype=float)
     if y.ndim != 2 or y.shape[1] != 4:
         raise ValidationError("states must have shape (M, 4)")
+    if not h > 0 or (sample_dt is not None and not sample_dt > 0):
+        raise ValidationError("step h and sample_dt must be positive")
     nsteps = int(round(T / h))
     if abs(nsteps * h - T) > 1e-9 * max(1.0, T):
         raise ValidationError(f"horizon {T} is not a multiple of the step {h}")
@@ -287,99 +248,3 @@ def integrate_rays(spec, tangents, T, dt=DEFAULT_DT, h=None):
                               method=f"rk4-batch-h{h:g}"))
     return out
 
-
-# ---------------------------------------------------------------------------
-# ray classification
-
-@dataclass(frozen=True)
-class RayClass:
-    """Finite-horizon verdict about the fate of one geodesic ray.
-
-    The verdict is evidence, not proof: it reports what the trajectory did
-    up to the stated horizon.  `max_radius` and `return_count` are measured
-    from the launch point.
-    """
-
-    verdict: str           # 'bounded' | 'escaping' | 'oscillating' | 'undecided'
-    horizon: float
-    max_radius: float
-    return_count: int
-    evidence: dict = field(default_factory=dict)
-
-
-def classify_trajectory(traj, r_escape=50.0, base_radius=5.0):
-    """Classify a precomputed ray; see classify_ray for the decision rules."""
-    if traj.horizon < MIN_CLASSIFY_HORIZON:
-        raise HorizonTooShort(
-            f"classification needs horizon >= {MIN_CLASSIFY_HORIZON}, got {traj.horizon}")
-    rel = traj.xy - traj.xy[0]
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    max_radius = float(r.max())
-    half = 0.5 * r_escape
-
-    # excursion/return bookkeeping for the oscillation rule
-    return_count = 0
-    state = "inside"
-    ever_far_then_back = False
-    osc = False
-    for ri in r:
-        if state == "inside" and ri >= half:
-            state = "far"
-        elif state == "far" and ri <= base_radius:
-            state = "inside"
-            return_count += 1
-            ever_far_then_back = True
-        if ever_far_then_back and ri >= half:
-            osc = True
-
-    # monotone outward drift over the final fifth, read at 10 checkpoints
-    tail = r[int(0.8 * (len(r) - 1)):]
-    idx = np.linspace(0, len(tail) - 1, 10).astype(int)
-    checkpoints = tail[idx]
-    monotone_tail = bool(np.all(np.diff(checkpoints) > 0))
-
-    evidence = {
-        "r_escape": r_escape,
-        "base_radius": base_radius,
-        "tail_checkpoints": [float(c) for c in checkpoints],
-        "monotone_tail": monotone_tail,
-    }
-    if max_radius <= base_radius:
-        verdict = "bounded"
-    elif osc:
-        verdict = "oscillating"
-    elif max_radius > r_escape and monotone_tail:
-        verdict = "escaping"
-    else:
-        verdict = "undecided"
-    return RayClass(verdict=verdict, horizon=traj.horizon, max_radius=max_radius,
-                    return_count=return_count, evidence=evidence)
-
-
-def classify_ray(spec, v0, horizon=500.0, r_escape=50.0, base_radius=5.0,
-                 dt=0.05):
-    """Integrate a ray and classify its behaviour up to the horizon.
-
-    Rules, in order of precedence:
-    bounded     -- never left the ball of radius base_radius around c(0);
-    oscillating -- went beyond r_escape/2, came back into the base ball,
-                   and went beyond r_escape/2 again;
-    escaping    -- exceeded r_escape and drifted monotonically outward over
-                   the final fifth of the horizon (10 checkpoints);
-    undecided   -- anything else.
-
-    Raises HorizonTooShort for horizons under 100.
-    """
-    if horizon < MIN_CLASSIFY_HORIZON:
-        raise HorizonTooShort(
-            f"classification needs horizon >= {MIN_CLASSIFY_HORIZON}, got {horizon}")
-    traj = integrate_rays(spec, [v0], horizon, dt=dt)[0]
-    return classify_trajectory(traj, r_escape=r_escape, base_radius=base_radius)
-
-
-def classify_both_rays(spec, v0, horizon=500.0, **kw):
-    """Classify the forward and backward rays of one tangent separately."""
-    return {
-        "forward": classify_ray(spec, v0, horizon, **kw),
-        "backward": classify_ray(spec, v0.reversed(), horizon, **kw),
-    }

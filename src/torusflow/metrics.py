@@ -248,28 +248,9 @@ class MetricSpec:
                 f"lambda_min={self.lambda_min:.4g}, certificate={self.certificate!r})")
 
 
-@dataclass(frozen=True)
-class MetricValue:
-    """Metric tensor and its first derivatives at one cover point."""
-
-    point: tuple
-    g: np.ndarray        # (2, 2)
-    dg: np.ndarray       # (2, 2, 2); dg[l, i, j] = d g_ij / d x^l
-    det: float
-    lambda_min: float
-
-
-def eval_metric(spec, point):
-    """Evaluate the metric tensor and first derivatives at one point."""
-    x, y = float(point[0]), float(point[1])
-    f = spec.fields(np.array([x]), np.array([y]), order=1)
-    g = np.array([[f["E"][0], f["F"][0]], [f["F"][0], f["G"][0]]])
-    dg = np.array([
-        [[f["Ex"][0], f["Fx"][0]], [f["Fx"][0], f["Gx"][0]]],
-        [[f["Ey"][0], f["Fy"][0]], [f["Fy"][0], f["Gy"][0]]],
-    ])
-    det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-    return MetricValue(point=(x, y), g=g, dg=dg, det=det, lambda_min=spec.lambda_min)
+def quadratic_form(f, vx, vy):
+    """g(v, v) from a fields() dict, vectorised over points and vectors."""
+    return f["E"] * vx * vx + 2.0 * f["F"] * vx * vy + f["G"] * vy * vy
 
 
 def _lower_symbols(f):

@@ -25,9 +25,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from . import segments as sg
-from .errors import (DegenerateSpacing, EndpointCollision, NumericalBlowup,
-                     ValidationError)
-from .metrics import geodesic_accel
+from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
+from .metrics import geodesic_accel, quadratic_form
 
 
 @dataclass
@@ -56,18 +55,9 @@ class ClosedCurve:
         """Nodes with the closing node appended (one full period)."""
         return np.vstack([self.nodes, self.nodes[0] + np.asarray(self.deck, float)])
 
-    def edge_vectors(self):
-        p = self.closed_polyline()
-        return p[1:] - p[:-1]
-
     def g_edge_lengths(self, spec):
         """Metric length of each edge, evaluated at edge midpoints."""
-        e = self.edge_vectors()
-        mid = self.nodes + 0.5 * e
-        f = spec.fields(mid[:, 0], mid[:, 1], order=0)
-        q = (f["E"] * e[:, 0] ** 2 + 2.0 * f["F"] * e[:, 0] * e[:, 1]
-             + f["G"] * e[:, 1] ** 2)
-        return np.sqrt(q)
+        return _edge_data(spec, self.nodes, self.deck)[1]
 
     def g_length(self, spec):
         return float(self.g_edge_lengths(spec).sum())
@@ -81,9 +71,6 @@ class ClosedCurve:
         """
         acc = _covariant_acceleration(spec, self.nodes, self.deck)[0]
         return acc, _g_norm_at(spec, self.nodes, acc)
-
-    def max_curvature(self, spec):
-        return float(self.curvature(spec)[1].max())
 
     def resampled(self, spec, n=None):
         """Copy with nodes redistributed to uniform metric arclength."""
@@ -143,16 +130,12 @@ def _edge_data(spec, nodes, deck):
     e[-1] = nodes[0] + np.asarray(deck, float) - nodes[-1]
     mid = nodes + 0.5 * e
     f = spec.fields(mid[:, 0], mid[:, 1], order=0)
-    h = np.sqrt(f["E"] * e[:, 0] ** 2 + 2.0 * f["F"] * e[:, 0] * e[:, 1]
-                + f["G"] * e[:, 1] ** 2)
-    return e, h
+    return e, np.sqrt(quadratic_form(f, e[:, 0], e[:, 1]))
 
 
 def _g_norm_at(spec, points, vec):
     f = spec.fields(points[:, 0], points[:, 1], order=0)
-    q = (f["E"] * vec[:, 0] ** 2 + 2.0 * f["F"] * vec[:, 0] * vec[:, 1]
-         + f["G"] * vec[:, 1] ** 2)
-    return np.sqrt(np.maximum(q, 0.0))
+    return np.sqrt(np.maximum(quadratic_form(f, vec[:, 0], vec[:, 1]), 0.0))
 
 
 def _covariant_acceleration(spec, nodes, deck):
@@ -456,28 +439,6 @@ def torus_crossing_count(curveA, curveB, theta_min=sg.THETA_MIN):
     return sum(len(ev) for ev, _ in found)
 
 
-def arc_crossing_count(xyA, tA, xyB, tB, endpoint_guard=1e-3,
-                       theta_min=sg.THETA_MIN):
-    """Crossing count of two open arcs, refusing knife-edge configurations.
-
-    Raises EndpointCollision when a crossing parameter sits within
-    endpoint_guard (fraction of the arc's parameter span) of either arc's
-    ends, where the count would flip under perturbation.
-    """
-    events, _ = sg.crossings(np.asarray(xyA, float), np.asarray(tA, float),
-                             np.asarray(xyB, float), np.asarray(tB, float),
-                             theta_min=theta_min)
-    spanA = float(tA[-1] - tA[0])
-    spanB = float(tB[-1] - tB[0])
-    for e in events:
-        dA = min(e.t1 - tA[0], tA[-1] - e.t1) / spanA
-        dB = min(e.t2 - tB[0], tB[-1] - e.t2) / spanB
-        if dA < endpoint_guard or dB < endpoint_guard:
-            raise EndpointCollision(
-                f"crossing at parameters ({e.t1:.6g}, {e.t2:.6g}) sits on an arc end")
-    return len(events)
-
-
 def intersection_monotonicity_probe(spec, curveA, curveB, probe_times,
                                     **evolve_kwargs):
     """Crossing counts of two flowing curves on a shared clock.
@@ -502,9 +463,3 @@ def intersection_monotonicity_probe(spec, curveA, curveB, probe_times,
     return {"times": times, "counts": counts, "nonincreasing": nonincreasing,
             "verdict_a": resA.verdict, "verdict_b": resB.verdict}
 
-
-def find_contractible_geodesic(spec, center=(0.5, 0.5), radius=0.3, n=128,
-                               **evolve_kwargs):
-    """Flow a circle and report whether it died or found a closed geodesic."""
-    seed = circle_curve(center, radius, n=n)
-    return evolve(spec, seed, **evolve_kwargs)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from torusflow import cli
 
@@ -75,6 +76,31 @@ def test_numerical_failure_manifest(capsys):
     assert manifest["failure"] == "NotEscaping"
     assert manifest["command"] == "strip"
     assert "config_sha256" in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--metric", "flat", "--angle", "0.5", "--horizon", "2.0",
+     "--dt", "0"),
+    ("integrate", "--metric", "flat", "--angle", "0.5", "--horizon", "2.0",
+     "--dt", "-0.1"),
+    ("strip", "--metric", "flat", "--angle", "0.4", "--horizon", "20.0",
+     "--dt", "0"),
+    ("rotation-field", "--metric", "flat", "--n-angles", "4",
+     "--horizon", "20.0", "--dt", "0.5", "--h", "0"),
+    ("entropy", "--metric", "flat", "--samples", "16", "--horizons", "2,4",
+     "--epsilons", "1.25", "--dt-probe", "0"),
+])
+def test_nonpositive_step_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out and err.startswith("error: ")
+
+
+def test_rotation_field_single_angle_exits_2(capsys):
+    code, out, err = run(capsys, "rotation-field", "--metric", "flat",
+                         "--n-angles", "1", "--horizon", "20.0", "--dt", "0.5")
+    assert code == 2
+    assert "two estimates" in err
 
 
 def test_config_hash_tracks_inputs(capsys):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from torusflow.errors import HorizonTooShort, ValidationError
-from torusflow.flow import (Trajectory, classify_ray, flow_map, integrate,
-                            integrate_batch, integrate_rays, unit_tangent)
+from torusflow.errors import ValidationError
+from torusflow.flow import (Trajectory, integrate, integrate_batch,
+                            integrate_rays, unit_tangent)
 
 
 def test_unit_tangent_angle_and_direction_agree(liouville):
@@ -55,14 +55,6 @@ def test_short_horizon_reversal(liouville):
     assert abs(back.xy[-1, 1] - v0.y) < 1e-8
 
 
-def test_flow_map_matches_integrate(bump):
-    v0 = unit_tangent(bump, (0.3, 0.9), 0.8)
-    traj = integrate(bump, v0, 7.0, dt=7.0)
-    pt = flow_map(bump, v0, 7.0)
-    assert pt.x == pytest.approx(traj.xy[-1, 0], abs=1e-10)
-    assert pt.y == pytest.approx(traj.xy[-1, 1], abs=1e-10)
-
-
 def test_batch_member_independent_of_batch(liouville):
     # entropy sampling relies on this: a ray's samples never depend on
     # which other rays share the batch
@@ -104,28 +96,6 @@ def test_integrate_rays_shapes(flat):
     assert len(trajs) == 2
     assert all(isinstance(t, Trajectory) for t in trajs)
     assert trajs[1].xy.shape == trajs[0].xy.shape
-
-
-def test_classify_ray_flat_escapes(flat):
-    v = unit_tangent(flat, (0, 0), 0.37)
-    rc = classify_ray(flat, v, horizon=120.0)
-    assert rc.verdict == "escaping"
-    assert rc.max_radius > 100.0
-    assert rc.return_count == 0
-
-
-def test_classify_ray_horizon_guard(flat):
-    v = unit_tangent(flat, (0, 0), 0.3)
-    with pytest.raises(HorizonTooShort):
-        classify_ray(flat, v, horizon=50.0)
-
-
-def test_classify_both_rays_reported_separately(flat):
-    from torusflow.flow import classify_both_rays
-    v = unit_tangent(flat, (0, 0), 0.37)
-    both = classify_both_rays(flat, v, horizon=120.0)
-    assert both["forward"].verdict == "escaping"
-    assert both["backward"].verdict == "escaping"
 
 
 def test_trajectory_csv(tmp_path, flat):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
-from torusflow.metrics import (MetricSpec, christoffel, eval_metric,
-                               gallery, gallery_names, gauss_curvature,
-                               gauss_curvature_batch, gauss_curvature_grid,
-                               geodesic_accel, liouville_metric, load_metric,
+from torusflow.flow import integrate, unit_tangent
+from torusflow.metrics import (MetricSpec, christoffel, gallery, gallery_names,
+                               gauss_curvature, gauss_curvature_batch,
+                               gauss_curvature_grid, geodesic_accel,
+                               liouville_metric, load_metric, quadratic_form,
                                resolve_metric, save_metric, total_curvature)
 
 # frozen curvature extrema of the gallery, measured on the 256x256 grid
@@ -79,13 +80,14 @@ def test_certificate_labels():
 
 
 def test_eval_metric_value(liouville):
-    v = eval_metric(liouville, (0.25, 0.5))
+    f = liouville.fields(np.array([0.25]), np.array([0.5]), order=1)
+    E, F, G = f["E"][0], f["F"][0], f["G"][0]
     # u(x,y) = 1 + 0.3 cos(2 pi x) + 0.2 cos(2 pi y); at (1/4, 1/2) u = 0.8
-    assert v.g[0, 0] == pytest.approx(0.8, abs=1e-14)
-    assert v.g[1, 1] == pytest.approx(0.8, abs=1e-14)
-    assert v.g[0, 1] == 0.0
-    assert v.det == pytest.approx(0.64, abs=1e-14)
-    assert v.dg.shape == (2, 2, 2)
+    assert E == pytest.approx(0.8, abs=1e-14)
+    assert G == pytest.approx(0.8, abs=1e-14)
+    assert F == 0.0
+    assert E * G - F * F == pytest.approx(0.64, abs=1e-14)
+    assert all(len(f[k]) == 1 for k in ("Ex", "Ey", "Fx", "Fy", "Gx", "Gy"))
 
 
 def test_christoffel_flat_zero(flat):
@@ -139,13 +141,16 @@ def test_gauss_curvature_conformal_oracle(liouville):
     x0, y0 = 0.37, 0.81
     eps = 1e-5
 
+    def u_at(x, y):
+        return liouville.fields(np.array([x]), np.array([y]), order=0)["E"][0]
+
     def logu(x, y):
-        return math.log(eval_metric(liouville, (x, y)).g[0, 0])
+        return math.log(u_at(x, y))
 
     lap = ((logu(x0 + eps, y0) + logu(x0 - eps, y0)
             + logu(x0, y0 + eps) + logu(x0, y0 - eps) - 4 * logu(x0, y0))
            / eps ** 2)
-    u = eval_metric(liouville, (x0, y0)).g[0, 0]
+    u = u_at(x0, y0)
     assert gauss_curvature(liouville, (x0, y0)) == pytest.approx(
         -lap / (2 * u), rel=1e-4)
 
@@ -216,3 +221,49 @@ def test_liouville_constructor_terms():
     assert spec.g12 == ()
     consts = [t for t in spec.g11 if t[0] == 0 and t[1] == 0]
     assert consts[0][2] == pytest.approx(1.0)
+
+
+# a metric with a g12 term: the only one in the suite that reaches the F
+# cross term of the quadratic form and the non-conformal geodesic_accel
+SHEARED = MetricSpec(
+    "sheared",
+    g11=[(0, 0, 1.0, 0.0), (1, 0, 0.2, 0.0)],
+    g12=[(1, 1, 0.1, 0.05)],
+    g22=[(0, 0, 1.2, 0.0), (0, 1, 0.0, 0.15)])
+
+
+def test_sheared_metric_certified():
+    assert SHEARED.certificate == "l1"
+    assert not SHEARED._conformal
+
+
+@given(x=st.floats(-2, 2), y=st.floats(-2, 2),
+       vx=st.floats(-3, 3), vy=st.floats(-3, 3))
+@settings(max_examples=80, deadline=None)
+def test_quadratic_form_matches_matrix(x, y, vx, vy):
+    # both components tiny would put the products among subnormals
+    assume(max(abs(vx), abs(vy)) > 1e-100)
+    f = SHEARED.fields(np.array([x]), np.array([y]), order=0)
+    g = np.array([[f["E"][0], f["F"][0]], [f["F"][0], f["G"][0]]])
+    v = np.array([vx, vy])
+    expect = v @ g @ v
+    got = quadratic_form(f, vx, vy)[0]
+    assert got == pytest.approx(expect, rel=1e-14, abs=1e-300)
+
+
+def test_geodesic_accel_matches_christoffel_sheared():
+    for x, y, vx, vy in ((0.2, 0.8, 0.6, -0.4), (0.71, 0.13, -0.3, 0.9),
+                         (1.45, -0.6, 0.8, 0.5)):
+        gam = np.asarray(christoffel(SHEARED, (x, y)))
+        v = np.array([vx, vy])
+        expect = -np.einsum("kij,i,j->k", gam, v, v)
+        ax, ay = geodesic_accel(SHEARED, np.array([x]), np.array([y]),
+                                np.array([vx]), np.array([vy]))
+        assert ax[0] == pytest.approx(expect[0], rel=1e-12, abs=1e-15)
+        assert ay[0] == pytest.approx(expect[1], rel=1e-12, abs=1e-15)
+
+
+def test_sheared_speed_conserved():
+    v0 = unit_tangent(SHEARED, (0.31, 0.57), 0.9)
+    traj = integrate(SHEARED, v0, 50.0, dt=0.1)
+    assert traj.speed_drift(SHEARED) < 1e-8

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from torusflow.errors import (DegenerateSpacing, EndpointCollision,
-                              ValidationError)
+from torusflow.errors import DegenerateSpacing, ValidationError
 from torusflow.shortening import (ClosedCurve, _dissipation_mismatch,
-                                  _solve_cyclic_tridiag, arc_crossing_count,
-                                  circle_curve, evolve,
-                                  find_contractible_geodesic,
+                                  _solve_cyclic_tridiag, circle_curve, evolve,
                                   intersection_monotonicity_probe,
                                   straight_class_curve, torus_crossing_count)
 
@@ -118,17 +115,6 @@ def test_torus_crossing_counts():
     assert torus_crossing_count(left, right) == 2
 
 
-def test_arc_crossing_guard():
-    tA = np.linspace(0.0, 1.0, 101)
-    xyA = np.stack([tA, np.zeros_like(tA)], axis=1)
-    tB = np.linspace(0.0, 1.0, 101)
-    xyB = np.stack([0.5 * np.ones_like(tB), tB - 0.5], axis=1)
-    assert arc_crossing_count(xyA, tA, xyB, tB) == 1
-    near_end = np.stack([0.9999 * np.ones_like(tB), tB - 0.5], axis=1)
-    with pytest.raises(EndpointCollision):
-        arc_crossing_count(xyA, tA, near_end, tB)
-
-
 def test_monotonicity_probe_flat(flat):
     a = circle_curve((0.45, 0.5), 0.15, n=64)
     b = circle_curve((0.57, 0.5), 0.13, n=64)
@@ -141,6 +127,6 @@ def test_monotonicity_probe_flat(flat):
 
 
 def test_find_contractible_geodesic_flat(flat):
-    res = find_contractible_geodesic(flat, radius=0.15, n=64)
+    res = evolve(flat, circle_curve((0.5, 0.5), 0.15, n=64))
     assert res.verdict == "shrank_to_point"
     assert res.extinction_time == pytest.approx(0.15 ** 2 / 2, rel=0.05)
