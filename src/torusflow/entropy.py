@@ -75,6 +75,10 @@ class EntropyParams:
     slope_floor: float = 0.04
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValidationError("n_samples must be at least 1")
+        if not all(eps > 0 for eps in self.epsilons):
+            raise ValidationError("every epsilon must be positive")
         if list(self.horizons) != sorted(self.horizons):
             raise ValidationError("horizons must be ascending")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):

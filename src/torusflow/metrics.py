@@ -11,6 +11,16 @@ this representation: derivatives of any order are available in closed form
 and periodicity under integer translations is exact because coordinates are
 reduced modulo 1 before any phase is formed.
 
+Evaluation forms X = e^{2 pi i x} and Y = e^{2 pi i y} once per point and
+builds each axis's mode powers by repeated multiplication (negative modes
+are conjugates), so a term costs a gather and a few multiplies instead of
+one cos and one sin.  Derivatives are the same sums with coefficients
+multiplied by 2 pi i m.  Large inputs are evaluated in blocks of a fixed
+number of point-terms, which keeps temporaries cache-sized.  Every output
+is a per-point sum over the trailing term axis with no reduction across
+points (no BLAS), so a point's value does not depend on the batch or block
+it was evaluated in.
+
 Metric description files use a line-oriented key-value grammar::
 
     # comment and blank lines are skipped
@@ -42,6 +52,21 @@ COMPONENTS = ("g11", "g12", "g22")
 
 _VERIFY_GRID = 64
 
+_TWO_PI_J = 1j * TWO_PI
+
+# points times terms per evaluation block.  It keeps each block's (points,
+# terms) temporaries near 100 kB, so they stay in cache, bound the memory of
+# large charts and stay clear of the allocator's mmap and heap-trim churn
+# (measured on glibc: 2^14 refaulted about 400 pages per call on
+# conformal-bump at 256 points).  Few-term metrics get blocks of over a
+# thousand points.
+_BLOCK_TERMS = 1 << 12
+
+# fields() keys per order: E, F and G with derivative suffixes in
+# _Series.eval's output order
+_KEYS = tuple(tuple(tuple(c + d for d in ("", "x", "y", "xx", "xy", "yy")[:n])
+                    for c in "EFG") for n in (1, 3, 6))
+
 
 def _canonical_terms(terms):
     """Merge duplicate modes, drop vanishing terms, return sorted tuple."""
@@ -63,42 +88,82 @@ def _canonical_terms(terms):
 
 
 class _Series:
-    """Vectorised evaluator for one Fourier component and its derivatives."""
+    """Vectorised evaluator for one Fourier component and its derivatives.
+
+    With X = e^{2 pi i x} and Y = e^{2 pi i y}, the term (mx, my, c, s) is
+    Re(A * X**mx * Y**my) with A = c - i s, and its derivative
+    d^(a+b)/dx^a dy^b is the same with A * (2 pi i mx)^a * (2 pi i my)^b.
+    Every output row is therefore one fixed coefficient vector per term.
+    """
 
     def __init__(self, terms):
         terms = terms or ((0, 0, 0.0, 0.0),)
-        self.mx = np.array([t[0] for t in terms], dtype=float)
-        self.my = np.array([t[1] for t in terms], dtype=float)
+        self.mx = np.array([t[0] for t in terms], dtype=int)
+        self.my = np.array([t[1] for t in terms], dtype=int)
         self.c = np.array([t[2] for t in terms], dtype=float)
         self.s = np.array([t[3] for t in terms], dtype=float)
+        modes = np.concatenate([self.mx, self.my])
+        # per axis, a table of powers with rows 0..pos holding k = 0..pos and
+        # rows pos+1..pos+neg holding k = -1..-neg, the conjugates of rows
+        # 1..neg
+        self._neg = int(max(0, -modes.min()))
+        self._pos = int(max(self._neg, modes.max()))
+        width = 1 + self._pos + self._neg
+        row = lambda m: np.where(m >= 0, m, self._pos - m)
+        # gather indices into both axes' tables stacked as 2 * width rows
+        self._take = np.concatenate([row(self.mx), width + row(self.my)])
+        a = self.c - 1j * self.s
+        wx = 1j * TWO_PI * self.mx
+        wy = 1j * TWO_PI * self.my
+        rows = np.stack([a, a * wx, a * wy, a * wx * wx, a * wx * wy, a * wy * wy])
+        # Re(z * a) = z.real * a.real - z.imag * a.imag: a real dot product
+        # of z viewed as float pairs with conj(a) viewed the same way
+        coef = np.conj(rows).view(float)
+        self._coef = tuple(coef[:r, None, :] for r in (1, 3, 6))
+        self._block_points = max(1, _BLOCK_TERMS // len(terms))
 
     def eval(self, xr, yr, order):
         """Evaluate value and partial derivatives at reduced coordinates.
 
         Returns a tuple whose layout depends on `order`:
         0 -> (v,); 1 -> (v, vx, vy); 2 -> (v, vx, vy, vxx, vxy, vyy).
-        Inputs are arrays of coordinates already reduced to [0, 1); the
-        arithmetic is elementwise plus a reduction over the trailing term
-        axis, so results do not depend on how points are batched.
+        Inputs are 1-D arrays of coordinates already reduced to [0, 1).
+        Points are evaluated in blocks of _BLOCK_TERMS // (number of terms);
+        the arithmetic is elementwise plus one reduction over the trailing
+        term axis, so results do not depend on how points are batched or
+        blocked.
         """
-        phase = TWO_PI * (xr[..., None] * self.mx + yr[..., None] * self.my)
-        cp = np.cos(phase)
-        sp = np.sin(phase)
-        v = (cp * self.c + sp * self.s).sum(axis=-1)
-        if order == 0:
-            return (v,)
-        wx = TWO_PI * self.mx
-        wy = TWO_PI * self.my
-        dcos = -sp * self.c + cp * self.s  # d/dphase of (c*cos + s*sin)
-        vx = (dcos * wx).sum(axis=-1)
-        vy = (dcos * wy).sum(axis=-1)
-        if order == 1:
-            return v, vx, vy
-        d2 = -(cp * self.c + sp * self.s)
-        vxx = (d2 * wx * wx).sum(axis=-1)
-        vxy = (d2 * wx * wy).sum(axis=-1)
-        vyy = (d2 * wy * wy).sum(axis=-1)
-        return v, vx, vy, vxx, vxy, vyy
+        coef = self._coef[order]
+        n = len(xr)
+        b = self._block_points
+        if n <= b:
+            return tuple(self._block(xr, yr, coef))
+        out = np.empty((len(coef), n))
+        for lo in range(0, n, b):
+            out[:, lo:lo + b] = self._block(xr[lo:lo + b], yr[lo:lo + b], coef)
+        return tuple(out)
+
+    def _block(self, xr, yr, coef):
+        pos, neg = self._pos, self._neg
+        n = len(xr)
+        powers = np.empty((2, 1 + pos + neg, n), dtype=complex)
+        powers[:, 0] = 1.0
+        if pos:
+            e = np.exp(_TWO_PI_J * np.array([xr, yr]))
+            powers[:, 1:pos + 1] = e[:, None]
+            # repeated multiplication; accumulate runs a short inner loop per
+            # point, which one plain multiply avoids when it is all there is
+            if pos == 2:
+                np.multiply(e, e, out=powers[:, 2])
+            elif pos > 2:
+                np.multiply.accumulate(powers[:, 1:pos + 1], axis=1, out=powers[:, 1:pos + 1])
+            if neg:
+                np.conjugate(powers[:, 1:neg + 1], out=powers[:, pos + 1:])
+        # one gather for both axes, each point's terms contiguous
+        g = powers.reshape(-1, n).T.take(self._take, axis=1)
+        k = len(self.mx)
+        z = g[:, :k] * g[:, k:]
+        return (z.view(float) * coef).sum(axis=-1)
 
     def l1_split(self):
         """(constant term, l1 bound of the oscillatory rest)."""
@@ -158,10 +223,9 @@ class MetricSpec:
         self._verify_positivity()
 
     def _verify_positivity(self):
-        n = _VERIFY_GRID
-        ax = np.arange(n) / n
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        E, F, G, det = self._efg_det(gx.ravel(), gy.ravel())
+        f = self.fields(*_unit_grid(_VERIFY_GRID), order=0)
+        E, F, G = f["E"], f["F"], f["G"]
+        det = E * G - F * F
         min_E = float(E.min())
         min_det = float(det.min())
         if min_E <= 0.0 or min_det <= 0.0:
@@ -198,43 +262,29 @@ class MetricSpec:
             return "l1"
         return "grid-only"
 
-    def _efg_det(self, x, y):
-        xr = x - np.floor(x)
-        yr = y - np.floor(y)
-        E = self._series["g11"].eval(xr, yr, 0)[0]
-        F = self._series["g12"].eval(xr, yr, 0)[0]
-        G = self._series["g22"].eval(xr, yr, 0)[0]
-        return E, F, G, E * G - F * F
-
     def fields(self, x, y, order=1):
         """Metric components and derivatives at cover points, vectorised.
 
-        `x`, `y` are arrays of identical shape (cover coordinates; reduction
-        modulo 1 happens here and nowhere else).  Returns a dict with keys
-        'E','F','G' plus 'Ex','Ey',... for order >= 1 and 'Exx','Exy','Eyy',
-        ... for order == 2.
+        `x`, `y` are 1-D arrays of equal length (cover coordinates;
+        reduction modulo 1 happens here and in geodesic_accel only).
+        Returns a dict with keys 'E','F','G' plus 'Ex','Ey',... for
+        order >= 1 and 'Exx','Exy','Eyy', ... for order == 2.  A metric without g12 terms gets one shared
+        all-zero array for F and its derivatives.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         xr = x - np.floor(x)
         yr = y - np.floor(y)
-        names = {"g11": "E", "g12": "F", "g22": "G"}
-        out = {}
-        cache = {}
-        for comp, tag in names.items():
-            key = self._series[comp]
-            if key not in cache:
-                # conformal metrics share one series between g11 and g22
-                cache[key] = key.eval(xr, yr, order)
-            vals = cache[key]
-            out[tag] = vals[0]
-            if order >= 1:
-                out[tag + "x"] = vals[1]
-                out[tag + "y"] = vals[2]
-            if order == 2:
-                out[tag + "xx"] = vals[3]
-                out[tag + "xy"] = vals[4]
-                out[tag + "yy"] = vals[5]
+        keys = _KEYS[order]
+        s11, s22 = self._series["g11"], self._series["g22"]
+        v11 = s11.eval(xr, yr, order)
+        out = dict(zip(keys[0], v11))
+        # conformal metrics share one series between g11 and g22
+        out.update(zip(keys[2], v11 if s22 is s11 else s22.eval(xr, yr, order)))
+        if self.g12:
+            out.update(zip(keys[1], self._series["g12"].eval(xr, yr, order)))
+        else:
+            out.update(dict.fromkeys(keys[1], np.zeros(len(xr))))
         return out
 
     def terms_of(self, component):
@@ -293,14 +343,24 @@ def christoffel(spec, point):
 def geodesic_accel(spec, x, y, vx, vy):
     """Acceleration of the geodesic equation, vectorised over points."""
     if spec._conformal:
-        xr = x - np.floor(x)
-        yr = y - np.floor(y)
-        u, ux, uy = spec._series["g11"].eval(xr, yr, 1)
-        half = 0.5 / u
-        ax = -(ux * (vx * vx - vy * vy) + 2.0 * uy * vx * vy) * half
-        ay = -(uy * (vy * vy - vx * vx) + 2.0 * ux * vx * vy) * half
-        return ax, ay
-    f = spec.fields(x, y, order=1)
+        # the flows call this every step: skip building fields()' full dict
+        u, ux, uy = spec._series["g11"].eval(x - np.floor(x), y - np.floor(y), 1)
+        f = {"E": u, "Ex": ux, "Ey": uy}
+    else:
+        f = spec.fields(x, y, order=1)
+    return accel_from_fields(spec, f, vx, vy)
+
+
+def accel_from_fields(spec, f, vx, vy):
+    """geodesic_accel from an order >= 1 fields() dict of the same points."""
+    if spec._conformal:
+        # u (dx^2 + dy^2): a = -(ux a2 + uy b2, ux b2 - uy a2) / 2u with
+        # a2 = vx^2 - vy^2 and b2 = 2 vx vy
+        ux, uy = f["Ex"], f["Ey"]
+        a2 = vx * vx - vy * vy
+        b2 = 2.0 * vx * vy
+        h = -0.5 / f["E"]
+        return (ux * a2 + uy * b2) * h, (ux * b2 - uy * a2) * h
     L111, L112, L122, L211, L212, L222 = _lower_symbols(f)
     A1 = L111 * vx * vx + 2.0 * L112 * vx * vy + L122 * vy * vy
     A2 = L211 * vx * vx + 2.0 * L212 * vx * vy + L222 * vy * vy
@@ -338,11 +398,18 @@ def gauss_curvature_batch(spec, x, y):
     return (det1 - det2) / (den * den)
 
 
-def gauss_curvature_grid(spec, n=256):
-    """Gauss curvature sampled on an n x n uniform grid over the unit cell."""
+def _unit_grid(n):
+    """Flattened n x n uniform grid over the unit cell."""
+    if n < 1:
+        raise ValidationError(f"grid size must be at least 1, got {n}")
     ax = np.arange(n) / n
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    return gauss_curvature_batch(spec, gx.ravel(), gy.ravel()).reshape(n, n)
+    return gx.ravel(), gy.ravel()
+
+
+def gauss_curvature_grid(spec, n=256):
+    """Gauss curvature sampled on an n x n uniform grid over the unit cell."""
+    return gauss_curvature_batch(spec, *_unit_grid(n)).reshape(n, n)
 
 
 def total_curvature(spec, n=256):
@@ -352,9 +419,7 @@ def total_curvature(spec, n=256):
     spectrally, so n = 256 leaves only roundoff for gallery-sized spectra.
     The exact value is zero for every metric on the torus.
     """
-    ax = np.arange(n) / n
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    x, y = gx.ravel(), gy.ravel()
+    x, y = _unit_grid(n)
     K = gauss_curvature_batch(spec, x, y)
     f = spec.fields(x, y, order=0)
     area = np.sqrt(f["E"] * f["G"] - f["F"] * f["F"])

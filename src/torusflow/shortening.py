@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from . import segments as sg
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
-from .metrics import geodesic_accel, quadratic_form
+from .metrics import accel_from_fields, quadratic_form
 
 
 @dataclass
@@ -69,8 +68,8 @@ class ClosedCurve:
         the acceleration approximates the geodesic-curvature normal and its
         norm the unsigned geodesic curvature.
         """
-        acc = _covariant_acceleration(spec, self.nodes, self.deck)[0]
-        return acc, _g_norm_at(spec, self.nodes, acc)
+        acc, _, _, k = _covariant_acceleration(spec, self.nodes, self.deck)
+        return acc, k
 
     def resampled(self, spec, n=None):
         """Copy with nodes redistributed to uniform metric arclength."""
@@ -133,13 +132,13 @@ def _edge_data(spec, nodes, deck):
     return e, np.sqrt(quadratic_form(f, e[:, 0], e[:, 1]))
 
 
-def _g_norm_at(spec, points, vec):
-    f = spec.fields(points[:, 0], points[:, 1], order=0)
-    return np.sqrt(np.maximum(quadratic_form(f, vec[:, 0], vec[:, 1]), 0.0))
-
-
 def _covariant_acceleration(spec, nodes, deck):
-    """Discrete covariant second derivative in metric arclength at the nodes."""
+    """Discrete covariant second derivative in metric arclength at the nodes.
+
+    Returns (acc, x_ss, h, k): the acceleration, its flat part, the edge
+    lengths and the acceleration's metric norm, the last from the same
+    metric evaluation at the nodes as the connection term.
+    """
     e, h = _edge_data(spec, nodes, deck)
     if h.min() <= 1e-13:
         raise DegenerateSpacing(f"shortest edge has length {h.min():.3g}")
@@ -149,10 +148,12 @@ def _covariant_acceleration(spec, nodes, deck):
     # weighted central difference, exact for quadratics in arclength
     x_s = (h_prev * e / h_next + h_next * e_prev / h_prev) / (h_prev + h_next)
     x_ss = 2.0 * (e / h_next - e_prev / h_prev) / (h_prev + h_next)
-    ax, ay = geodesic_accel(spec, nodes[:, 0], nodes[:, 1], x_s[:, 0], x_s[:, 1])
-    # geodesic_accel returns minus the quadratic form of the connection
+    f = spec.fields(nodes[:, 0], nodes[:, 1], order=1)
+    ax, ay = accel_from_fields(spec, f, x_s[:, 0], x_s[:, 1])
+    # the geodesic acceleration is minus the quadratic form of the connection
     acc = x_ss - np.stack([ax, ay], axis=1)
-    return acc, x_ss, h
+    k = np.sqrt(np.maximum(quadratic_form(f, acc[:, 0], acc[:, 1]), 0.0))
+    return acc, x_ss, h, k
 
 
 def _solve_cyclic_tridiag(sub, diag, sup, corner_lo, corner_hi, rhs):
@@ -196,10 +197,33 @@ def _spline_resample(spec, nodes, deck, n_new):
         raise DegenerateSpacing("cannot redistribute a collapsed polygon")
     u /= u[-1]
     d = np.asarray(deck, dtype=float)
-    periodic = np.vstack([nodes - np.outer(u[:-1], d), nodes[0]])
-    cs = CubicSpline(u, periodic, bc_type="periodic", axis=0)
     u_new = np.arange(n_new, dtype=float) / n_new
-    return cs(u_new) + np.outer(u_new, d)
+    return _periodic_spline(u, nodes - np.outer(u[:-1], d), u_new) + np.outer(u_new, d)
+
+
+def _periodic_spline(u, y, t):
+    """Periodic cubic spline through (u[i], y[i]), evaluated at t.
+
+    u holds n + 1 increasing knots spanning one period, y the n values at
+    the first n of them (the last knot repeats y[0]); t lies in
+    [u[0], u[-1]).  The node slopes solve the cyclic tridiagonal system of
+    C^2 continuity, and each interval is the cubic Hermite piece through
+    its end values and slopes.
+    """
+    dx = np.diff(u)
+    dx_prev = np.concatenate([dx[-1:], dx[:-1]])
+    slope = (np.concatenate([y[1:], y[:1]]) - y) / dx[:, None]
+    slope_prev = np.concatenate([slope[-1:], slope[:-1]])
+    rhs = 3.0 * (dx[:, None] * slope_prev + dx_prev[:, None] * slope)
+    s = _solve_cyclic_tridiag(dx, 2.0 * (dx_prev + dx), dx_prev, dx[0], dx_prev[-1], rhs)
+    s = np.concatenate([s, s[:1]])
+    i = np.searchsorted(u, t, side="right") - 1
+    w = (t - u[i])[:, None]
+    h = dx[i][:, None]
+    s0, m = s[i], slope[i]
+    c2 = (s0 + s[i + 1] - 2.0 * m) / h
+    c1 = (m - s0) / h - c2
+    return ((c2 / h * w + c1) * w + s0) * w + y[i]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +331,7 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
 
     # geometry of the current curve; carried across iterations so each
     # accepted step evaluates the metric only on its own result
-    acc, x_ss, h = _covariant_acceleration(spec, nodes, deck)
-    k = _g_norm_at(spec, nodes, acc)
+    acc, x_ss, h, k = _covariant_acceleration(spec, nodes, deck)
     L = float(h.sum())
     centroid0 = nodes.mean(axis=0)
     containment_drift = 0.0
@@ -351,8 +374,7 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
             if ok:
                 try:
                     resampled = _spline_resample(spec, new_nodes, deck, len(nodes))
-                    acc2, xss2, h2 = _covariant_acceleration(spec, resampled, deck)
-                    k2 = _g_norm_at(spec, resampled, acc2)
+                    acc2, xss2, h2, k2 = _covariant_acceleration(spec, resampled, deck)
                     k2max = float(k2.max())
                     ok = np.isfinite(k2max) and k2max <= 1.0 / (10.0 * dt)
                 except DegenerateSpacing:

@@ -103,6 +103,28 @@ def test_rotation_field_single_angle_exits_2(capsys):
     assert "two estimates" in err
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_gallery_grid_below_one_exits_2(capsys, grid):
+    code, out, err = run(capsys, "gallery", "--describe", "flat", "--grid", grid)
+    assert code == 2
+    assert not out and "grid size must be at least 1" in err
+
+
+def test_entropy_zero_samples_exits_2(capsys):
+    code, out, err = run(capsys, "entropy", "--metric", "flat", "--samples", "0",
+                         "--horizons", "2,4", "--epsilons", "1.25")
+    assert code == 2
+    assert not out and "n_samples" in err
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "1.25,0"])
+def test_entropy_nonpositive_epsilon_exits_2(capsys, eps):
+    code, out, err = run(capsys, "entropy", "--metric", "flat", "--samples", "8",
+                         "--horizons", "2,4", "--epsilons", eps)
+    assert code == 2
+    assert not out and "epsilon must be positive" in err
+
+
 def test_config_hash_tracks_inputs(capsys):
     _, out1, _ = run(capsys, "gallery")
     _, out2, _ = run(capsys, "gallery")

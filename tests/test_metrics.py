@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
-from torusflow.metrics import (MetricSpec, christoffel, gallery, gallery_names,
+from torusflow.metrics import (MetricSpec, _canonical_terms, _Series,
+                               christoffel, gallery, gallery_names,
                                gauss_curvature, gauss_curvature_batch,
                                gauss_curvature_grid, geodesic_accel,
                                liouville_metric, load_metric, quadratic_form,
@@ -267,3 +268,108 @@ def test_sheared_speed_conserved():
     v0 = unit_tangent(SHEARED, (0.31, 0.57), 0.9)
     traj = integrate(SHEARED, v0, 50.0, dt=0.1)
     assert traj.speed_drift(SHEARED) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the power-table series evaluation against the direct cos/sin sum
+
+def _reference_eval(series, xr, yr, order):
+    """One cos and one sin per term and point: the evaluation it replaced."""
+    mx = series.mx.astype(float)
+    my = series.my.astype(float)
+    phase = 2.0 * math.pi * (xr[..., None] * mx + yr[..., None] * my)
+    cp = np.cos(phase)
+    sp = np.sin(phase)
+    v = (cp * series.c + sp * series.s).sum(axis=-1)
+    if order == 0:
+        return (v,)
+    wx = 2.0 * math.pi * mx
+    wy = 2.0 * math.pi * my
+    dcos = -sp * series.c + cp * series.s
+    vx = (dcos * wx).sum(axis=-1)
+    vy = (dcos * wy).sum(axis=-1)
+    if order == 1:
+        return v, vx, vy
+    d2 = -(cp * series.c + sp * series.s)
+    return (v, vx, vy, (d2 * wx * wx).sum(axis=-1), (d2 * wx * wy).sum(axis=-1),
+            (d2 * wy * wy).sum(axis=-1))
+
+
+def _assert_matches_reference(series, xr, yr, order):
+    const, rest = series.l1_split()
+    m = max(1, int(np.abs(series.mx).max()), int(np.abs(series.my).max()))
+    got = series.eval(xr, yr, order)
+    want = _reference_eval(series, xr, yr, order)
+    assert len(got) == len(want)
+    for d, (a, b) in enumerate(zip(got, want)):
+        # derivative rows of order 1 and 2 scale with (2 pi m)^order
+        k = 0 if d == 0 else (1 if d < 3 else 2)
+        tol = 1e-13 * (abs(const) + rest) * (2.0 * math.pi * m) ** k
+        assert np.abs(a - b).max() <= tol
+
+
+_term = st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                  st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@given(terms=st.lists(_term, min_size=1, max_size=12),
+       pts=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=20),
+       order=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_series_eval_matches_cos_sin_reference(terms, pts, order):
+    series = _Series(_canonical_terms(terms))
+    xr = np.array([p[0] for p in pts])
+    yr = np.array([p[1] for p in pts])
+    _assert_matches_reference(series, xr, yr, order)
+    # a point's value does not depend on the batch it came in
+    one = [series.eval(xr[i:i + 1], yr[i:i + 1], order) for i in range(len(xr))]
+    for d, row in enumerate(series.eval(xr, yr, order)):
+        assert np.array_equal(row, np.concatenate([o[d] for o in one]))
+
+
+def test_series_eval_matches_reference_on_sheared_and_gallery():
+    rng = np.random.default_rng(11)
+    xr = rng.uniform(size=300)
+    yr = rng.uniform(size=300)
+    specs = [SHEARED] + [gallery(name) for name in gallery_names()]
+    for spec in specs:
+        for comp in ("g11", "g12", "g22"):
+            for order in (0, 1, 2):
+                _assert_matches_reference(spec._series[comp], xr, yr, order)
+
+
+def test_fields_blocks_equal_one_point_calls(bump):
+    # the bump's 71 terms make its blocks a few hundred points long
+    n = 2 * bump._series["g11"]._block_points + 37
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-3, 3, n)
+    y = rng.uniform(-3, 3, n)
+    for spec in (bump, SHEARED):
+        for order in (0, 1, 2):
+            whole = spec.fields(x, y, order=order)
+            parts = [spec.fields(x[i:i + 1], y[i:i + 1], order=order) for i in range(n)]
+            for key, val in whole.items():
+                assert np.array_equal(val, np.concatenate([p[key] for p in parts]))
+    ax, ay = geodesic_accel(bump, x, y, np.cos(x), np.sin(y))
+    one = [geodesic_accel(bump, x[i:i + 1], y[i:i + 1], np.cos(x[i:i + 1]),
+                          np.sin(y[i:i + 1])) for i in range(n)]
+    assert np.array_equal(ax, np.concatenate([a for a, _ in one]))
+    assert np.array_equal(ay, np.concatenate([b for _, b in one]))
+
+
+def test_fields_skips_empty_g12(bump, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the empty g12 series was evaluated")
+    monkeypatch.setattr(bump._series["g12"], "eval", boom)
+    f = bump.fields(np.array([0.1, 0.7]), np.array([0.4, 0.2]), order=2)
+    for key in ("F", "Fx", "Fy", "Fxx", "Fxy", "Fyy"):
+        assert np.all(f[key] == 0.0) and f[key].shape == (2,)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_curvature_grid_size_validated(liouville, n):
+    with pytest.raises(ValidationError):
+        gauss_curvature_grid(liouville, n=n)
+    with pytest.raises(ValidationError):
+        total_curvature(liouville, n=n)

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from torusflow.errors import DegenerateSpacing, ValidationError
+from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, _dissipation_mismatch,
-                                  _solve_cyclic_tridiag, circle_curve, evolve,
+                                  _edge_data, _periodic_spline,
+                                  _solve_cyclic_tridiag, _spline_resample,
+                                  circle_curve, evolve,
                                   intersection_monotonicity_probe,
                                   straight_class_curve, torus_crossing_count)
 
@@ -130,3 +136,57 @@ def test_find_contractible_geodesic_flat(flat):
     res = evolve(flat, circle_curve((0.5, 0.5), 0.15, n=64))
     assert res.verdict == "shrank_to_point"
     assert res.extinction_time == pytest.approx(0.15 ** 2 / 2, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the periodic spline resample against scipy's periodic CubicSpline
+
+def _spline_resample_scipy(spec, nodes, deck, n_new):
+    """The resample as it was written on scipy's CubicSpline."""
+    _, h = _edge_data(spec, nodes, deck)
+    u = np.concatenate([[0.0], np.cumsum(h)])
+    u /= u[-1]
+    d = np.asarray(deck, dtype=float)
+    periodic = np.vstack([nodes - np.outer(u[:-1], d), nodes[0]])
+    cs = CubicSpline(u, periodic, bc_type="periodic", axis=0)
+    u_new = np.arange(n_new, dtype=float) / n_new
+    return cs(u_new) + np.outer(u_new, d)
+
+
+@given(widths=st.lists(st.floats(0.05, 20.0), min_size=4, max_size=80),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_periodic_spline_matches_scipy(widths, seed):
+    u = np.concatenate([[0.0], np.cumsum(widths)])
+    u /= u[-1]
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(len(widths), 2))
+    t = np.concatenate([u[:-1], rng.uniform(0.0, 1.0, 64)])
+    t = t[t < 1.0]
+    want = CubicSpline(u, np.vstack([y, y[:1]]), bc_type="periodic", axis=0)(t)
+    got = _periodic_spline(u, y, t)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(y).max())
+    # the knots, the seam included, are reproduced exactly
+    assert np.array_equal(_periodic_spline(u, y, u[:-1]), y)
+
+
+@given(p=st.integers(-2, 2), q=st.integers(-2, 2),
+       amplitude=st.floats(-0.15, 0.15), warp=st.floats(-0.8, 0.8),
+       n=st.integers(8, 160), n_new=st.integers(8, 160),
+       base=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+@settings(max_examples=60, deadline=None)
+def test_spline_resample_matches_scipy(p, q, amplitude, warp, n, n_new, base):
+    if (p, q) == (0, 0):
+        p = 1
+    # a bent class curve on unevenly spaced parameters
+    u = np.arange(n) / n
+    u = u + warp * np.sin(2.0 * math.pi * u) / (2.0 * math.pi)
+    norm = math.hypot(p, q)
+    nodes = (np.asarray(base) + np.outer(u, (p, q))
+             + amplitude * np.outer(np.sin(4.0 * math.pi * u), (-q / norm, p / norm)))
+    spec = gallery("liouville")
+    got = _spline_resample(spec, nodes, (p, q), n_new)
+    want = _spline_resample_scipy(spec, nodes, (p, q), n_new)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(nodes).max())
+    # the closing node is the lift's first node, exactly
+    assert np.array_equal(got[0], nodes[0])
