@@ -5,7 +5,10 @@ integer vector (p, q) per period.  They are found in two stages: curve
 shortening from straight representatives at several transverse offsets
 gets close and picks the shortest candidate, then Newton shooting on
 (transverse offset, launch angle, period) closes the geodesic to far below
-the flow's resolution floor.
+the flow's resolution floor.  The flow only has to land in the shooting's
+basin, so it stops at a coarse curvature tolerance (_BASIN_K_TOL) or at
+its length plateau, whichever comes first; the shooting does the
+polishing.
 
 A deliberately independent check lives alongside: a shortest-path length
 over a dense grid graph in a chart aligned with the class.  It shares no
@@ -24,6 +27,11 @@ from . import shortening as sh
 from .errors import NotConverged, ValidationError
 from .flow import integrate, unit_tangent
 from .metrics import gauss_curvature_grid, quadratic_form, total_curvature
+
+# max geodesic curvature at which a flow candidate is handed to the
+# shooting: well inside its basin, and far above the curvature floor of a
+# 256-node polygon that the flow's own default tolerance sits below
+_BASIN_K_TOL = 1e-2
 
 
 def _class_frame(klass):
@@ -131,8 +139,10 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, shoot_tol=1e-5,
     """Minimal closed geodesic of a class: flow to candidates, shoot, pick.
 
     Straight representatives at n_offsets transverse offsets across one
-    transverse period are relaxed by curve shortening; every converged
-    candidate is polished by shooting and the shortest result wins.  With
+    transverse period are relaxed by curve shortening until their
+    curvature falls below _BASIN_K_TOL or their length plateaus.  The
+    converged candidates are sorted by length, and the three shortest are
+    shot in that order; the first that closes is the axis.  With
     certify=True the result is compared against the independent grid
     oracle and the comparison stored in diagnostics.
     """
@@ -144,7 +154,7 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, shoot_tol=1e-5,
         w0 = (i + 0.5) / n_offsets * period_w
         base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
         seed = sh.straight_class_curve((p, q), base=base, n=n)
-        res = sh.evolve(spec, seed, max_steps=flow_steps)
+        res = sh.evolve(spec, seed, max_steps=flow_steps, k_tol=_BASIN_K_TOL)
         if res.verdict != "converged_to_geodesic":
             continue
         candidates.append((res.length, res.curve))

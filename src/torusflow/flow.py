@@ -2,9 +2,10 @@
 
 `integrate` is the one adaptive path: it drives a single geodesic with a
 high-order Runge-Kutta method (DOP853, tolerance 1e-10 by default) and
-samples the dense output on a uniform time grid.  It is the precision path
-used for exactness tests, shooting and certified runs; the time-t image of
-a tangent is `integrate(...).final_tangent()`.  `integrate_batch` advances
+samples its dense output on a uniform time grid that never passes the
+horizon.  It is the precision path used for exactness tests, shooting and
+certified runs; the time-t image of a tangent is
+`integrate(...).final_tangent()`.  `integrate_batch` advances
 many geodesics simultaneously with a fixed-step classical RK4; each
 trajectory in the batch is computed by arithmetic that does not depend on
 the rest of the batch, which the entropy sampler relies on for
@@ -116,7 +117,8 @@ class Trajectory:
 
 def _sample_times(T, dt):
     n = int(math.floor(T / dt + 1e-9))
-    ts = np.arange(n + 1) * dt
+    # rounding can put n * dt past T, where t_eval may not sample
+    ts = np.minimum(np.arange(n + 1) * dt, T)
     if ts[-1] < T - 1e-12 * max(1.0, T):
         ts = np.append(ts, T)
     return ts
@@ -154,12 +156,13 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
         ax, ay = geodesic_accel(spec, y[0:1], y[1:2], y[2:3], y[3:4])
         return (y[2], y[3], ax[0], ay[0])
 
+    ts = _sample_times(T, dt)
+    # t_eval builds the dense interpolant only on steps that hold a sample
     sol = solve_ivp(rhs, (0.0, T), [v0.x, v0.y, v0.vx, v0.vy],
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+                    method="DOP853", rtol=rtol, atol=atol, t_eval=ts)
     if sol.status != 0 or not sol.success:
         raise StepFailure(f"integration stalled at t={sol.t[-1]:g}: {sol.message}")
-    ts = _sample_times(T, dt)
-    states = sol.sol(ts).T
+    states = sol.y.T
     xy = np.ascontiguousarray(states[:, 0:2])
     v = np.ascontiguousarray(states[:, 2:4])
     s = _arclength(spec, xy, v, ts)

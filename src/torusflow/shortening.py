@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import segments as sg
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
@@ -157,31 +157,31 @@ def _covariant_acceleration(spec, nodes, deck):
 
 
 def _solve_cyclic_tridiag(sub, diag, sup, corner_lo, corner_hi, rhs):
-    """Solve the cyclic tridiagonal system, Sherman-Morrison over solve_banded.
+    """Solve the cyclic tridiagonal system, Sherman-Morrison over LAPACK gtsv.
 
     sub[i] multiplies x[i-1] (i >= 1), sup[i] multiplies x[i+1] (i <= N-2),
     corner_lo is the (0, N-1) entry, corner_hi the (N-1, 0) one.  rhs may
-    have several columns.
+    have several columns.  Raises NumericalBlowup when the tridiagonal
+    part or the rank-one update is exactly singular.
     """
-    n = len(diag)
     gamma = -diag[0]
     d2 = diag.copy()
     d2[0] -= gamma
     d2[-1] -= corner_lo * corner_hi / gamma
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = d2
-    ab[2, :-1] = sub[1:]
-
-    u = np.zeros((n, 1))
-    u[0, 0] = gamma
-    u[-1, 0] = corner_hi
-    stacked = np.hstack([rhs, u])
-    sol = solve_banded((1, 1), ab, stacked)
+    # the rank-one correction's u rides along as one more right-hand side
+    b = np.zeros((len(diag), rhs.shape[1] + 1), order="F")
+    b[:, :-1] = rhs
+    b[0, -1] = gamma
+    b[-1, -1] = corner_hi
+    _, _, _, sol, info = dgtsv(sub[1:], d2, sup[:-1], b,
+                               overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalBlowup(f"singular tridiagonal system (LAPACK info {info})")
     y, z = sol[:, :-1], sol[:, -1]
     vy = y[0] + (corner_lo / gamma) * y[-1]
     vz = z[0] + (corner_lo / gamma) * z[-1]
+    if 1.0 + vz == 0.0:
+        raise NumericalBlowup("singular cyclic system")
     return y - np.outer(z, vy / (1.0 + vz))
 
 

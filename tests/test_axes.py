@@ -1,12 +1,15 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from torusflow import axes
 from torusflow.axes import (check_foliation, find_minimal_axis, flatness_test,
                             grid_shortest_class_length, line_deviation,
                             shoot_closed_geodesic)
 from torusflow.errors import ValidationError
+from torusflow.shortening import evolve
 
 # closed-form lengths of the two short liouville axes, from one-dimensional
 # quadrature of the separated metric along the coordinate circles
@@ -37,6 +40,28 @@ def test_minimal_axis_liouville_short_classes(liouville):
         axis = find_minimal_axis(liouville, klass, n=128, n_offsets=3)
         assert axis.length == pytest.approx(ref, rel=1e-4)
         assert axis.closing_residual < 1e-5
+
+
+def test_basin_stop_reaches_liouville_closed_form(liouville):
+    for klass, ref in LIOUVILLE_AXIS_LENGTH.items():
+        axis = find_minimal_axis(liouville, klass)
+        assert axis.length == pytest.approx(ref, rel=1e-10)
+        assert axis.closing_residual < 1e-9
+
+
+@pytest.mark.parametrize("klass", [(1, 0), (1, 1)])
+def test_basin_stop_matches_full_flow(bump, klass, monkeypatch):
+    fast = find_minimal_axis(bump, klass)
+    # the slow path: the same search with the flow run to its own tolerance
+    monkeypatch.setattr(axes, "_BASIN_K_TOL",
+                        inspect.signature(evolve).parameters["k_tol"].default)
+    slow = find_minimal_axis(bump, klass)
+    assert fast.length == pytest.approx(slow.length, rel=1e-10)
+    assert fast.closing_residual < 1e-9
+    # same axis: the starts differ by a whole number of class periods
+    gap = np.subtract(fast.start, slow.start)
+    periods = round(float(gap @ klass) / float(np.dot(klass, klass)))
+    assert np.abs(gap - periods * np.asarray(klass)).max() < 1e-9
 
 
 def test_grid_oracle_flat(flat):

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from torusflow.errors import ValidationError
-from torusflow.flow import (Trajectory, integrate, integrate_batch,
-                            integrate_rays, unit_tangent)
+from torusflow.flow import (Trajectory, _sample_times, integrate,
+                            integrate_batch, integrate_rays, unit_tangent)
+from torusflow.metrics import gallery, gallery_names, geodesic_accel
 
 
 def test_unit_tangent_angle_and_direction_agree(liouville):
@@ -53,6 +57,49 @@ def test_short_horizon_reversal(liouville):
     back = integrate(liouville, vb, 50.0, dt=0.5, rtol=1e-12, atol=1e-13)
     assert abs(back.xy[-1, 0] - v0.x) < 1e-8
     assert abs(back.xy[-1, 1] - v0.y) < 1e-8
+
+
+def _dense_output_samples(spec, v0, T, dt, rtol, atol):
+    """Reference sampler: the full dense output, evaluated after the run."""
+    def rhs(t, y):
+        ax, ay = geodesic_accel(spec, y[0:1], y[1:2], y[2:3], y[3:4])
+        return (y[2], y[3], ax[0], ay[0])
+
+    sol = solve_ivp(rhs, (0.0, T), [v0.x, v0.y, v0.vx, v0.vy],
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+    return sol.sol(_sample_times(T, dt)).T
+
+
+@pytest.mark.parametrize("name", gallery_names())
+@pytest.mark.parametrize("T, dt", [(10.0, 0.1), (3.7, 0.3)])
+def test_samples_equal_dense_output(name, T, dt):
+    spec = gallery(name)
+    v0 = unit_tangent(spec, (0.31, 0.58), 0.9)
+    traj = integrate(spec, v0, T, dt=dt, rtol=1e-12, atol=1e-13)
+    ref = _dense_output_samples(spec, v0, T, dt, 1e-12, 1e-13)
+    assert np.array_equal(traj.xy, ref[:, 0:2])
+    assert np.array_equal(traj.v, ref[:, 2:4])
+
+
+def test_sample_times_stay_inside_horizon(flat):
+    # 3 * 0.1 rounds to 0.30000000000000004, past the horizon
+    assert list(_sample_times(0.3, 0.1)) == [0.0, 0.1, 0.2, 0.3]
+    traj = integrate(flat, unit_tangent(flat, (0.0, 0.0), 0.4), 0.3, dt=0.1)
+    assert traj.t[-1] == 0.3
+    assert len(traj) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(1e-3, 1e3), dt=st.floats(1e-3, 10.0))
+def test_sample_times_grid(T, dt):
+    assume(T / dt < 1e5)
+    ts = _sample_times(T, dt)
+    assert ts[0] == 0.0
+    assert ts[-1] <= T
+    assert T - ts[-1] <= 1e-12 * max(1.0, T)
+    steps = np.diff(ts)
+    assert (steps > 0).all()
+    assert (steps <= dt * (1.0 + 1e-9)).all()
 
 
 def test_batch_member_independent_of_batch(liouville):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from torusflow.errors import DegenerateSpacing, ValidationError
+from torusflow.errors import (DegenerateSpacing, NumericalBlowup,
+                              ValidationError)
 from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, _dissipation_mismatch,
                                   _edge_data, _periodic_spline,
@@ -56,6 +57,20 @@ def test_cyclic_tridiag_against_dense():
     dense[n - 1, 0] = chi
     x = _solve_cyclic_tridiag(sub, diag, sup, clo, chi, rhs)
     assert np.abs(x - np.linalg.solve(dense, rhs)).max() < 1e-12
+
+
+def test_cyclic_tridiag_singular_raises():
+    n = 12
+    rhs = np.ones((n, 1))
+    sub, diag, sup = np.full(n, 0.5), np.full(n, 3.0), np.full(n, 0.5)
+    sub[5] = diag[5] = sup[5] = 0.0       # a zero row
+    with pytest.raises(NumericalBlowup):
+        _solve_cyclic_tridiag(sub, diag, sup, 0.3, 0.2, rhs)
+    # the periodic second difference: constants span its null space, and
+    # only the rank-one update sees it
+    ones = np.ones(n)
+    with pytest.raises(NumericalBlowup):
+        _solve_cyclic_tridiag(-ones, 2.0 * ones, -ones, -1.0, -1.0, rhs)
 
 
 def test_resample_uniform_and_closed(flat):
