@@ -5,8 +5,9 @@ high-order Runge-Kutta method (DOP853, tolerance 1e-10 by default) and
 samples its dense output on a uniform time grid that never passes the
 horizon.  It is the precision path used for exactness tests, shooting and
 certified runs; the time-t image of a tangent is
-`integrate(...).final_tangent()`.  `integrate_batch` advances
-many geodesics simultaneously with a fixed-step classical RK4; each
+`integrate(...).final_tangent()`.  Its right-hand side evaluates the metric
+point by point (`geodesic_accel` on Python floats).  `integrate_batch`
+advances many geodesics simultaneously with a fixed-step classical RK4; each
 trajectory in the batch is computed by arithmetic that does not depend on
 the rest of the batch, which the entropy sampler relies on for
 reproducibility.  `integrate_rays` wraps each batch member as a
@@ -125,10 +126,13 @@ def _sample_times(T, dt):
 
 
 def _arclength(spec, xy, v, t):
-    f = spec.fields(xy[:, 0], xy[:, 1], order=0)
-    sp = np.sqrt(quadratic_form(f, v[:, 0], v[:, 1]))
-    ds = 0.5 * (sp[1:] + sp[:-1]) * np.diff(t)
-    return np.concatenate([[0.0], np.cumsum(ds)])
+    """Trapezoid arclength along the sample axis of (..., N, 2) arrays."""
+    # views, not copies, and no fields() dict kept: whole fans come through here
+    p, w = xy.reshape(-1, 2), v.reshape(-1, 2)
+    sp = quadratic_form(spec.fields(p[:, 0], p[:, 1], order=0), w[:, 0], w[:, 1])
+    sp = np.sqrt(sp, out=sp).reshape(xy.shape[:-1])
+    ds = 0.5 * (sp[..., 1:] + sp[..., :-1]) * np.diff(t)
+    return np.concatenate([np.zeros(sp.shape[:-1] + (1,)), np.cumsum(ds, axis=-1)], axis=-1)
 
 
 def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -152,9 +156,10 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     if not dt > 0:
         raise ValidationError("sampling step dt must be positive")
 
-    def rhs(t, y):
-        ax, ay = geodesic_accel(spec, y[0:1], y[1:2], y[2:3], y[3:4])
-        return (y[2], y[3], ax[0], ay[0])
+    def rhs(t, state):
+        x, y, vx, vy = state.tolist()
+        ax, ay = geodesic_accel(spec, x, y, vx, vy)
+        return vx, vy, ax, ay
 
     ts = _sample_times(T, dt)
     # t_eval builds the dense interpolant only on steps that hold a sample
@@ -241,13 +246,14 @@ def integrate_rays(spec, tangents, T, dt=DEFAULT_DT, h=None):
         h = dt / 2.0
     states = np.array([[v.x, v.y, v.vx, v.vy] for v in tangents])
     times, samples = integrate_batch(spec, states, T, h=h, sample_dt=dt)
+    # one fields() call for every ray; its values do not depend on the batch
+    s = _arclength(spec, samples[..., 0:2], samples[..., 2:4], times)
     out = []
     for i in range(states.shape[0]):
         xy = np.ascontiguousarray(samples[i, :, 0:2])
         v = np.ascontiguousarray(samples[i, :, 2:4])
-        s = _arclength(spec, xy, v, times)
         out.append(Trajectory(spec_name=spec.name, t=times.copy(), xy=xy, v=v,
-                              s=s, rtol=float("nan"), atol=float("nan"),
+                              s=s[i], rtol=float("nan"), atol=float("nan"),
                               method=f"rk4-batch-h{h:g}"))
     return out
 

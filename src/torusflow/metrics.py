@@ -19,7 +19,9 @@ multiplied by 2 pi i m.  Large inputs are evaluated in blocks of a fixed
 number of point-terms, which keeps temporaries cache-sized.  Every output
 is a per-point sum over the trailing term axis with no reduction across
 points (no BLAS), so a point's value does not depend on the batch or block
-it was evaluated in.
+it was evaluated in.  Next to this blocked batch path, Python floats take a
+one-point path (`geodesic_accel`, `MetricSpec.point_fields`): the same tables,
+one dot product and none of the batch path's fixed per-call cost.
 
 Metric description files use a line-oriented key-value grammar::
 
@@ -39,8 +41,11 @@ norms allow it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -120,6 +125,7 @@ class _Series:
         # of z viewed as float pairs with conj(a) viewed the same way
         coef = np.conj(rows).view(float)
         self._coef = tuple(coef[:r, None, :] for r in (1, 3, 6))
+        self._coef_point = coef[:3]
         self._block_points = max(1, _BLOCK_TERMS // len(terms))
 
     def eval(self, xr, yr, order):
@@ -164,6 +170,18 @@ class _Series:
         k = len(self.mx)
         z = g[:, :k] * g[:, k:]
         return (z.view(float) * coef).sum(axis=-1)
+
+    def eval_point(self, xr, yr):
+        """(v, vx, vy) at one reduced point as floats: `eval`'s tables and
+        coefficients summed by one dot product (equal to rounding, not bitwise)."""
+        row = []
+        for r in (xr, yr):
+            # e**1..e**pos by repeated multiplication, as in `_block`
+            powers = [1.0, *accumulate(repeat(cmath.exp(_TWO_PI_J * r), self._pos), mul)]
+            row += powers
+            row += map(complex.conjugate, powers[1:self._neg + 1])
+        g = np.array(row, dtype=complex).take(self._take).reshape(2, -1)
+        return self._coef_point.dot((g[0] * g[1]).view(float)).tolist()
 
     def l1_split(self):
         """(constant term, l1 bound of the oscillatory rest)."""
@@ -275,16 +293,25 @@ class MetricSpec:
         y = np.asarray(y, dtype=float)
         xr = x - np.floor(x)
         yr = y - np.floor(y)
-        keys = _KEYS[order]
+        return self._components(_KEYS[order], lambda s: s.eval(xr, yr, order),
+                                lambda: np.zeros(len(xr)))
+
+    def point_fields(self, x, y):
+        """fields(x, y, order=1) at one cover point, as a dict of floats."""
+        xr, yr = x - math.floor(x), y - math.floor(y)
+        return self._components(_KEYS[1], lambda s: s.eval_point(xr, yr), float)
+
+    def _components(self, keys, evaluate, zeros):
+        # zeros() runs last and only for an empty g12, to keep peak memory
         s11, s22 = self._series["g11"], self._series["g22"]
-        v11 = s11.eval(xr, yr, order)
+        v11 = evaluate(s11)
         out = dict(zip(keys[0], v11))
         # conformal metrics share one series between g11 and g22
-        out.update(zip(keys[2], v11 if s22 is s11 else s22.eval(xr, yr, order)))
+        out.update(zip(keys[2], v11 if s22 is s11 else evaluate(s22)))
         if self.g12:
-            out.update(zip(keys[1], self._series["g12"].eval(xr, yr, order)))
+            out.update(zip(keys[1], evaluate(self._series["g12"])))
         else:
-            out.update(dict.fromkeys(keys[1], np.zeros(len(xr))))
+            out.update(dict.fromkeys(keys[1], zeros()))
         return out
 
     def terms_of(self, component):
@@ -318,36 +345,18 @@ def _lower_symbols(f):
     return L111, L112, L122, L211, L212, L222
 
 
-def christoffel(spec, point):
-    """Christoffel symbols of the second kind at a point.
-
-    Returns an array Gamma of shape (2, 2, 2) with Gamma[k, i, j] symmetric
-    in (i, j).
-    """
-    x, y = float(point[0]), float(point[1])
-    f = spec.fields(np.array([x]), np.array([y]), order=1)
-    L111, L112, L122, L211, L212, L222 = (v[0] for v in _lower_symbols(f))
-    E, F, G = f["E"][0], f["F"][0], f["G"][0]
-    det = E * G - F * F
-    iE, iF, iG = G / det, -F / det, E / det
-    gamma = np.empty((2, 2, 2))
-    gamma[0, 0, 0] = iE * L111 + iF * L211
-    gamma[0, 0, 1] = gamma[0, 1, 0] = iE * L112 + iF * L212
-    gamma[0, 1, 1] = iE * L122 + iF * L222
-    gamma[1, 0, 0] = iF * L111 + iG * L211
-    gamma[1, 0, 1] = gamma[1, 1, 0] = iF * L112 + iG * L212
-    gamma[1, 1, 1] = iF * L122 + iG * L222
-    return gamma
-
-
 def geodesic_accel(spec, x, y, vx, vy):
-    """Acceleration of the geodesic equation, vectorised over points."""
+    """Acceleration of the geodesic equation: Python floats in and out through
+    the one-point path, arrays through the blocked batch path."""
+    point = isinstance(x, float)
     if spec._conformal:
         # the flows call this every step: skip building fields()' full dict
-        u, ux, uy = spec._series["g11"].eval(x - np.floor(x), y - np.floor(y), 1)
+        s = spec._series["g11"]
+        u, ux, uy = (s.eval_point(x - math.floor(x), y - math.floor(y)) if point
+                     else s.eval(x - np.floor(x), y - np.floor(y), 1))
         f = {"E": u, "Ex": ux, "Ey": uy}
     else:
-        f = spec.fields(x, y, order=1)
+        f = spec.point_fields(x, y) if point else spec.fields(x, y, order=1)
     return accel_from_fields(spec, f, vx, vy)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from torusflow.errors import ValidationError
-from torusflow.flow import (Trajectory, _sample_times, integrate,
+from torusflow.flow import (Trajectory, _arclength, _sample_times, integrate,
                             integrate_batch, integrate_rays, unit_tangent)
 from torusflow.metrics import gallery, gallery_names, geodesic_accel
 
@@ -60,10 +60,15 @@ def test_short_horizon_reversal(liouville):
 
 
 def _dense_output_samples(spec, v0, T, dt, rtol, atol):
-    """Reference sampler: the full dense output, evaluated after the run."""
-    def rhs(t, y):
-        ax, ay = geodesic_accel(spec, y[0:1], y[1:2], y[2:3], y[3:4])
-        return (y[2], y[3], ax[0], ay[0])
+    """Reference sampler: the full dense output, evaluated after the run.
+
+    Its right-hand side is integrate's own (one-point geodesic_accel on
+    floats), so the samples can be compared bit for bit.
+    """
+    def rhs(t, state):
+        x, y, vx, vy = state.tolist()
+        ax, ay = geodesic_accel(spec, x, y, vx, vy)
+        return vx, vy, ax, ay
 
     sol = solve_ivp(rhs, (0.0, T), [v0.x, v0.y, v0.vx, v0.vy],
                     method="DOP853", rtol=rtol, atol=atol, dense_output=True)
@@ -135,6 +140,16 @@ def test_batch_sampling_grid(flat):
     with pytest.raises(ValidationError):
         integrate_batch(flat, np.array([[0, 0, 1, 0.0]]), 2.0, h=0.01,
                         sample_dt=0.013)   # not a multiple of h
+
+
+@pytest.mark.parametrize("name", ["liouville", "two-frequency"])
+def test_integrate_rays_arclength_equals_per_ray(name):
+    # integrate_rays takes every ray's arclength from one fields() call
+    spec = gallery(name)
+    vs = [unit_tangent(spec, (0.2, 0.6), a) for a in (0.3, 1.9, 4.4)]
+    for ray in integrate_rays(spec, vs, 4.0, dt=0.1):
+        assert np.array_equal(ray.s, _arclength(spec, ray.xy, ray.v, ray.t))
+        assert ray.s.shape == ray.t.shape and ray.s[0] == 0.0
 
 
 def test_integrate_rays_shapes(flat):

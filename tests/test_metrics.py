@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
-from torusflow.metrics import (MetricSpec, _canonical_terms, _Series,
-                               christoffel, gallery, gallery_names,
+from torusflow.metrics import (MetricSpec, _canonical_terms, _lower_symbols,
+                               _Series, gallery, gallery_names,
                                gauss_curvature, gauss_curvature_batch,
                                gauss_curvature_grid, geodesic_accel,
                                liouville_metric, load_metric, quadratic_form,
@@ -89,6 +89,29 @@ def test_eval_metric_value(liouville):
     assert F == 0.0
     assert E * G - F * F == pytest.approx(0.64, abs=1e-14)
     assert all(len(f[k]) == 1 for k in ("Ex", "Ey", "Fx", "Fy", "Gx", "Gy"))
+
+
+def christoffel(spec, point):
+    """Christoffel symbols of the second kind at a point: the oracle of
+    geodesic_accel.
+
+    Returns an array Gamma of shape (2, 2, 2) with Gamma[k, i, j] symmetric
+    in (i, j).
+    """
+    x, y = float(point[0]), float(point[1])
+    f = spec.fields(np.array([x]), np.array([y]), order=1)
+    L111, L112, L122, L211, L212, L222 = (v[0] for v in _lower_symbols(f))
+    E, F, G = f["E"][0], f["F"][0], f["G"][0]
+    det = E * G - F * F
+    iE, iF, iG = G / det, -F / det, E / det
+    gamma = np.empty((2, 2, 2))
+    gamma[0, 0, 0] = iE * L111 + iF * L211
+    gamma[0, 0, 1] = gamma[0, 1, 0] = iE * L112 + iF * L212
+    gamma[0, 1, 1] = iE * L122 + iF * L222
+    gamma[1, 0, 0] = iF * L111 + iG * L211
+    gamma[1, 0, 1] = gamma[1, 1, 0] = iF * L112 + iG * L212
+    gamma[1, 1, 1] = iF * L122 + iG * L222
+    return gamma
 
 
 def test_christoffel_flat_zero(flat):
@@ -271,6 +294,108 @@ def test_sheared_speed_conserved():
 
 
 # ---------------------------------------------------------------------------
+# the one-point path of geodesic_accel against the batch path
+
+# small oscillations on a unit constant keep every drawn metric positive
+# definite: l1 norms stay below 0.23 on the diagonal and 0.12 off it.  No
+# coefficient is tiny, or accelerations would fall among the subnormals
+_small_coef = st.one_of(st.just(0.0), st.floats(1e-4, 0.02), st.floats(-0.02, -1e-4))
+_small_term = st.tuples(st.integers(-6, 6), st.integers(-6, 6), _small_coef, _small_coef)
+
+
+@st.composite
+def _random_metric(draw):
+    g11 = [(0, 0, 1.0, 0.0)] + draw(st.lists(_small_term, max_size=8))
+    shape = draw(st.sampled_from(("conformal", "shared-diagonal", "general")))
+    g22 = g11
+    if shape == "general":
+        g22 = [(0, 0, 1.2, 0.0)] + draw(st.lists(_small_term, max_size=8))
+    g12 = []
+    if shape != "conformal":
+        g12 = draw(st.lists(_small_term, min_size=1, max_size=4))
+    return MetricSpec("random", g11=g11, g12=g12, g22=g22)
+
+
+_cover = st.floats(-1e3, 1e3)
+_speed = st.floats(-3.0, 3.0)
+_ORACLE_SPECS = {name: gallery(name) for name in gallery_names()}
+_ORACLE_SPECS["sheared"] = SHEARED
+
+
+def _accel_tol(spec, a, vx, vy):
+    """1e-12 relative to the acceleration vector (one component alone can
+    cancel to near zero), plus the rounding of the terms it sums: |v|^2
+    times every first derivative's l1 bound over lambda_min."""
+    d = sum(2.0 * math.pi * (abs(mx) + abs(my)) * math.hypot(c, s)
+            for comp in ("g11", "g12", "g22") for mx, my, c, s in spec.terms_of(comp))
+    return 1e-12 * math.hypot(*a) + 1e-15 * (vx * vx + vy * vy) * d / spec.lambda_min
+
+
+def _assert_point_matches_batch(spec, x, y, vx, vy):
+    # both components tiny would put the products among subnormals
+    assume(max(abs(vx), abs(vy)) > 1e-100)
+    ax, ay = geodesic_accel(spec, x, y, vx, vy)
+    assert type(ax) is float and type(ay) is float
+    bx, by = (a[0] for a in geodesic_accel(
+        spec, *(np.array([v]) for v in (x, y, vx, vy))))
+    tol = _accel_tol(spec, (bx, by), vx, vy)
+    assert abs(ax - bx) <= tol and abs(ay - by) <= tol
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+@given(x=_cover, y=_cover, vx=_speed, vy=_speed)
+@settings(max_examples=60, deadline=None)
+def test_point_accel_matches_batch_on_gallery(name, x, y, vx, vy):
+    _assert_point_matches_batch(_ORACLE_SPECS[name], x, y, vx, vy)
+
+
+@given(spec=_random_metric(), x=_cover, y=_cover, vx=_speed, vy=_speed)
+@settings(max_examples=150, deadline=None)
+def test_point_accel_matches_batch_on_random_terms(spec, x, y, vx, vy):
+    _assert_point_matches_batch(spec, x, y, vx, vy)
+    # and the symbols the batch path is checked against
+    gam = christoffel(spec, (x, y))
+    v = np.array([vx, vy])
+    expect = -np.einsum("kij,i,j->k", gam, v, v)
+    got = np.array(geodesic_accel(spec, x, y, vx, vy))
+    assert np.abs(got - expect).max() <= _accel_tol(spec, expect, vx, vy)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+def test_point_accel_deck_shift_bit_equal(name):
+    # the rays workload's deck check launches from a dyadic point and its
+    # (1, 1) shift; both reduce to the same coordinates exactly
+    spec = _ORACLE_SPECS[name]
+    rng = np.random.default_rng(13)
+    for (k, l), (vx, vy) in zip(rng.integers(-3 * 4096, 3 * 4096, size=(40, 2)),
+                                rng.uniform(-2.0, 2.0, size=(40, 2))):
+        x, y, vx, vy = k / 4096.0, l / 4096.0, float(vx), float(vy)
+        assert (geodesic_accel(spec, x, y, vx, vy)
+                == geodesic_accel(spec, x + 1.0, y + 1.0, vx, vy))
+        assert spec.point_fields(x, y) == spec.point_fields(x + 1.0, y + 1.0)
+
+
+def test_point_fields_shares_and_skips(bump, monkeypatch):
+    s11 = bump._series["g11"]
+    calls = []
+    real = s11.eval_point
+
+    def counted(xr, yr):
+        calls.append((xr, yr))
+        return real(xr, yr)
+
+    def boom(*args):
+        raise AssertionError("the empty g12 series was evaluated")
+    monkeypatch.setattr(s11, "eval_point", counted)
+    monkeypatch.setattr(bump._series["g12"], "eval_point", boom)
+    f = bump.point_fields(1.1, -0.6)
+    assert len(calls) == 1
+    assert sorted(f) == sorted(bump.fields(np.array([0.1]), np.array([0.4])))
+    assert (f["F"], f["Fx"], f["Fy"]) == (0.0, 0.0, 0.0)
+    assert (f["G"], f["Gx"], f["Gy"]) == (f["E"], f["Ex"], f["Ey"])
+
+
+# ---------------------------------------------------------------------------
 # the power-table series evaluation against the direct cos/sin sum
 
 def _reference_eval(series, xr, yr, order):
@@ -337,6 +462,22 @@ def test_series_eval_matches_reference_on_sheared_and_gallery():
         for comp in ("g11", "g12", "g22"):
             for order in (0, 1, 2):
                 _assert_matches_reference(spec._series[comp], xr, yr, order)
+
+
+def test_fields_components_match_reference():
+    # each component's series lands under its own keys, on both paths; the
+    # oracle of the one-point path shares this assembly with the batch path
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-5, 5, 40)
+    y = rng.uniform(-5, 5, 40)
+    f = SHEARED.fields(x, y, order=1)
+    points = [SHEARED.point_fields(float(a), float(b)) for a, b in zip(x, y)]
+    for comp, key in (("g11", "E"), ("g12", "F"), ("g22", "G")):
+        want = _reference_eval(SHEARED._series[comp], x - np.floor(x),
+                               y - np.floor(y), 1)
+        for suffix, w in zip(("", "x", "y"), want):
+            assert np.abs(f[key + suffix] - w).max() <= 1e-12
+            assert np.abs([p[key + suffix] for p in points] - w).max() <= 1e-12
 
 
 def test_fields_blocks_equal_one_point_calls(bump):
