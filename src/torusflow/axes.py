@@ -3,12 +3,13 @@
 An axis of class (p, q) is a closed geodesic whose lift advances by the
 integer vector (p, q) per period.  They are found in two stages: curve
 shortening from straight representatives at several transverse offsets
-gets close and picks the shortest candidate, then Newton shooting on
+gets close and ranks the candidates by length, then Newton shooting on
 (transverse offset, launch angle, period) closes the geodesic to far below
 the flow's resolution floor.  The flow only has to land in the shooting's
-basin, so it stops at a coarse curvature tolerance (_BASIN_K_TOL) or at
-its length plateau, whichever comes first; the shooting does the
-polishing.
+basin, so it stops at a coarse curvature tolerance (_BASIN_K_TOL), at its
+length plateau or at its step budget, whichever comes first.  The shooting,
+not the flow's verdict, decides: every flow result is a candidate, and a
+candidate counts only once the shooting closes it.
 
 A deliberately independent check lives alongside: a shortest-path length
 over a dense grid graph in a chart aligned with the class.  It shares no
@@ -28,10 +29,22 @@ from .errors import NotConverged, ValidationError
 from .flow import integrate, unit_tangent
 from .metrics import gauss_curvature_grid, quadratic_form, total_curvature
 
-# max geodesic curvature at which a flow candidate is handed to the
-# shooting: well inside its basin, and far above the curvature floor of a
-# 256-node polygon that the flow's own default tolerance sits below
+# max geodesic curvature at which a seed's flow stops early: well inside
+# the shooting's basin, and far above the curvature floor of a 256-node
+# polygon that the flow's own default tolerance sits below
 _BASIN_K_TOL = 1e-2
+# largest closing residual the shooting accepts
+_SHOOT_TOL = 1e-5
+# lattice oracle: chart margin either side of one transverse period, move
+# stencil radius, coarse start offsets, and fine rows either side of the best
+_ORACLE_MARGIN = 0.35
+_ORACLE_STENCIL_RADIUS = 3
+_ORACLE_COARSE_STARTS = 16
+_ORACLE_REFINE_WINDOW = 6
+# foliation check: limit curves with closer intercepts are the same curve
+_DISTINCT_TOL = 1e-3
+# horizon of the flatness test's witness ray
+_WITNESS_HORIZON = 240.0
 
 
 def _class_frame(klass):
@@ -85,13 +98,13 @@ def _closing_residual(end, ang, start, theta, klass):
     return gap
 
 
-def shoot_closed_geodesic(spec, klass, start, theta, period, tol=1e-5,
-                          max_iter=12, n_samples=256):
+def shoot_closed_geodesic(spec, klass, start, theta, period, n_samples=256):
     """Newton-polish a near-closed geodesic into a closed one.
 
     Unknowns are the transverse offset of the start point, the launch
     angle, and the period; residuals the closing gaps in position and
-    angle.  Raises NotConverged when the residual stays above tol.
+    angle.  Raises NotConverged when, after at most 12 Newton steps, the
+    residual stays above _SHOOT_TOL.
     """
     p, q, norm, e_s, e_w = _class_frame(klass)
     x0 = np.asarray(start, dtype=float)
@@ -104,7 +117,7 @@ def shoot_closed_geodesic(spec, klass, start, theta, period, tol=1e-5,
 
     r = residual(u)
     eps = 1e-7
-    for _ in range(max_iter):
+    for _ in range(12):
         if np.abs(r).max() < 1e-11:
             break
         J = np.empty((3, 3))
@@ -122,8 +135,8 @@ def shoot_closed_geodesic(spec, klass, start, theta, period, tol=1e-5,
         u = u + step
         r = residual(u)
     res = float(np.abs(r).max())
-    if res > tol:
-        raise NotConverged(f"closing residual {res:.3g} above {tol:g}")
+    if res > _SHOOT_TOL:
+        raise NotConverged(f"closing residual {res:.3g} above {_SHOOT_TOL:g}")
 
     s = x0 + u[0] * e_w
     traj, end, ang = _shoot(spec, s, u[1], u[2], n_samples=n_samples)
@@ -134,17 +147,18 @@ def shoot_closed_geodesic(spec, klass, start, theta, period, tol=1e-5,
                 diagnostics={"newton_residual": [float(x) for x in r]})
 
 
-def find_minimal_axis(spec, klass, n=256, n_offsets=5, shoot_tol=1e-5,
-                      flow_steps=40000, certify=False):
+def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
     """Minimal closed geodesic of a class: flow to candidates, shoot, pick.
 
     Straight representatives at n_offsets transverse offsets across one
     transverse period are relaxed by curve shortening until their
-    curvature falls below _BASIN_K_TOL or their length plateaus.  The
-    converged candidates are sorted by length, and the three shortest are
-    shot in that order; the first that closes is the axis.  With
-    certify=True the result is compared against the independent grid
-    oracle and the comparison stored in diagnostics.
+    curvature falls below _BASIN_K_TOL, their length plateaus or 40,000
+    steps have run.  Every flow result is a candidate, whatever its
+    verdict: the candidates are sorted by length, and the three shortest
+    are shot in that order; the first that closes is the axis, and
+    NotConverged is raised when none does.  With certify=True the result is
+    compared against the independent grid oracle and the comparison stored
+    in diagnostics.
     """
     p, q, norm, e_s, e_w = _class_frame(klass)
     period_w = 1.0 / norm
@@ -154,27 +168,22 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, shoot_tol=1e-5,
         w0 = (i + 0.5) / n_offsets * period_w
         base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
         seed = sh.straight_class_curve((p, q), base=base, n=n)
-        res = sh.evolve(spec, seed, max_steps=flow_steps, k_tol=_BASIN_K_TOL)
-        if res.verdict != "converged_to_geodesic":
-            continue
+        res = sh.evolve(spec, seed, max_steps=40000, k_tol=_BASIN_K_TOL)
         candidates.append((res.length, res.curve))
-    if not candidates:
-        raise NotConverged(f"no flow candidate converged for class {(p, q)}")
     candidates.sort(key=lambda c: c[0])
 
     last_err = None
-    axis = None
     for length, curve in candidates[:3]:
         start = curve.nodes[0]
         tang = curve.nodes[1] - curve.nodes[0]
         theta = math.atan2(tang[1], tang[0])
         try:
             axis = shoot_closed_geodesic(spec, (p, q), start, theta, length,
-                                         tol=shoot_tol, n_samples=n)
+                                         n_samples=n)
             break
         except NotConverged as e:
             last_err = e
-    if axis is None:
+    else:
         raise NotConverged(f"shooting failed for class {(p, q)}: {last_err}")
 
     axis.diagnostics["flow_candidates"] = [float(c[0]) for c in candidates]
@@ -198,14 +207,12 @@ def _stencil(radius):
     return moves
 
 
-def grid_shortest_class_length(spec, klass, n=512, margin=0.35,
-                               stencil_radius=3, coarse_starts=16,
-                               refine_window=6):
+def grid_shortest_class_length(spec, klass, n=512):
     """Shortest class-(p, q) loop length over a dense chart graph.
 
     The chart axes are the class direction s and its normal w; the graph
     couples nodes by every primitive integer move with sup-norm up to
-    stencil_radius, plus vertical chains handled exactly by min-plus
+    _ORACLE_STENCIL_RADIUS, plus vertical chains handled exactly by min-plus
     sweeps.  A loop must return to its starting transverse offset after
     advancing one period in s, so the answer is minimised over a coarse
     fan of start offsets covering one transverse period, then over a fine
@@ -217,8 +224,8 @@ def grid_shortest_class_length(spec, klass, n=512, margin=0.35,
     ds = norm / Ns
     dw = 1.0 / n
     period_w = 1.0 / norm
-    w_lo = -margin
-    w_hi = period_w + margin
+    w_lo = -_ORACLE_MARGIN
+    w_hi = period_w + _ORACLE_MARGIN
     W = int(round((w_hi - w_lo) / dw)) + 1
 
     i_grid = np.arange(Ns + 1) * ds
@@ -243,7 +250,7 @@ def grid_shortest_class_length(spec, klass, n=512, margin=0.35,
             return 0.5 * (np.sqrt(src[:, -dj:]) + np.sqrt(dst[:, :dj]))
         return 0.5 * (np.sqrt(src) + np.sqrt(dst))
 
-    moves = _stencil(stencil_radius)
+    moves = _stencil(_ORACLE_STENCIL_RADIUS)
     wgt = {}
     for di, dj in moves:
         delta = di * ds * e_s + dj * dw * e_w
@@ -273,24 +280,26 @@ def grid_shortest_class_length(spec, klass, n=512, margin=0.35,
                     np.minimum(d[:, :dj], src[:, -dj:] + wrow, out=d[:, :dj])
             d = _vertical_relax(d, vert[i])
             hist.append(d)
-            if len(hist) > stencil_radius + 1:
-                hist[i - stencil_radius - 1] = None
+            if len(hist) > _ORACLE_STENCIL_RADIUS + 1:
+                hist[i - _ORACLE_STENCIL_RADIUS - 1] = None
         return hist[Ns][np.arange(S), start_rows]
 
-    coarse_rows = np.round((np.arange(coarse_starts) / coarse_starts * period_w
-                            - w_lo) / dw).astype(int)
+    coarse_rows = np.round((np.arange(_ORACLE_COARSE_STARTS)
+                            / _ORACLE_COARSE_STARTS * period_w - w_lo)
+                           / dw).astype(int)
     coarse_rows = np.clip(coarse_rows, 0, W - 1)
     coarse = run(coarse_rows)
     best = int(np.argmin(coarse))
     center = coarse_rows[best]
     fine_rows = np.unique(np.clip(
-        center + np.arange(-refine_window, refine_window + 1), 0, W - 1))
+        center + np.arange(-_ORACLE_REFINE_WINDOW, _ORACLE_REFINE_WINDOW + 1),
+        0, W - 1))
     fine = run(fine_rows)
     k = int(np.argmin(fine))
     return {"length": float(fine[k]),
             "offset": float(j_grid[fine_rows[k]]),
             "coarse_best": float(coarse[best]),
-            "n": n, "stencil_radius": stencil_radius}
+            "n": n, "stencil_radius": _ORACLE_STENCIL_RADIUS}
 
 
 def _vertical_relax(d, vw):
@@ -337,14 +346,16 @@ class FoliationReport:
     verdicts: list
 
 
-def check_foliation(spec, klass, n_seeds=12, n=192, flow_steps=30000,
-                    distinct_tol=1e-3):
+def check_foliation(spec, klass, n_seeds=12, n=192):
     """Flow a fan of straight seeds and classify the limit family.
 
+    Each of the n_seeds (at least 1) seeds flows for at most 30,000 steps.
     For a flat metric every seed stays put, the intercept fan stays dense
     and the report says foliated; a metric with isolated minimal axes
     funnels the seeds onto a few curves instead.
     """
+    if n_seeds < 1:
+        raise ValidationError(f"a foliation check needs at least 1 seed, got {n_seeds}")
     p, q, norm, e_s, e_w = _class_frame(klass)
     period_w = 1.0 / norm
 
@@ -355,7 +366,7 @@ def check_foliation(spec, klass, n_seeds=12, n=192, flow_steps=30000,
         w0 = i / n_seeds * period_w
         base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
         res = sh.evolve(spec, sh.straight_class_curve((p, q), base=base, n=n),
-                        max_steps=flow_steps)
+                        max_steps=30000)
         verdicts.append(res.verdict)
         if res.verdict != "converged_to_geodesic":
             continue
@@ -368,14 +379,14 @@ def check_foliation(spec, klass, n_seeds=12, n=192, flow_steps=30000,
     clusters = []
     for k, val in zip(order, sorted_icpt):
         wrapped = (val - clusters[-1][-1][1]) % period_w if clusters else None
-        if clusters and min(wrapped, period_w - wrapped) < distinct_tol:
+        if clusters and min(wrapped, period_w - wrapped) < _DISTINCT_TOL:
             clusters[-1].append((k, val))
         else:
             clusters.append([(k, val)])
     # the first and last cluster can be the same one across the seam
     if len(clusters) > 1:
         gap = (clusters[0][0][1] - clusters[-1][-1][1]) % period_w
-        if min(gap, period_w - gap) < distinct_tol:
+        if min(gap, period_w - gap) < _DISTINCT_TOL:
             clusters[0] = clusters.pop() + clusters[0]
 
     reps = [cl[0][0] for cl in clusters]
@@ -423,22 +434,21 @@ class FlatnessReport:
     verdict: str
 
 
-def flatness_test(spec, grid_n=256, tol=1e-9, witness_horizon=240.0,
-                  witness_angle=0.437, witness_base=(0.173, 0.319)):
+def flatness_test(spec, grid_n=256):
     """Decide flatness by curvature, and look for a dynamical witness."""
     from .cover import intersection_census
     K = gauss_curvature_grid(spec, n=grid_n)
     kmax = float(np.abs(K).max())
     total = total_curvature(spec, n=grid_n)
 
-    v0 = unit_tangent(spec, witness_base, witness_angle)
-    traj = integrate(spec, v0, witness_horizon, dt=0.05)
+    v0 = unit_tangent(spec, (0.173, 0.319), 0.437)
+    traj = integrate(spec, v0, _WITNESS_HORIZON, dt=0.05)
     census = intersection_census(
         traj, class_radius=2,
-        horizons=(witness_horizon / 2, 0.75 * witness_horizon, witness_horizon))
+        horizons=(_WITNESS_HORIZON / 2, 0.75 * _WITNESS_HORIZON, _WITNESS_HORIZON))
     growing = census.growing_classes()
 
-    curvature_flat = kmax < tol
+    curvature_flat = kmax < 1e-9
     return FlatnessReport(
         max_abs_curvature=kmax, total_curvature=total,
         curvature_flat=curvature_flat, witness_found=bool(growing),

@@ -29,6 +29,10 @@ from .flow import Trajectory, integrate_rays, unit_tangent
 
 IntersectionEvent = sg.IntersectionEvent
 
+# a ray must end at least this far from its launch point for its escape
+# direction to be estimated
+_MIN_ESCAPE_NORM = 10.0
+
 
 # ---------------------------------------------------------------------------
 # deck group
@@ -105,8 +109,7 @@ def apply_deck(tau, traj):
 # ---------------------------------------------------------------------------
 # intersections of lifts
 
-def self_intersections(traj, theta_min=sg.THETA_MIN, t_sep=sg.SELF_T_SEP,
-                       refine=True):
+def self_intersections(traj, t_sep=sg.SELF_T_SEP, refine=True):
     """Transversal self-crossings of one lifted geodesic.
 
     Returns (events, tangential); events are sorted by parameter and each
@@ -114,21 +117,19 @@ def self_intersections(traj, theta_min=sg.THETA_MIN, t_sep=sg.SELF_T_SEP,
     distinct strands and are excluded.
     """
     return sg.crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v, traj.v,
-                        theta_min=theta_min, same_curve=True, t_sep=t_sep,
-                        refine=refine)
+                        same_curve=True, t_sep=t_sep, refine=refine)
 
 
-def translate_intersections(traj, tau, theta_min=sg.THETA_MIN, refine=True):
+def translate_intersections(traj, tau, refine=True):
     """Transversal crossings between a lift and its deck translate tau(lift)."""
     if tau.is_identity:
         raise ValidationError("translate_intersections needs a nonzero translation")
     shifted = tau.apply_array(traj.xy)
     return sg.crossings(traj.xy, traj.t, shifted, traj.t, traj.v, traj.v,
-                        theta_min=theta_min, refine=refine)
+                        refine=refine)
 
 
-def torus_self_crossings(traj, class_radius=2, theta_min=sg.THETA_MIN,
-                         refine=True):
+def torus_self_crossings(traj, class_radius=2):
     """Parameter pairs where the projected geodesic meets itself on the torus.
 
     Each unordered pair {t1, t2} with equal torus points lifts to a unique
@@ -139,15 +140,14 @@ def torus_self_crossings(traj, class_radius=2, theta_min=sg.THETA_MIN,
     class of the loop run from t1 to t2, with (0, 0) for contractible ones.
     """
     ident = DeckTransform(0, 0)
-    events, _ = self_intersections(traj, theta_min=theta_min, refine=refine)
+    events, _ = self_intersections(traj)
     out = [(ev, ident) for ev in events]
     r = int(class_radius)
     taus = [DeckTransform(m, n) for m in range(0, r + 1)
             for n in range(-r, r + 1) if m > 0 or n > 0]
     found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
                                   [(tau.m, tau.n) for tau in taus],
-                                  traj.v, traj.v, theta_min=theta_min,
-                                  refine=refine)
+                                  traj.v, traj.v)
     for tau, (events, _) in zip(taus, found):
         # an event (ta, tb) asserts lift(ta) = tau(lift(tb)); the loop
         # class compares the later lift point against the earlier one
@@ -209,8 +209,7 @@ def _growing(counts_by_power):
     return False
 
 
-def intersection_census(traj, class_radius=3, horizons=(100.0, 200.0, 400.0),
-                        theta_min=sg.THETA_MIN):
+def intersection_census(traj, class_radius=3, horizons=(100.0, 200.0, 400.0)):
     """Census of crossings between a lift and translate families.
 
     For every primitive class within `class_radius` (sup-norm) and every
@@ -228,7 +227,7 @@ def intersection_census(traj, class_radius=3, horizons=(100.0, 200.0, 400.0),
     etas = [rep.power(k) for rep in reps for k in powers]
     found = iter(sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
                                        [(eta.m, eta.n) for eta in etas],
-                                       theta_min=theta_min, refine=False))
+                                       refine=False))
     classes = {}
     for rep in reps:
         counts = {}
@@ -309,18 +308,18 @@ class DirectionEstimate:
     final_norm: float
 
 
-def asymptotic_direction(traj, min_norm=10.0):
+def asymptotic_direction(traj):
     """Estimate the escape direction of a lifted ray from its samples.
 
-    Raises NotEscaping when the ray has not moved at least `min_norm` away
-    from its launch point at the horizon.
+    Raises NotEscaping when the ray has not moved at least _MIN_ESCAPE_NORM
+    away from its launch point at the horizon.
     """
     disp = traj.xy - traj.xy[0]
     final = disp[-1]
     norm = float(np.hypot(final[0], final[1]))
-    if norm < min_norm:
-        raise NotEscaping(
-            f"displacement {norm:.3g} at horizon {traj.horizon:g} is below {min_norm:g}")
+    if norm < _MIN_ESCAPE_NORM:
+        raise NotEscaping(f"displacement {norm:.3g} at horizon {traj.horizon:g} "
+                          f"is below {_MIN_ESCAPE_NORM:g}")
     d = (final[0] / norm, final[1] / norm)
     # a component at roundoff scale is a zero component; without the snap a
     # vertical ray would report slope ~1e16 instead of the vertical point
@@ -341,10 +340,10 @@ def asymptotic_direction(traj, min_norm=10.0):
                              final_norm=norm)
 
 
-def direction_antisymmetry(fwd_traj, bwd_traj, min_norm=10.0):
+def direction_antisymmetry(fwd_traj, bwd_traj):
     """Angle between the forward direction and minus the backward direction."""
-    dplus = asymptotic_direction(fwd_traj, min_norm=min_norm)
-    dminus = asymptotic_direction(bwd_traj, min_norm=min_norm)
+    dplus = asymptotic_direction(fwd_traj)
+    dminus = asymptotic_direction(bwd_traj)
     dot = -(dplus.direction[0] * dminus.direction[0]
             + dplus.direction[1] * dminus.direction[1])
     gap = float(np.arccos(np.clip(dot, -1.0, 1.0)))
@@ -444,8 +443,7 @@ class AnchoredCrossingResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta,
-                                  endpoint_tol=1e-6, interior_margin=0.02):
+def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
     """Detect two arcs anchored on an axis that cross its translates on both sides.
 
     Parameters
@@ -455,9 +453,9 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta,
     axis_deck : (p, q) translation closing the axis
     eta : DeckTransform; its translate of the axis must be disjoint from the
         axis itself, otherwise AxesNotDisjoint is raised
-    endpoint_tol : max distance of the four arc endpoints from the axis
-    interior_margin : fraction of each arc's parameter span near the ends
-        ignored when checking that interiors avoid the axis
+
+    The four arc endpoints must lie within 1e-6 of the axis, and each arc's
+    interior, without the 2% of its samples at either end, must avoid it.
 
     Returns an AnchoredCrossingResult; `found` is True only when all the
     geometric requirements hold and both required crossings exist.
@@ -488,14 +486,14 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta,
 
     end_pts = [c1.xy[0], c1.xy[-1], c2.xy[0], c2.xy[-1]]
     end_d = _point_polyline_distance(end_pts, tiled)
-    if end_d.max() > endpoint_tol:
+    if end_d.max() > 1e-6:
         return AnchoredCrossingResult(
             found=False, reason="arc endpoints are not on the axis",
             diagnostics={"endpoint_distances": end_d.tolist()})
 
     def interior(c):
         n = len(c.t)
-        k = max(1, int(interior_margin * n))
+        k = max(1, int(0.02 * n))
         return c.xy[k:n - k], c.t[k:n - k]
 
     for label, c in (("c1", c1), ("c2", c2)):
@@ -547,17 +545,23 @@ def max_projective_jump(estimates):
     return float(d.max())
 
 
-def hit_rotation_targets(spec, base, targets, horizon=300.0, dt=1.0, h=0.01,
-                         grid=256, tol=1e-3, max_iter=40):
+def hit_rotation_targets(spec, base, targets, horizon=300.0, grid=256, tol=1e-3):
     """Find launch angles whose rotation number hits each target slope.
 
-    Scans a fan of `grid` angles for a bracket around each finite target,
-    then bisects all targets in lockstep so every round costs one batched
-    integration.  Returns a list of dicts (target, angle, slope, achieved,
-    iterations), in the order of `targets`.
+    Scans a fan of `grid` angles (at least 2) for a bracket around each
+    finite target, then bisects all targets in lockstep, for at most 40
+    rounds, so every round costs one batched integration (RK4 step 0.01,
+    sampled every 1.0).  Returns a list of dicts (target, angle, slope,
+    achieved, iterations), in the order of `targets`.
     """
+    if grid < 2:
+        raise ValidationError(f"the scan grid needs at least 2 angles, got {grid}")
+
+    def fan(angles):
+        return direction_field(spec, base, angles, horizon=horizon, dt=1.0, h=0.01)
+
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    estimates = direction_field(spec, base, angles, horizon=horizon, dt=dt, h=h)
+    estimates = fan(angles)
 
     def slope_or_none(est):
         return None if est.rotation.infinite else est.rotation.slope
@@ -580,12 +584,12 @@ def hit_rotation_targets(spec, base, targets, horizon=300.0, dt=1.0, h=0.01,
         state.append({"target": target, "bracket": bracket, "achieved": False,
                       "angle": None, "slope": None, "iterations": 0})
 
-    for _ in range(max_iter):
+    for _ in range(40):
         pending = [s for s in state if s["bracket"] is not None and not s["achieved"]]
         if not pending:
             break
         mids = [0.5 * (s["bracket"][0] + s["bracket"][1]) for s in pending]
-        ests = direction_field(spec, base, mids, horizon=horizon, dt=dt, h=h)
+        ests = fan(mids)
         for s, angle, est in zip(pending, mids, ests):
             s["iterations"] += 1
             s_mid = slope_or_none(est)

@@ -51,6 +51,9 @@ from .metrics import quadratic_form
 
 TWO_PI = 2.0 * math.pi
 
+# probes per time chunk of the pair scans
+_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class EntropyParams:
@@ -167,14 +170,16 @@ def _wrapped_delta(a, b, period):
     return np.minimum(d, d.dtype.type(period) - d, out=d)
 
 
-def dynamical_distance(spec, u, v, t_max, dt_probe=0.05, step_h=0.0125):
+def dynamical_distance(spec, u, v, t_max):
     """Largest phase distance of the two orbits over the probe time grid.
 
-    Nondecreasing in t_max by construction.  Probes are stored in float32,
-    so results carry that storage grain.
+    The probe grid and RK4 step are EntropyParams' defaults.  Nondecreasing
+    in t_max by construction.  Probes are stored in float32, so results
+    carry that storage grain.
     """
     states = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
-    _, probes = probe_trajectories(spec, states, float(t_max), dt_probe, step_h)
+    _, probes = probe_trajectories(spec, states, float(t_max),
+                                   EntropyParams.dt_probe, EntropyParams.step_h)
     a = probes[0].astype(np.float64)
     b = probes[1].astype(np.float64)
     dx = _wrapped_delta(a[:, 0], b[:, 0], 1.0)
@@ -183,16 +188,16 @@ def dynamical_distance(spec, u, v, t_max, dt_probe=0.05, step_h=0.0125):
     return float((np.hypot(dx, dy) + da).max())
 
 
-def _pair_separates(probes, i, j, k_limit, eps, chunk=512):
+def _pair_separates(probes, i, j, k_limit, eps):
     """Whether samples i and j get phase distance >= eps within the window."""
     a = probes[i, :k_limit]
     b = probes[j, :k_limit]
-    for s in range(0, k_limit, chunk):
-        dx = np.abs(a[s:s + chunk, 0] - b[s:s + chunk, 0])
+    for s in range(0, k_limit, _CHUNK):
+        dx = np.abs(a[s:s + _CHUNK, 0] - b[s:s + _CHUNK, 0])
         np.minimum(dx, 1.0 - dx, out=dx)
-        dy = np.abs(a[s:s + chunk, 1] - b[s:s + chunk, 1])
+        dy = np.abs(a[s:s + _CHUNK, 1] - b[s:s + _CHUNK, 1])
         np.minimum(dy, 1.0 - dy, out=dy)
-        da = np.abs(a[s:s + chunk, 2] - b[s:s + chunk, 2])
+        da = np.abs(a[s:s + _CHUNK, 2] - b[s:s + _CHUNK, 2])
         np.minimum(da, np.float32(TWO_PI) - da, out=da)
         # sum metric without the square root: sqrt(pos2) + da >= eps holds
         # iff da >= eps already or pos2 >= (eps - da)^2
@@ -203,7 +208,7 @@ def _pair_separates(probes, i, j, k_limit, eps, chunk=512):
     return False
 
 
-def _first_separations(probes, i, js, k_stop, eps, chunk=512):
+def _first_separations(probes, i, js, k_stop, eps):
     """First probe index at which sample i is eps-apart from each sample js.
 
     Pairs that do not separate before k_stop read k_stop.  The float32
@@ -216,10 +221,10 @@ def _first_separations(probes, i, js, k_stop, eps, chunk=512):
     first = np.full(len(js), k_stop, dtype=np.intp)
     live = np.arange(len(js))
     eps32 = np.float32(eps)
-    for s in range(0, k_stop, chunk):
+    for s in range(0, k_stop, _CHUNK):
         if not len(live):
             break
-        e = min(s + chunk, k_stop)
+        e = min(s + _CHUNK, k_stop)
         a = probes[i, s:e]
         b = probes[js[live], s:e]
         dx = _wrapped_delta(a[:, 0], b[:, :, 0], 1.0)
@@ -351,7 +356,7 @@ def _slope_of_counts(horizons, counts):
     return float(coef[0])
 
 
-def estimate_entropy(spec, params=None, probes=None):
+def estimate_entropy(spec, params, probes=None):
     """Separated-count table over the horizon/epsilon ladders and its rates.
 
     probes may be passed in to rerun the counting stage on an existing
@@ -360,7 +365,6 @@ def estimate_entropy(spec, params=None, probes=None):
     samples, or too few probes for the longest horizon, raises
     ValidationError.
     """
-    params = params or PRESETS["calibration"]
     if probes is None:
         states = sample_phase_points(spec, params.n_samples, params.seed)
         _, probes = probe_trajectories(spec, states, params.horizons[-1],

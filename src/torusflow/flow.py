@@ -184,16 +184,16 @@ def _rhs_batch(spec, y):
     return np.stack([vx, vy, ax, ay], axis=1)
 
 
-def integrate_batch(spec, states, T, h=0.005, sample_every=None, sample_dt=None):
+def integrate_batch(spec, states, T, h, sample_dt):
     """Advance a batch of phase states with fixed-step classical RK4.
 
     Parameters
     ----------
     states : (M, 4) array of (x, y, vx, vy)
     T : horizon; T/h must be an integer count of steps (within roundoff)
-    sample_every / sample_dt : record every k-th step (or every sample_dt,
-        which must be an integer multiple of h); the initial state is always
-        the first sample.
+    h : positive RK4 step
+    sample_dt : positive sampling interval, an integer multiple of h; the
+        initial state is always the first sample
 
     Returns
     -------
@@ -206,18 +206,14 @@ def integrate_batch(spec, states, T, h=0.005, sample_every=None, sample_dt=None)
     y = np.array(states, dtype=float)
     if y.ndim != 2 or y.shape[1] != 4:
         raise ValidationError("states must have shape (M, 4)")
-    if not h > 0 or (sample_dt is not None and not sample_dt > 0):
+    if not (h > 0 and sample_dt > 0):
         raise ValidationError("step h and sample_dt must be positive")
     nsteps = int(round(T / h))
     if abs(nsteps * h - T) > 1e-9 * max(1.0, T):
         raise ValidationError(f"horizon {T} is not a multiple of the step {h}")
-    if sample_every is None:
-        if sample_dt is None:
-            sample_every = 1
-        else:
-            sample_every = int(round(sample_dt / h))
-            if abs(sample_every * h - sample_dt) > 1e-12:
-                raise ValidationError("sample_dt must be a multiple of the step h")
+    sample_every = int(round(sample_dt / h))
+    if abs(sample_every * h - sample_dt) > 1e-12:
+        raise ValidationError("sample_dt must be a multiple of the step h")
     nsamp = nsteps // sample_every + 1
     samples = np.empty((y.shape[0], nsamp, 4))
     samples[:, 0] = y

@@ -444,8 +444,13 @@ def flat_metric():
                       lambda_min=1.0)
 
 
-def _fourier_of_grid(u, tol=1e-14):
-    """Real Fourier terms of a periodic grid sample, thresholded at `tol`."""
+# Fourier coefficients of a gridded conformal factor at or below this are
+# dropped; the truncation is far below every tolerance used downstream
+_FOURIER_TOL = 1e-14
+
+
+def _fourier_of_grid(u):
+    """Real Fourier terms of a periodic grid sample, thresholded at _FOURIER_TOL."""
     n = u.shape[0]
     coeff = np.fft.fft2(u) / (n * n)
     terms = []
@@ -454,76 +459,50 @@ def _fourier_of_grid(u, tol=1e-14):
         for my in range(my_lo, n // 2):
             a = coeff[mx % n, my % n]
             if (mx, my) == (0, 0):
-                if abs(a.real) > tol:
+                if abs(a.real) > _FOURIER_TOL:
                     terms.append((0, 0, a.real, 0.0))
                 continue
             c = 2.0 * a.real
             s = -2.0 * a.imag
-            if math.hypot(c, s) > tol:
+            if math.hypot(c, s) > _FOURIER_TOL:
                 terms.append((mx, my, c, s))
     return terms
 
 
-def conformal_metric(f_terms, name="conformal"):
-    """Conformal metric exp(2 f) (dx^2 + dy^2) for a trigonometric polynomial f.
+def conformal_bump():
+    """Conformal metric exp(2 f) (dx^2 + dy^2), f = 0.1 cos(2 pi x) cos(2 pi y).
 
-    `f_terms` lists (mx, my, cos, sin) harmonics of the exponent f.  The
-    factor exp(2 f) is expanded into a Fourier series on a 64x64 grid and
-    thresholded at 1e-14; the truncation is far below every tolerance used
-    downstream.
+    The factor exp(2 f) is expanded into a Fourier series on a 64x64 grid
+    and thresholded at _FOURIER_TOL.
     """
-    n = 64
-    ax = np.arange(n) / n
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    f = np.zeros_like(gx)
-    for mx, my, c, s in f_terms:
-        phase = TWO_PI * (mx * gx + my * gy)
-        f += c * np.cos(phase) + s * np.sin(phase)
-    terms = _fourier_of_grid(np.exp(2.0 * f))
-    return MetricSpec(name, g11=terms, g22=terms)
+    x, y = _unit_grid(64)
+    # f as its two harmonics, 0.05 cos 2 pi (x + y) + 0.05 cos 2 pi (x - y)
+    f = 0.05 * np.cos(TWO_PI * (x + y)) + 0.05 * np.cos(TWO_PI * (x - y))
+    terms = _fourier_of_grid(np.exp(2.0 * f).reshape(64, 64))
+    return MetricSpec("conformal-bump", g11=terms, g22=terms)
 
 
-def conformal_bump(amplitude=0.1):
-    """Conformal metric exp(2 f) (dx^2 + dy^2), f = A cos(2 pi x) cos(2 pi y)."""
-    f_terms = [(1, 1, 0.5 * amplitude, 0.0), (1, -1, 0.5 * amplitude, 0.0)]
-    name = "conformal-bump" if amplitude == 0.1 else f"conformal-bump-a{amplitude:g}"
-    return conformal_metric(f_terms, name=name)
+def liouville_metric():
+    """Separable metric (1 + 0.3 cos(2 pi x) + 0.2 cos(2 pi y)) (dx^2 + dy^2).
 
-
-def liouville_metric(fx=((1, 0.3, 0.0),), hy=((1, 0.2, 0.0),)):
-    """Separable metric (1 + f(x) + h(y)) (dx^2 + dy^2).
-
-    `fx` and `hy` list harmonics (k, cos_amp, sin_amp) of the two profiles.
     The geodesic flow of such a metric is integrable, which makes it the
     package's reference example of a zero-entropy, nowhere-flat torus.
     """
-    terms = [(0, 0, 1.0, 0.0)]
-    for k, c, s in fx:
-        terms.append((int(k), 0, float(c), float(s)))
-    for k, c, s in hy:
-        terms.append((0, int(k), float(c), float(s)))
-    name = "liouville"
-    if tuple(map(tuple, fx)) != ((1, 0.3, 0.0),) or tuple(map(tuple, hy)) != ((1, 0.2, 0.0),):
-        name = "liouville-custom"
-    return MetricSpec(name, g11=terms, g22=terms)
+    terms = [(0, 0, 1.0, 0.0), (1, 0, 0.3, 0.0), (0, 1, 0.2, 0.0)]
+    return MetricSpec("liouville", g11=terms, g22=terms)
 
 
-def two_frequency(a1=0.5, a2=0.3):
+def two_frequency():
     """Strongly bumped conformal-factor metric mixing two incommensurate waves.
 
-    u = 1 + a1 cos(2 pi x) cos(2 pi y) + a2 cos(2 pi (2x + y)); the metric is
-    u (dx^2 + dy^2).  At the default amplitudes the flow develops crossing
-    lifted geodesics and a clearly positive entropy estimate, in contrast to
-    the separable gallery entries.
+    u = 1 + 0.5 cos(2 pi x) cos(2 pi y) + 0.3 cos(2 pi (2x + y)); the metric
+    is u (dx^2 + dy^2).  The flow develops crossing lifted geodesics and a
+    clearly positive entropy estimate, in contrast to the separable gallery
+    entries.
     """
-    terms = [
-        (0, 0, 1.0, 0.0),
-        (1, 1, 0.5 * a1, 0.0),
-        (1, -1, 0.5 * a1, 0.0),
-        (2, 1, a2, 0.0),
-    ]
-    name = "two-frequency" if (a1, a2) == (0.5, 0.3) else f"two-frequency-{a1:g}-{a2:g}"
-    return MetricSpec(name, g11=terms, g22=terms)
+    # the product wave as its two harmonics, 0.25 cos 2 pi (x + y) + 0.25 cos 2 pi (x - y)
+    terms = [(0, 0, 1.0, 0.0), (1, 1, 0.25, 0.0), (1, -1, 0.25, 0.0), (2, 1, 0.3, 0.0)]
+    return MetricSpec("two-frequency", g11=terms, g22=terms)
 
 
 _GALLERY = {

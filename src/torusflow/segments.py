@@ -140,7 +140,7 @@ def _hermite_deriv(p0, p1, m0, m1, u):
             + (-6 * u2 + 6 * u) * p1 + (3 * u2 - 2 * u) * m1)
 
 
-def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0, tol=1e-10):
+def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0):
     """Polish crossings on cubic Hermite arcs with a damped Newton iteration.
 
     Falls back to the polyline solution for any pair that fails to converge
@@ -157,7 +157,7 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0, tol=1e-10):
         Pa = _hermite(p0, p1, m0, m1, a)
         Qb = _hermite(q0, q1, n0, n1, b)
         r = Pa - Qb
-        if np.abs(r).max() < tol:
+        if np.abs(r).max() < 1e-10:
             break
         da = _hermite_deriv(p0, p1, m0, m1, a)
         db = _hermite_deriv(q0, q1, n0, n1, b)
@@ -179,22 +179,21 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0, tol=1e-10):
     return a, b, 0.5 * (Pa + Qb), da, db, ok
 
 
-def crossings(xyA, tA, xyB, tB, vA=None, vB=None, theta_min=THETA_MIN,
-              same_curve=False, t_sep=SELF_T_SEP, cyclic_span=None, refine=True):
+def crossings(xyA, tA, xyB, tB, vA=None, vB=None, same_curve=False,
+              t_sep=SELF_T_SEP, cyclic_span=None, refine=True):
     """All transversal crossings between two polylines: (events, tangential).
 
     The single-shift case of `crossings_by_shift`, which documents the
     arguments and the result.
     """
     return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB,
-                              theta_min=theta_min, same_curve=same_curve,
-                              t_sep=t_sep, cyclic_span=cyclic_span,
-                              refine=refine)[0]
+                              same_curve=same_curve, t_sep=t_sep,
+                              cyclic_span=cyclic_span, refine=refine)[0]
 
 
 def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
-                       theta_min=THETA_MIN, same_curve=False, t_sep=SELF_T_SEP,
-                       cyclic_span=None, refine=True):
+                       same_curve=False, t_sep=SELF_T_SEP, cyclic_span=None,
+                       refine=True):
     """Crossings of polyline A with each translate B + shift, A hashed once.
 
     Parameters
@@ -202,7 +201,6 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
     xyA, xyB : (N, 2) node positions; tA, tB: (N,) node parameters
     shifts : sequence of (dx, dy) translations of B, deck shifts in practice
     vA, vB : optional node velocities enabling Hermite refinement
-    theta_min : events with |sin angle| below this go to the tangential list
     same_curve : self-intersection mode (B is A, zero shift); skips adjacent
         segments and pairs with parameter separation below t_sep
     cyclic_span : period of the parameter for closed curves; the t_sep
@@ -213,7 +211,7 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
     -------
     One (events, tangential) pair per shift, in order: two lists of
     IntersectionEvent, events sorted by (t1, t2).  Tangential events carry
-    the same fields but margins below theta_min and are never counted by
+    the same fields but margins below THETA_MIN and are never counted by
     callers.  Each shift is solved and refined as its own batch, so its
     events do not depend on which other shifts share the call.
     """
@@ -242,7 +240,7 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
         iA, iB = _candidate_pairs(table, boxesB, shifts[i][:, None],
                                   len(xyB) - 1, same_curve)
         out[i] = _events(xyA, tA, vA, xyB + shifts[i], tB, vB, iA, iB,
-                         theta_min, same_curve, t_sep, cyclic_span)
+                         THETA_MIN, same_curve, t_sep, cyclic_span)
     return out
 
 

@@ -77,20 +77,20 @@ class ClosedCurve:
         nodes = _spline_resample(spec, self.nodes, self.deck, n)
         return ClosedCurve(nodes=nodes, deck=self.deck)
 
-    def self_crossing_count(self, theta_min=sg.THETA_MIN):
+    def self_crossing_count(self):
         """Transversal self-crossings of the torus curve (0 when embedded)."""
         p = self.closed_polyline()
         t = np.arange(len(p), dtype=float)
         n = self.n_nodes
-        events, _ = sg.crossings(p, t, p, t, theta_min=theta_min,
-                                 same_curve=True, t_sep=1.5, cyclic_span=float(n))
+        events, _ = sg.crossings(p, t, p, t, same_curve=True, t_sep=1.5,
+                                 cyclic_span=float(n))
         # crossings between the period and distinct translates of itself,
         # each torus point showing up for exactly one half-lattice shift
         span = np.ceil(p.max(axis=0) - p.min(axis=0)).astype(int)
         shifts = [(jj, kk) for jj in range(0, span[0] + 1)
                   for kk in range(-span[1] - 1, span[1] + 2)
                   if jj > 0 or kk > 0]
-        found = sg.crossings_by_shift(p, t, p, t, shifts, theta_min=theta_min)
+        found = sg.crossings_by_shift(p, t, p, t, shifts)
         return len(events) + sum(len(ev) for ev, _ in found)
 
 
@@ -247,11 +247,12 @@ class FlowResult:
     """Outcome of a curve-shortening run.
 
     verdict is one of
-      shrank_to_point : length fell below length_tol; extinction_time holds
+      shrank_to_point : length fell below 1e-3; extinction_time holds
           the completed estimate
       converged_to_geodesic : max curvature fell below k_tol, or the length
-          plateaued with the curvature at the polygon's resolution floor
-          (a few times (L/n)^2); `plateaued` records which case it was
+          plateaued (fell by less than 1e-8 over 100 steps) with the
+          curvature at the polygon's resolution floor (100 (L/n)^2);
+          `plateaued` records which case it was
       budget_exhausted : step budget ran out, or the length plateaued while
           the curvature was still well above the resolution floor
     All verdicts are statements about the discrete evolution.
@@ -283,22 +284,28 @@ def _dissipation_mismatch(records):
     return worst
 
 
-def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
-           dt_safety=0.2, dt_growth=1.2, dt_curvature_cap=0.01,
-           dt_jacobi_frac=0.25, plateau_window=100, plateau_tol=1e-8,
-           k_floor_factor=100.0, record_every=1, snapshot_times=(),
-           max_halvings=40):
+# evolve's time-step schedule, its two caps and its halving budget, as its
+# docstring describes them
+_DT_SAFETY = 0.2
+_DT_GROWTH = 1.2
+_DT_CURVATURE_CAP = 0.01
+_DT_JACOBI_FRAC = 0.25
+_MAX_HALVINGS = 40
+
+
+def evolve(spec, curve, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     """Run curve shortening until extinction, convergence, or budget.
 
-    The time step starts at dt_safety * (shortest edge)^2 and grows by
-    dt_growth per accepted step, capped twice: by dt_curvature_cap / k^2 so
-    one step never moves the curve more than a small fraction of its
-    curvature scale, and by dt_jacobi_frac / max|K| along the curve, the
+    The time step starts at _DT_SAFETY * (shortest edge)^2 and grows by
+    _DT_GROWTH per accepted step, capped twice: by _DT_CURVATURE_CAP / k^2
+    so one step never moves the curve more than a small fraction of its
+    curvature scale, and by _DT_JACOBI_FRAC / max|K| along the curve, the
     relaxation rate of normal perturbations; without the second cap a
     nearly converged curve on a curved metric overshoots its geodesic every
     step and rings forever.  A step whose result has exploding curvature or
     non-finite nodes is retried with half the step; NumericalBlowup is
-    raised after max_halvings of them.
+    raised after _MAX_HALVINGS of them.  Every accepted step is recorded in
+    result.records.
 
     snapshot_times: the step lands exactly on each requested time and the
     curve is copied into result.snapshots as (t, ClosedCurve).
@@ -310,12 +317,12 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
 
     def jacobi_cap_at(pts):
         kb = float(np.abs(gauss_curvature_batch(spec, pts[:, 0], pts[:, 1])).max())
-        return dt_jacobi_frac / kb if kb > 1e-12 else math.inf
+        return _DT_JACOBI_FRAC / kb if kb > 1e-12 else math.inf
 
     jacobi_cap = jacobi_cap_at(nodes)
 
     _, h0 = _edge_data(spec, nodes, deck)
-    dt = dt_safety * float(h0.min()) ** 2
+    dt = _DT_SAFETY * float(h0.min()) ** 2
     t = 0.0
     halvings = 0
     records = []
@@ -339,7 +346,7 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
     while step < max_steps:
         maxk = float(k.max())
 
-        if L < length_tol:
+        if L < 1e-3:
             verdict = "shrank_to_point"
             extinction = t + (L / (2.0 * math.pi)) ** 2 / 2.0
             break
@@ -347,11 +354,11 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
             verdict = "converged_to_geodesic"
             break
         lengths_window.append(L)
-        if len(lengths_window) > plateau_window:
+        if len(lengths_window) > 100:
             lengths_window.pop(0)
-            if lengths_window[0] - lengths_window[-1] < plateau_tol:
+            if lengths_window[0] - lengths_window[-1] < 1e-8:
                 plateaued = True
-                k_floor = k_floor_factor * (L / len(nodes)) ** 2
+                k_floor = 100.0 * (L / len(nodes)) ** 2
                 verdict = ("converged_to_geodesic" if maxk < k_floor
                            else "budget_exhausted")
                 break
@@ -359,8 +366,8 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
         if step % 10 == 0 and step > 0:
             # the curve drifts between curvature regions; refresh its cap
             jacobi_cap = jacobi_cap_at(nodes)
-        cap = dt_curvature_cap / maxk ** 2 if maxk > 0 else math.inf
-        dt = min(dt * dt_growth, cap, jacobi_cap)
+        cap = _DT_CURVATURE_CAP / maxk ** 2 if maxk > 0 else math.inf
+        dt = min(dt * _DT_GROWTH, cap, jacobi_cap)
         hit_snap = None
         if snap_queue and t + dt >= snap_queue[0] - 1e-15:
             dt = max(snap_queue[0] - t, 1e-15)
@@ -382,9 +389,9 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
             if ok:
                 break
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > _MAX_HALVINGS:
                 raise NumericalBlowup(
-                    f"flow step kept failing after {max_halvings} halvings at t={t:.6g}")
+                    f"flow step kept failing after {_MAX_HALVINGS} halvings at t={t:.6g}")
             dt *= 0.5
             if hit_snap is not None:
                 hit_snap = None   # no longer landing on the snapshot time
@@ -395,11 +402,10 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, length_tol=1e-3,
         if hit_snap is not None:
             snapshots.append((hit_snap, ClosedCurve(nodes=resampled.copy(), deck=deck)))
             snap_queue.pop(0)
-        if step % record_every == 0:
-            records.append(FlowRecord(
-                step=step, t=t, dt=dt, length=L_after, max_curvature=maxk,
-                shrink_rate=(L - L_after) / dt,
-                curvature_integral=float((k * k * h).sum())))
+        records.append(FlowRecord(
+            step=step, t=t, dt=dt, length=L_after, max_curvature=maxk,
+            shrink_rate=(L - L_after) / dt,
+            curvature_integral=float((k * k * h).sum())))
         nodes, acc, x_ss, h, k, L = resampled, acc2, xss2, h2, k2, L_after
         containment_drift = max(containment_drift,
                                 float(np.hypot(*(nodes.mean(axis=0) - centroid0))))
@@ -440,7 +446,7 @@ def _implicit_step(nodes, d, h, gamma_term, dt):
 # ---------------------------------------------------------------------------
 # crossings of torus curves and the monotonicity probe
 
-def torus_crossing_count(curveA, curveB, theta_min=sg.THETA_MIN):
+def torus_crossing_count(curveA, curveB):
     """Transversal crossings of two closed torus curves.
 
     Counts crossings of one period of A against every integer translate of
@@ -457,12 +463,11 @@ def torus_crossing_count(curveA, curveB, theta_min=sg.THETA_MIN):
     last = np.ceil(hiA - loB).astype(int)
     shifts = [(jj, kk) for jj in range(first[0], last[0] + 1)
               for kk in range(first[1], last[1] + 1)]
-    found = sg.crossings_by_shift(pA, tA, pB, tB, shifts, theta_min=theta_min)
+    found = sg.crossings_by_shift(pA, tA, pB, tB, shifts)
     return sum(len(ev) for ev, _ in found)
 
 
-def intersection_monotonicity_probe(spec, curveA, curveB, probe_times,
-                                    **evolve_kwargs):
+def intersection_monotonicity_probe(spec, curveA, curveB, probe_times):
     """Crossing counts of two flowing curves on a shared clock.
 
     Both curves evolve independently; the step lands exactly on each probe
@@ -471,8 +476,8 @@ def intersection_monotonicity_probe(spec, curveA, curveB, probe_times,
     count sequence is nonincreasing.
     """
     probe_times = sorted(float(s) for s in probe_times)
-    resA = evolve(spec, curveA, snapshot_times=probe_times, **evolve_kwargs)
-    resB = evolve(spec, curveB, snapshot_times=probe_times, **evolve_kwargs)
+    resA = evolve(spec, curveA, snapshot_times=probe_times)
+    resB = evolve(spec, curveB, snapshot_times=probe_times)
     snapsA = dict(resA.snapshots)
     snapsB = dict(resB.snapshots)
     times = [0.0]

@@ -64,6 +64,14 @@ def test_basin_stop_matches_full_flow(bump, klass, monkeypatch):
     assert np.abs(gap - periods * np.asarray(klass)).max() < 1e-9
 
 
+def test_shooting_judges_stalled_flow_candidates(twofreq):
+    # every two-frequency (1, 1) seed flow plateaus at a curvature near 0.05,
+    # above the basin tolerance; the shooting still closes the shortest one
+    axis = find_minimal_axis(twofreq, (1, 1), certify=True)
+    assert abs(axis.diagnostics["oracle_gap"]) < 0.01
+    assert axis.closing_residual < 1e-9
+
+
 def test_grid_oracle_flat(flat):
     out = grid_shortest_class_length(flat, (1, 0), n=128)
     # the straight axis is a grid path, so the oracle can only overshoot

@@ -110,6 +110,22 @@ def test_gallery_grid_below_one_exits_2(capsys, grid):
     assert not out and "grid size must be at least 1" in err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_foliation_seeds_below_one_exits_2(capsys, seeds):
+    code, out, err = run(capsys, "foliation", "--metric", "flat",
+                         "--klass", "1,0", "--seeds", seeds)
+    assert code == 2
+    assert not out and "at least 1 seed" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_rotation_targets_grid_below_two_exits_2(capsys, grid):
+    code, out, err = run(capsys, "rotation-targets", "--metric", "flat",
+                         "--targets", "0.5", "--horizon", "20", "--grid", grid)
+    assert code == 2
+    assert not out and "at least 2 angles" in err
+
+
 def test_entropy_zero_samples_exits_2(capsys):
     code, out, err = run(capsys, "entropy", "--metric", "flat", "--samples", "0",
                          "--horizons", "2,4", "--epsilons", "1.25")
