@@ -1,9 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from torusflow import cli
+from torusflow import cli, flow
 
 
 def run(capsys, *argv):
@@ -76,6 +80,41 @@ def test_numerical_failure_manifest(capsys):
     assert manifest["failure"] == "NotEscaping"
     assert manifest["command"] == "strip"
     assert "config_sha256" in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ("--angle", "0.3", "--horizon", "nan"),
+    ("--angle", "0.3", "--horizon", "inf"),
+    ("--angle", "nan", "--horizon", "1.0"),
+    ("--angle", "inf", "--horizon", "1.0"),
+    ("--base", "nan,0.2", "--angle", "0.3", "--horizon", "1.0"),
+    ("--base", "0.1,inf", "--angle", "0.3", "--horizon", "1.0"),
+    ("--angle", "0.3", "--horizon", "1.0", "--dt", "inf"),
+])
+def test_nonfinite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, "integrate", "--metric", "liouville", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_step_failure_manifest(capsys, monkeypatch):
+    # an acceleration that turns NaN mid-run makes every step fail its error
+    # test until the step size underflows
+    calls = [0]
+    accel = flow.geodesic_accel
+
+    def fails_after_200(*args):
+        calls[0] += 1
+        return (math.nan, math.nan) if calls[0] > 200 else accel(*args)
+    monkeypatch.setattr(flow, "geodesic_accel", fails_after_200)
+    code, out, _ = run(capsys, "integrate", "--metric", "liouville",
+                       "--angle", "0.7", "--horizon", "10.0")
+    assert code == 1
+    manifest = json.loads(out)
+    assert manifest["failure"] == "StepFailure"
+    assert manifest["command"] == "integrate"
+    assert "stalled at t=" in manifest["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -187,3 +226,15 @@ def test_out_file_and_env_redirect(capsys, tmp_path, monkeypatch):
     assert target.exists()
     assert json.loads(target.read_text())["metrics"]
     assert str(target) in out
+
+
+def test_import_leaves_out_scipy_integrate():
+    # integrate steps its own DOP853; scipy.integrate would also pull in
+    # scipy.special, optimize, sparse, fft and spatial at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, torusflow.cli; "
+             "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

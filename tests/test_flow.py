@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_tables
+from test_metrics import SHEARED
 
-from torusflow.errors import ValidationError
-from torusflow.flow import (Trajectory, _arclength, _sample_times, integrate,
-                            integrate_batch, integrate_rays, unit_tangent)
+from torusflow import dop853_tables, flow
+from torusflow.errors import StepFailure, ValidationError
+from torusflow.flow import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, _arclength,
+                            _sample_times, integrate, integrate_batch,
+                            integrate_rays, unit_tangent)
 from torusflow.metrics import gallery, gallery_names, geodesic_accel
 
 
@@ -32,6 +37,8 @@ def test_integrate_validates(flat):
         integrate(flat, v, -1.0)
     with pytest.raises(ValidationError):
         integrate(flat, type(v)(0.0, 0.0, 0.5, 0.5), 1.0)   # not g-unit
+    with pytest.raises(ValidationError):
+        integrate(flat, v, 1.0, dt=math.inf)
 
 
 def test_flat_geodesics_are_straight(flat):
@@ -59,31 +66,129 @@ def test_short_horizon_reversal(liouville):
     assert abs(back.xy[-1, 1] - v0.y) < 1e-8
 
 
-def _dense_output_samples(spec, v0, T, dt, rtol, atol):
-    """Reference sampler: the full dense output, evaluated after the run.
-
-    Its right-hand side is integrate's own (one-point geodesic_accel on
-    floats), so the samples can be compared bit for bit.
-    """
+def _scipy_rhs(spec):
+    # integrate's own right-hand side: one-point geodesic_accel on floats
     def rhs(t, state):
         x, y, vx, vy = state.tolist()
         ax, ay = geodesic_accel(spec, x, y, vx, vy)
         return vx, vy, ax, ay
+    return rhs
 
-    sol = solve_ivp(rhs, (0.0, T), [v0.x, v0.y, v0.vx, v0.vy],
+
+def _dense_output_samples(spec, v0, T, dt, rtol, atol):
+    """Reference sampler: scipy's DOP853 dense output, evaluated after the run."""
+    sol = solve_ivp(_scipy_rhs(spec), (0.0, T), [v0.x, v0.y, v0.vx, v0.vy],
                     method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     return sol.sol(_sample_times(T, dt)).T
 
 
-@pytest.mark.parametrize("name", gallery_names())
-@pytest.mark.parametrize("T, dt", [(10.0, 0.1), (3.7, 0.3)])
-def test_samples_equal_dense_output(name, T, dt):
-    spec = gallery(name)
+def _t_eval_nfev(spec, v0, T, dt, rtol, atol):
+    """RHS calls of scipy's DOP853 sampling through t_eval."""
+    sol = solve_ivp(_scipy_rhs(spec), (0.0, T), [v0.x, v0.y, v0.vx, v0.vy],
+                    method="DOP853", rtol=rtol, atol=atol,
+                    t_eval=_sample_times(T, dt))
+    return sol.nfev
+
+
+def _count_rhs_calls(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return geodesic_accel(*args)
+    monkeypatch.setattr(flow, "geodesic_accel", counted)
+    return calls
+
+
+def _assert_matches_scipy(spec, T, dt, rtol, atol, monkeypatch):
     v0 = unit_tangent(spec, (0.31, 0.58), 0.9)
-    traj = integrate(spec, v0, T, dt=dt, rtol=1e-12, atol=1e-13)
-    ref = _dense_output_samples(spec, v0, T, dt, 1e-12, 1e-13)
-    assert np.array_equal(traj.xy, ref[:, 0:2])
-    assert np.array_equal(traj.v, ref[:, 2:4])
+    calls = _count_rhs_calls(monkeypatch)
+    traj = integrate(spec, v0, T, dt=dt, rtol=rtol, atol=atol)
+    monkeypatch.undo()
+    ref = _dense_output_samples(spec, v0, T, dt, rtol, atol)
+    assert np.abs(traj.xy - ref[:, 0:2]).max() < 1e-11
+    assert np.abs(traj.v - ref[:, 2:4]).max() < 1e-11
+    # the same steps: scipy's t_eval path also builds an interpolant on a
+    # first step that holds only the t = 0 sample, 3 calls that the stepper
+    # skips by returning the initial state
+    assert calls[0] == _t_eval_nfev(spec, v0, T, dt, rtol, atol) - 3
+
+
+_ORACLE_SPECS = [gallery(name) for name in gallery_names()] + [SHEARED]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("T, dt", [(10.0, 0.1), (3.7, 0.3)])
+def test_samples_equal_dense_output(spec, T, dt, monkeypatch):
+    _assert_matches_scipy(spec, T, dt, 1e-12, 1e-13, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda s: s.name)
+def test_step_control_matches_solve_ivp(spec, monkeypatch):
+    # a loose tolerance reaches the factor caps that rtol 1e-12 never does
+    _assert_matches_scipy(spec, 10.0, 0.1, 1e-6, 1e-8, monkeypatch)
+
+
+def test_dop853_tables_equal_scipy():
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(dop853_tables, name) == getattr(scipy_tables, name)
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(dop853_tables, name), getattr(scipy_tables, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def _nan_after(n, accel):
+    """accel for its first n calls, then a NaN acceleration on every call."""
+    calls = [0]
+
+    def patched(*args):
+        calls[0] += 1
+        return (math.nan, math.nan) if calls[0] > n else accel(*args)
+    return patched, calls
+
+
+def test_step_failure_matches_solve_ivp(liouville, monkeypatch):
+    # a NaN stage fails the error test, so the step shrinks by the minimum
+    # factor until it falls below 10 ulp of t: both steppers give up at the
+    # same t after the same RHS calls (dt = T samples no step before the end)
+    v0 = unit_tangent(liouville, (0.2, 0.3), 0.7)
+    patched, calls = _nan_after(200, geodesic_accel)
+    monkeypatch.setattr(flow, "geodesic_accel", patched)
+    with pytest.raises(StepFailure) as failure:
+        integrate(liouville, v0, 10.0, dt=10.0)
+    monkeypatch.undo()
+    patched, ref_calls = _nan_after(200, geodesic_accel)
+
+    def rhs(t, state):
+        x, y, vx, vy = state.tolist()
+        return (vx, vy, *patched(liouville, x, y, vx, vy))
+    sol = solve_ivp(rhs, (0.0, 10.0), [v0.x, v0.y, v0.vx, v0.vy],
+                    method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+    assert sol.status == -1
+    assert calls[0] == ref_calls[0] == sol.nfev
+    assert f"stalled at t={sol.t[-1]:g}:" in str(failure.value)
+
+
+def test_nan_from_the_start_fails_fast(liouville, monkeypatch):
+    # a NaN first step would otherwise shrink by 0.2 forever
+    monkeypatch.setattr(flow, "geodesic_accel", _nan_after(0, geodesic_accel)[0])
+    with pytest.raises(StepFailure, match="stalled at t=0:"):
+        integrate(liouville, unit_tangent(liouville, (0.2, 0.3), 0.7), 10.0)
+
+
+@pytest.mark.parametrize("field", ["x", "y", "vx", "vy"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_nonfinite_tangent(flat, field, bad):
+    v = dataclasses.replace(unit_tangent(flat, (0.1, 0.2), 0.3), **{field: bad})
+    with pytest.raises(ValidationError):
+        integrate(flat, v, 1.0)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_integrate_rejects_nonfinite_horizon(flat, T):
+    with pytest.raises(ValidationError):
+        integrate(flat, unit_tangent(flat, (0.1, 0.2), 0.3), T)
 
 
 def test_sample_times_stay_inside_horizon(flat):
