@@ -27,7 +27,7 @@ import numpy as np
 from . import shortening as sh
 from .errors import NotConverged, ValidationError
 from .flow import integrate, unit_tangent
-from .metrics import gauss_curvature_grid, quadratic_form, total_curvature
+from .metrics import CurvatureSurvey, curvature_survey, quadratic_form
 
 # max geodesic curvature at which a seed's flow stops early: well inside
 # the shooting's basin, and far above the curvature floor of a 256-node
@@ -346,7 +346,7 @@ class FoliationReport:
     verdicts: list
 
 
-def check_foliation(spec, klass, n_seeds=12, n=192):
+def check_foliation(spec, klass, n_seeds, n=192):
     """Flow a fan of straight seeds and classify the limit family.
 
     Each of the n_seeds (at least 1) seeds flows for at most 30,000 steps.
@@ -422,12 +422,11 @@ class FlatnessReport:
     dynamical prong hunts for a behavioural witness, a translate family a
     lifted geodesic keeps crossing, which can exist only on a non-flat
     torus; absence of a witness is weak evidence, never a proof of
-    flatness.  total_curvature integrates K dA, which is zero for every
+    flatness.  The survey's total integrates K dA, which is zero for every
     torus metric and so checks the curvature computation itself.
     """
 
-    max_abs_curvature: float
-    total_curvature: float
+    curvature: CurvatureSurvey
     curvature_flat: bool
     witness_found: bool
     witness_classes: list
@@ -437,9 +436,7 @@ class FlatnessReport:
 def flatness_test(spec, grid_n=256):
     """Decide flatness by curvature, and look for a dynamical witness."""
     from .cover import intersection_census
-    K = gauss_curvature_grid(spec, n=grid_n)
-    kmax = float(np.abs(K).max())
-    total = total_curvature(spec, n=grid_n)
+    survey = curvature_survey(spec, grid_n)
 
     v0 = unit_tangent(spec, (0.173, 0.319), 0.437)
     traj = integrate(spec, v0, _WITNESS_HORIZON, dt=0.05)
@@ -448,9 +445,8 @@ def flatness_test(spec, grid_n=256):
         horizons=(_WITNESS_HORIZON / 2, 0.75 * _WITNESS_HORIZON, _WITNESS_HORIZON))
     growing = census.growing_classes()
 
-    curvature_flat = kmax < 1e-9
+    curvature_flat = survey.max_abs < 1e-9
     return FlatnessReport(
-        max_abs_curvature=kmax, total_curvature=total,
-        curvature_flat=curvature_flat, witness_found=bool(growing),
-        witness_classes=growing,
+        curvature=survey, curvature_flat=curvature_flat,
+        witness_found=bool(growing), witness_classes=growing,
         verdict="flat" if curvature_flat else "not flat")

@@ -22,8 +22,8 @@ import numpy as np
 from . import axes, cover, entropy, shortening
 from .errors import TorusflowError, ValidationError
 from .flow import integrate, unit_tangent
-from .metrics import (gallery_names, gauss_curvature_grid, resolve_metric,
-                      save_metric, total_curvature)
+from .metrics import (curvature_survey, gallery_names, resolve_metric,
+                      save_metric)
 
 OUT_ENV = "TORUSFLOW_OUT"
 
@@ -55,12 +55,20 @@ def _resolve_out(path):
     return os.path.join(os.environ.get(OUT_ENV, "."), path)
 
 
-def _emit(args, payload):
+def _manifest(args, fields):
+    """Manifest head (command, config, config_sha256) plus `fields`."""
     cfg, digest = _config_echo(args)
-    doc = {"command": args.command, "config": cfg, "config_sha256": digest}
-    doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
-    out = _resolve_out(getattr(args, "out", None))
+    return {"command": args.command, "config": cfg, "config_sha256": digest,
+            **fields}
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
+
+
+def _emit(args, payload):
+    text = _dumps(_manifest(args, payload))
+    out = _resolve_out(args.out)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -75,68 +83,61 @@ def _csv_header_comment(args):
     return f"config_sha256={digest}"
 
 
-def _pair(text):
-    try:
-        a, b = text.split(",")
-        return float(a), float(b)
-    except ValueError:
-        raise ValidationError(f"expected two comma-separated numbers, got {text!r}")
+def _values(kind, count):
+    """argparse type: comma-separated `kind` values, `count` of them unless None."""
+    def parse(text):
+        try:
+            values = tuple(map(kind, text.split(",")))
+            if count is None or len(values) == count:
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected {count or 'any number of'} comma-separated "
+            f"{kind.__name__} values, got {text!r}")
+    return parse
 
 
-def _int_pair(text):
-    try:
-        a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError:
-        raise ValidationError(f"expected two comma-separated integers, got {text!r}")
-
-
-def _floats(text):
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}")
+_PAIR = _values(float, 2)
+_INT_PAIR = _values(int, 2)
+_FLOATS = _values(float, None)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the resolved metric (None
+# for gallery) and returns its payload; main adds the metric name and emits
 
-def cmd_gallery(args):
+def cmd_gallery(args, spec):
     if args.describe:
         spec = resolve_metric(args.describe)
-        K = gauss_curvature_grid(spec, n=args.grid)
-        return _emit(args, {
-            "name": spec.name,
-            "max_abs_curvature": float(np.abs(K).max()),
-            "curvature_range": [float(K.min()), float(K.max())],
-            "total_curvature": total_curvature(spec, n=args.grid),
-        })
+        survey = curvature_survey(spec, args.grid)
+        return {"name": spec.name, "max_abs_curvature": survey.max_abs,
+                "curvature_range": survey.range,
+                "total_curvature": survey.total}
     if args.save:
         ref, path = args.save
-        save_metric(resolve_metric(ref), _resolve_out(path))
+        path = _resolve_out(path)
+        save_metric(resolve_metric(ref), path)
         print(path)
-        return 0
-    return _emit(args, {"metrics": gallery_names()})
+        return None
+    return {"metrics": gallery_names()}
 
 
-def cmd_integrate(args):
-    spec = resolve_metric(args.metric)
+def cmd_integrate(args, spec):
     v0 = unit_tangent(spec, args.base, args.angle)
     traj = integrate(spec, v0, args.horizon, dt=args.dt)
     if args.csv:
         traj.to_csv(_resolve_out(args.csv))
-    return _emit(args, {
-        "metric": spec.name,
+    return {
         "samples": len(traj),
         "final_point": [float(traj.xy[-1, 0]), float(traj.xy[-1, 1])],
         "arclength": float(traj.s[-1]),
         "speed_drift": traj.speed_drift(spec),
         "csv": args.csv,
-    })
+    }
 
 
-def cmd_rotation_field(args):
-    spec = resolve_metric(args.metric)
+def cmd_rotation_field(args, spec):
     angles = np.linspace(0.0, 2.0 * math.pi, args.n_angles, endpoint=False)
     ests = cover.direction_field(spec, args.base, angles, horizon=args.horizon,
                                  dt=args.dt, h=args.h)
@@ -149,34 +150,29 @@ def cmd_rotation_field(args):
         np.savetxt(path, rows, delimiter=",", comments="",
                    header=f"# {_csv_header_comment(args)}\n"
                           "angle,projective_angle,slope,tail_oscillation")
-    return _emit(args, {
-        "metric": spec.name,
+    return {
         "n_angles": args.n_angles,
         "max_projective_jump": cover.max_projective_jump(ests),
         "n_vertical": sum(1 for e in ests if e.rotation.infinite),
         "csv": args.csv,
-    })
+    }
 
 
-def cmd_rotation_targets(args):
-    spec = resolve_metric(args.metric)
+def cmd_rotation_targets(args, spec):
     results = cover.hit_rotation_targets(spec, args.base, list(args.targets),
                                          horizon=args.horizon, grid=args.grid,
                                          tol=args.tol)
     missed = [r["target"] for r in results if not r["achieved"]]
-    return _emit(args, {"metric": spec.name, "results": results,
-                        "all_achieved": not missed, "missed": missed})
+    return {"results": results, "all_achieved": not missed, "missed": missed}
 
 
-def cmd_intersections(args):
-    spec = resolve_metric(args.metric)
+def cmd_intersections(args, spec):
     v0 = unit_tangent(spec, args.base, args.angle)
     traj = integrate(spec, v0, max(args.horizons), dt=args.dt)
     census = cover.intersection_census(traj, class_radius=args.class_radius,
                                        horizons=args.horizons)
     self_events, _ = cover.self_intersections(traj)
     payload = {
-        "metric": spec.name,
         "horizons": list(census.horizons),
         "self_crossings": [sum(1 for e in self_events if e.t1 <= h and e.t2 <= h)
                            for h in census.horizons],
@@ -185,37 +181,37 @@ def cmd_intersections(args):
                     for key, c in census.classes.items()},
     }
     if args.witness:
-        pairs = cover.torus_self_crossings(traj, class_radius=2)
+        pairs = cover.torus_self_crossings(traj)
         w = cover.detect_double_loop([ev for ev, _ in pairs])
         payload["torus_crossings"] = len(pairs)
         payload["double_loop"] = (
             None if w is None else
             {"t1": w.t1, "t2": w.t2, "t3": w.t3, "t4": w.t4})
-    return _emit(args, payload)
+    return payload
 
 
-def cmd_strip(args):
-    spec = resolve_metric(args.metric)
-    v0 = unit_tangent(spec, args.base, args.angle)
-    traj = integrate(spec, v0, args.horizon, dt=args.dt)
+def _probe_ray(spec, args, dt):
+    """Direction estimate and strip of one ray from --base at --angle."""
+    traj = integrate(spec, unit_tangent(spec, args.base, args.angle),
+                     args.horizon, dt=dt)
     est = cover.asymptotic_direction(traj)
-    strip = cover.fit_strip(traj, est.direction)
-    return _emit(args, {
-        "metric": spec.name,
+    return est, cover.fit_strip(traj, est.direction)
+
+
+def cmd_strip(args, spec):
+    est, strip = _probe_ray(spec, args, args.dt)
+    return {
         "direction": list(est.direction),
         "slope": None if est.rotation.infinite else est.rotation.slope,
         "vertical": est.rotation.infinite,
         "tail_oscillation": est.tail_oscillation,
         "strip_width": strip.width,
         "strip_offsets": [strip.offset_lo, strip.offset_hi],
-    })
+    }
 
 
-def cmd_csf(args):
-    spec = resolve_metric(args.metric)
+def cmd_csf(args, spec):
     if args.circle:
-        if len(args.circle) != 3:
-            raise ValidationError("--circle needs CX,CY,R")
         cx, cy, r = args.circle
         curve = shortening.circle_curve((cx, cy), r, n=args.n)
     else:
@@ -233,8 +229,7 @@ def cmd_csf(args):
                    header=f"# {_csv_header_comment(args)}\n"
                           "step,t,dt,length,max_curvature,shrink_rate,"
                           "curvature_integral")
-    return _emit(args, {
-        "metric": spec.name,
+    return {
         "verdict": result.verdict,
         "t_final": result.t_final,
         "length": result.length,
@@ -244,15 +239,13 @@ def cmd_csf(args):
         "extinction_time": result.extinction_time,
         "plateaued": result.plateaued,
         "records_csv": args.records,
-    })
+    }
 
 
-def cmd_axis(args):
-    spec = resolve_metric(args.metric)
+def cmd_axis(args, spec):
     axis = axes.find_minimal_axis(spec, args.klass, n=args.n,
                                   certify=args.certify)
-    payload = {
-        "metric": spec.name,
+    return {
         "class": list(args.klass),
         "length": axis.length,
         "closing_residual": axis.closing_residual,
@@ -261,38 +254,32 @@ def cmd_axis(args):
         "line_deviation": axes.line_deviation(axis),
         "diagnostics": axis.diagnostics,
     }
-    return _emit(args, payload)
 
 
-def cmd_foliation(args):
-    spec = resolve_metric(args.metric)
+def cmd_foliation(args, spec):
     report = axes.check_foliation(spec, args.klass, n_seeds=args.seeds)
-    return _emit(args, {
-        "metric": spec.name,
+    return {
         "class": list(args.klass),
         "foliated": report.foliated,
         "n_distinct": report.n_distinct,
         "max_gap_fraction": report.max_gap_fraction,
         "crossing_free": report.crossing_free,
         "intercepts": report.intercepts,
-    })
+    }
 
 
-def cmd_flatness(args):
-    spec = resolve_metric(args.metric)
+def cmd_flatness(args, spec):
     report = axes.flatness_test(spec, grid_n=args.grid)
-    return _emit(args, {
-        "metric": spec.name,
+    return {
         "verdict": report.verdict,
-        "max_abs_curvature": report.max_abs_curvature,
-        "total_curvature": report.total_curvature,
+        "max_abs_curvature": report.curvature.max_abs,
+        "total_curvature": report.curvature.total,
         "witness_found": report.witness_found,
         "witness_classes": report.witness_classes,
-    })
+    }
 
 
-def cmd_entropy(args):
-    spec = resolve_metric(args.metric)
+def cmd_entropy(args, spec):
     if args.preset:
         params = entropy.PRESETS[args.preset]
     else:
@@ -302,8 +289,7 @@ def cmd_entropy(args):
     est = entropy.estimate_entropy(spec, params)
     if args.csv:
         est.write_csv(_resolve_out(args.csv))
-    return _emit(args, {
-        "metric": spec.name,
+    return {
         "headline": est.headline,
         "headline_epsilon": est.headline_epsilon,
         "sample_limited": est.sample_limited,
@@ -311,24 +297,14 @@ def cmd_entropy(args):
         "slopes": est.slopes,
         "counts": est.counts,
         "csv": args.csv,
-    })
+    }
 
 
-def cmd_report(args):
-    spec = resolve_metric(args.metric)
-    K = gauss_curvature_grid(spec, n=256)
+def cmd_report(args, spec):
     flat = axes.flatness_test(spec)
-    v0 = unit_tangent(spec, args.base, args.angle)
-    traj = integrate(spec, v0, args.horizon, dt=0.1)
-    est = cover.asymptotic_direction(traj)
-    strip = cover.fit_strip(traj, est.direction)
-    return _emit(args, {
-        "metric": spec.name,
-        "curvature": {
-            "max_abs": float(np.abs(K).max()),
-            "range": [float(K.min()), float(K.max())],
-            "total": total_curvature(spec),
-        },
+    est, strip = _probe_ray(spec, args, 0.1)
+    return {
+        "curvature": flat.curvature,
         "flatness": {"verdict": flat.verdict,
                      "witness_classes": flat.witness_classes},
         "probe_ray": {
@@ -338,7 +314,7 @@ def cmd_report(args):
             "strip_width": strip.width,
             "tail_oscillation": est.tail_oscillation,
         },
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -349,118 +325,98 @@ def build_parser():
         prog="torusflow",
         description="numerical laboratory for geodesic flows on 2-tori")
     sub = top.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, added through argparse parents
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    metric = argparse.ArgumentParser(add_help=False)
+    metric.add_argument("--metric", required=True)
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--base", type=_PAIR, default=(0.0, 0.0))
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, out])
         p.set_defaults(func=fn)
         return p
 
-    p = add("gallery", cmd_gallery, help="list, describe, or export metrics")
+    p = add("gallery", cmd_gallery, "list, describe, or export metrics")
     p.add_argument("--describe", metavar="METRIC")
     p.add_argument("--save", nargs=2, metavar=("METRIC", "PATH"))
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--out")
 
-    p = add("integrate", cmd_integrate, help="integrate one geodesic ray")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--base", type=_pair, default=(0.0, 0.0))
+    p = add("integrate", cmd_integrate, "integrate one geodesic ray",
+            metric, base)
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--csv")
-    p.add_argument("--out")
 
     p = add("rotation-field", cmd_rotation_field,
-            help="rotation numbers over a fan of launch angles")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--base", type=_pair, default=(0.0, 0.0))
+            "rotation numbers over a fan of launch angles", metric, base)
     p.add_argument("--n-angles", type=int, default=64)
     p.add_argument("--horizon", type=float, default=300.0)
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--h", type=float, default=0.01)
     p.add_argument("--csv")
-    p.add_argument("--out")
 
     p = add("rotation-targets", cmd_rotation_targets,
-            help="aim launch angles at rational rotation numbers")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--base", type=_pair, default=(0.0, 0.0))
-    p.add_argument("--targets", type=_floats, required=True)
+            "aim launch angles at rational rotation numbers", metric, base)
+    p.add_argument("--targets", type=_FLOATS, required=True)
     p.add_argument("--horizon", type=float, default=300.0)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--out")
 
     p = add("intersections", cmd_intersections,
-            help="census of crossings with deck-translate families")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--base", type=_pair, default=(0.0, 0.0))
+            "census of crossings with deck-translate families", metric, base)
     p.add_argument("--angle", type=float, required=True)
-    p.add_argument("--horizons", type=_floats, default=(100.0, 200.0, 400.0))
+    p.add_argument("--horizons", type=_FLOATS, default=(100.0, 200.0, 400.0))
     p.add_argument("--class-radius", type=int, default=3)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--witness", action="store_true",
                    help="also look for a double-loop configuration")
-    p.add_argument("--out")
 
-    p = add("strip", cmd_strip, help="bounding slab of one lifted ray")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--base", type=_pair, default=(0.0, 0.0))
+    p = add("strip", cmd_strip, "bounding slab of one lifted ray", metric, base)
     p.add_argument("--angle", type=float, required=True)
     p.add_argument("--horizon", type=float, default=400.0)
     p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--out")
 
-    p = add("csf", cmd_csf, help="run curve shortening on a seed curve")
-    p.add_argument("--metric", required=True)
+    p = add("csf", cmd_csf, "run curve shortening on a seed curve", metric, base)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--circle", type=_floats, metavar="CX,CY,R")
-    group.add_argument("--klass", type=_int_pair, metavar="P,Q")
-    p.add_argument("--base", type=_pair, default=(0.0, 0.0))
+    group.add_argument("--circle", type=_values(float, 3), metavar="CX,CY,R")
+    group.add_argument("--klass", type=_INT_PAIR, metavar="P,Q")
     p.add_argument("--amplitude", type=float, default=0.0)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--max-steps", type=int, default=20000)
-    p.add_argument("--snapshots", type=_floats, default=None)
+    p.add_argument("--snapshots", type=_FLOATS, default=None)
     p.add_argument("--records", help="CSV path for per-step records")
-    p.add_argument("--out")
 
-    p = add("axis", cmd_axis, help="minimal closed geodesic of a class")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--klass", type=_int_pair, required=True, metavar="P,Q")
+    p = add("axis", cmd_axis, "minimal closed geodesic of a class", metric)
+    p.add_argument("--klass", type=_INT_PAIR, required=True, metavar="P,Q")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--certify", action="store_true",
                    help="cross-check the length against the lattice oracle")
-    p.add_argument("--out")
 
     p = add("foliation", cmd_foliation,
-            help="do minimal axes of a class fill the torus")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--klass", type=_int_pair, required=True, metavar="P,Q")
+            "do minimal axes of a class fill the torus", metric)
+    p.add_argument("--klass", type=_INT_PAIR, required=True, metavar="P,Q")
     p.add_argument("--seeds", type=int, default=12)
-    p.add_argument("--out")
 
-    p = add("flatness", cmd_flatness, help="two-pronged flatness verdict")
-    p.add_argument("--metric", required=True)
+    p = add("flatness", cmd_flatness, "two-pronged flatness verdict", metric)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--out")
 
-    p = add("entropy", cmd_entropy, help="separated-orbit growth estimate")
-    p.add_argument("--metric", required=True)
+    p = add("entropy", cmd_entropy, "separated-orbit growth estimate", metric)
     p.add_argument("--preset", choices=sorted(entropy.PRESETS))
-    p.add_argument("--samples", type=int, default=2048)
-    p.add_argument("--horizons", type=_floats, default=(20.0, 40.0, 80.0, 160.0))
-    p.add_argument("--epsilons", type=_floats, default=(0.5, 0.25, 0.125))
-    p.add_argument("--dt-probe", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=20260818)
+    plan = entropy.EntropyParams    # the flags default to its field defaults
+    p.add_argument("--samples", type=int, default=plan.n_samples)
+    p.add_argument("--horizons", type=_FLOATS, default=plan.horizons)
+    p.add_argument("--epsilons", type=_FLOATS, default=plan.epsilons)
+    p.add_argument("--dt-probe", type=float, default=plan.dt_probe)
+    p.add_argument("--seed", type=int, default=plan.seed)
     p.add_argument("--csv")
-    p.add_argument("--out")
 
-    p = add("report", cmd_report, help="one-page survey of a metric")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--base", type=_pair, default=(0.137, 0.289))
+    p = add("report", cmd_report, "one-page survey of a metric", metric)
+    p.add_argument("--base", type=_PAIR, default=(0.137, 0.289))
     p.add_argument("--angle", type=float, default=0.53)
     p.add_argument("--horizon", type=float, default=300.0)
-    p.add_argument("--out")
 
     return top
 
@@ -473,17 +429,20 @@ def main(argv=None):
         # argparse exits 2 on usage errors already; normalise other codes
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        spec = resolve_metric(args.metric) if "metric" in args else None
+        payload = args.func(args, spec)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TorusflowError as exc:
-        cfg, digest = _config_echo(args)
-        manifest = {"failure": type(exc).__name__, "message": str(exc),
-                    "command": args.command, "config": cfg,
-                    "config_sha256": digest}
-        print(json.dumps(manifest, indent=2, sort_keys=True, default=_jsonable))
+        print(_dumps(_manifest(args, {"failure": type(exc).__name__,
+                                      "message": str(exc)})))
         return 1
+    if payload is None:
+        return 0
+    if spec is not None:
+        payload["metric"] = spec.name
+    return _emit(args, payload)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ treat them that way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,13 +24,15 @@ import numpy as np
 from . import segments as sg
 from .errors import (AxesNotDisjoint, NotEscaping, PrimitiveRequired,
                      ValidationError)
-from .flow import Trajectory, integrate_rays, unit_tangent
+from .flow import integrate_rays, unit_tangent
 
 IntersectionEvent = sg.IntersectionEvent
 
 # a ray must end at least this far from its launch point for its escape
 # direction to be estimated
 _MIN_ESCAPE_NORM = 10.0
+# sup-norm radius of the translates torus_self_crossings scans
+_TORUS_CLASS_RADIUS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +47,6 @@ class DeckTransform:
 
     def apply_array(self, xy):
         return np.asarray(xy, dtype=float) + np.array([self.m, self.n], dtype=float)
-
-    def compose(self, other):
-        return DeckTransform(self.m + other.m, self.n + other.n)
 
     def inverse(self):
         return DeckTransform(-self.m, -self.n)
@@ -98,14 +96,6 @@ def primitive_classes(radius):
     return sorted(out, key=lambda t: (t.m, t.n))
 
 
-def apply_deck(tau, traj):
-    """Deck-translated copy of a trajectory (same parameterisation)."""
-    return Trajectory(spec_name=traj.spec_name, t=traj.t.copy(),
-                      xy=tau.apply_array(traj.xy), v=traj.v.copy(),
-                      s=traj.s.copy(), rtol=traj.rtol, atol=traj.atol,
-                      method=traj.method)
-
-
 # ---------------------------------------------------------------------------
 # intersections of lifts
 
@@ -129,20 +119,20 @@ def translate_intersections(traj, tau, refine=True):
                         refine=refine)
 
 
-def torus_self_crossings(traj, class_radius=2):
+def torus_self_crossings(traj):
     """Parameter pairs where the projected geodesic meets itself on the torus.
 
     Each unordered pair {t1, t2} with equal torus points lifts to a unique
     integer difference vector, so scanning only sign-normalised translates
-    (plus the identity case from the planar lift) records every torus
-    crossing exactly once.  Returns a list of (event, loop_class) sorted by
+    within sup-norm _TORUS_CLASS_RADIUS (plus the identity case from the
+    planar lift) records each such torus crossing exactly once.  Returns a list of (event, loop_class) sorted by
     (t1, t2): event times are ordered t1 < t2 and loop_class is the deck
     class of the loop run from t1 to t2, with (0, 0) for contractible ones.
     """
     ident = DeckTransform(0, 0)
     events, _ = self_intersections(traj)
     out = [(ev, ident) for ev in events]
-    r = int(class_radius)
+    r = _TORUS_CLASS_RADIUS
     taus = [DeckTransform(m, n) for m in range(0, r + 1)
             for n in range(-r, r + 1) if m > 0 or n > 0]
     found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
@@ -190,17 +180,6 @@ class IntersectionCensus:
     def growing_classes(self):
         return [k for k, c in self.classes.items() if c.growing]
 
-    def to_json(self):
-        return json.dumps({
-            "horizons": list(self.horizons),
-            "class_radius": self.class_radius,
-            "classes": {
-                key: {"growing": c.growing,
-                      "counts": {str(k): v for k, v in c.counts.items()}}
-                for key, c in self.classes.items()},
-        }, indent=2, sort_keys=True)
-
-
 def _growing(counts_by_power):
     for counts in counts_by_power.values():
         tail = counts[-3:] if len(counts) >= 3 else counts
@@ -209,7 +188,7 @@ def _growing(counts_by_power):
     return False
 
 
-def intersection_census(traj, class_radius=3, horizons=(100.0, 200.0, 400.0)):
+def intersection_census(traj, class_radius, horizons):
     """Census of crossings between a lift and translate families.
 
     For every primitive class within `class_radius` (sup-norm) and every
@@ -250,7 +229,7 @@ class RotationNumber:
     """Slope of an asymptotic direction as a point of the projective line.
 
     The vertical direction is a first-class value (`infinite`), kept as a
-    tag so that serialisation and comparisons never rely on float
+    tag so that comparisons and printed values never rely on float
     sentinels.
     """
 
@@ -277,15 +256,6 @@ class RotationNumber:
         if self.infinite:
             return math.pi / 2.0
         return math.atan(self.slope) % math.pi
-
-    def to_json_obj(self):
-        return "inf" if self.infinite else self.slope
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        if obj == "inf":
-            return cls.infinity()
-        return cls.finite(float(obj))
 
     def __str__(self):
         return "inf" if self.infinite else f"{self.slope:.12g}"
@@ -523,7 +493,7 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
 # ---------------------------------------------------------------------------
 # rotation-number field over launch angles
 
-def direction_field(spec, base, angles, horizon=300.0, dt=0.1, h=0.01):
+def direction_field(spec, base, angles, horizon, dt, h=0.01):
     """Direction estimates for a fan of launch angles at one base point.
 
     Batch-integrates all rays at once; estimates come from the uniform
@@ -545,7 +515,7 @@ def max_projective_jump(estimates):
     return float(d.max())
 
 
-def hit_rotation_targets(spec, base, targets, horizon=300.0, grid=256, tol=1e-3):
+def hit_rotation_targets(spec, base, targets, horizon, grid=256, tol=1e-3):
     """Find launch angles whose rotation number hits each target slope.
 
     Scans a fan of `grid` angles (at least 2) for a bracket around each

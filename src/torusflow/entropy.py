@@ -39,7 +39,6 @@ is bit-for-bit reproducible.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -82,6 +81,8 @@ class EntropyParams:
             raise ValidationError("n_samples must be at least 1")
         if not all(eps > 0 for eps in self.epsilons):
             raise ValidationError("every epsilon must be positive")
+        if not all(map(math.isfinite, (*self.horizons, self.dt_probe, self.step_h))):
+            raise ValidationError("horizons, dt_probe and step_h must be finite")
         if list(self.horizons) != sorted(self.horizons):
             raise ValidationError("horizons must be ascending")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):
@@ -316,23 +317,6 @@ class EntropyEstimate:
     sample_limited: bool
     saturated: list
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps({
-            "metric": self.metric,
-            "headline": self.headline,
-            "headline_epsilon": self.headline_epsilon,
-            "sample_limited": self.sample_limited,
-            "horizons": list(self.params.horizons),
-            "epsilons": list(self.params.epsilons),
-            "n_samples": self.params.n_samples,
-            "seed": self.params.seed,
-            "dt_probe": self.params.dt_probe,
-            "step_h": self.params.step_h,
-            "counts": self.counts,
-            "slopes": self.slopes,
-            "saturated": self.saturated,
-        }, indent=2, sort_keys=True)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:

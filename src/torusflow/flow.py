@@ -343,6 +343,8 @@ def integrate_batch(spec, states, T, h, sample_dt):
         raise ValidationError("states must have shape (M, 4)")
     if not (h > 0 and sample_dt > 0):
         raise ValidationError("step h and sample_dt must be positive")
+    if not all(map(math.isfinite, (T, h, sample_dt))):
+        raise ValidationError("horizon T, step h and sample_dt must be finite")
     nsteps = int(round(T / h))
     if abs(nsteps * h - T) > 1e-9 * max(1.0, T):
         raise ValidationError(f"horizon {T} is not a multiple of the step {h}")

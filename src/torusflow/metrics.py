@@ -380,11 +380,6 @@ def accel_from_fields(spec, f, vx, vy):
     return ax, ay
 
 
-def gauss_curvature(spec, point):
-    """Gauss curvature at one point (Brioschi formula on exact derivatives)."""
-    return float(gauss_curvature_batch(spec, np.array([point[0]]), np.array([point[1]]))[0])
-
-
 def gauss_curvature_batch(spec, x, y):
     """Gauss curvature at arrays of cover points."""
     f = spec.fields(x, y, order=2)
@@ -416,23 +411,30 @@ def _unit_grid(n):
     return gx.ravel(), gy.ravel()
 
 
-def gauss_curvature_grid(spec, n=256):
-    """Gauss curvature sampled on an n x n uniform grid over the unit cell."""
-    return gauss_curvature_batch(spec, *_unit_grid(n)).reshape(n, n)
+@dataclass(frozen=True)
+class CurvatureSurvey:
+    """Gauss curvature K on an n x n grid over the unit cell.
 
-
-def total_curvature(spec, n=256):
-    """Integral of K over the torus (area form included).
-
-    Uniform-grid quadrature of a smooth periodic integrand converges
-    spectrally, so n = 256 leaves only roundoff for gallery-sized spectra.
-    The exact value is zero for every metric on the torus.
+    max_abs is max |K|, range is (min K, max K) and total the integral of
+    K dA.  Uniform-grid quadrature of a smooth periodic integrand converges
+    spectrally, so n = 256 leaves only roundoff in total for gallery-sized
+    spectra; its exact value is zero for every metric on the torus.
     """
+
+    max_abs: float
+    range: tuple
+    total: float
+
+
+def curvature_survey(spec, n):
+    """CurvatureSurvey of spec from one curvature evaluation on the grid."""
     x, y = _unit_grid(n)
     K = gauss_curvature_batch(spec, x, y)
     f = spec.fields(x, y, order=0)
     area = np.sqrt(f["E"] * f["G"] - f["F"] * f["F"])
-    return float((K * area).mean())
+    return CurvatureSurvey(max_abs=float(np.abs(K).max()),
+                           range=(float(K.min()), float(K.max())),
+                           total=float((K * area).mean()))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ class ClosedCurve:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2 or len(self.nodes) < 4:
             raise ValidationError("a closed curve needs at least 4 nodes of shape (N, 2)")
+        if not np.isfinite(self.nodes).all():
+            raise ValidationError("curve nodes must be finite")
         self.deck = (int(self.deck[0]), int(self.deck[1]))
 
     @property
@@ -71,10 +73,9 @@ class ClosedCurve:
         acc, _, _, k = _covariant_acceleration(spec, self.nodes, self.deck)
         return acc, k
 
-    def resampled(self, spec, n=None):
-        """Copy with nodes redistributed to uniform metric arclength."""
-        n = self.n_nodes if n is None else int(n)
-        nodes = _spline_resample(spec, self.nodes, self.deck, n)
+    def resampled(self, spec, n):
+        """Copy with n nodes redistributed to uniform metric arclength."""
+        nodes = _spline_resample(spec, self.nodes, self.deck, int(n))
         return ClosedCurve(nodes=nodes, deck=self.deck)
 
     def self_crossing_count(self):
@@ -94,7 +95,7 @@ class ClosedCurve:
         return len(events) + sum(len(ev) for ev, _ in found)
 
 
-def circle_curve(center, radius, n=128):
+def circle_curve(center, radius, n):
     """Round circle, a contractible seed for the flow."""
     a = 2.0 * math.pi * np.arange(n) / n
     nodes = np.stack([center[0] + radius * np.cos(a),

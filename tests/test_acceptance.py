@@ -23,7 +23,7 @@ from torusflow.entropy import (PRESETS, estimate_entropy, probe_trajectories,
                                sample_phase_points, separated_count)
 from torusflow.flow import (Trajectory, UnitTangent, integrate, integrate_rays,
                             unit_tangent)
-from torusflow.metrics import gallery, gallery_names, total_curvature
+from torusflow.metrics import curvature_survey, gallery, gallery_names
 from torusflow.shortening import (circle_curve, evolve,
                                   intersection_monotonicity_probe,
                                   straight_class_curve)
@@ -280,7 +280,7 @@ def test_criterion_07_chaotic_consistency(dichotomy_tables):
     spec = gallery("two-frequency")
     v0 = unit_tangent(spec, (0.173, 0.319), LAUNCH_ANGLE)
     traj = integrate(spec, v0, 40.0, dt=0.05)
-    events = [ev for ev, _ in torus_self_crossings(traj, class_radius=2)]
+    events = [ev for ev, _ in torus_self_crossings(traj)]
     witness = detect_double_loop(events)
     assert witness is not None, "no double-loop witness on two-frequency"
 
@@ -306,15 +306,15 @@ def test_criterion_08_flatness_verdicts():
 
     bump_report = flatness_test(gallery("conformal-bump"))
     assert bump_report.verdict == "not flat"
-    assert bump_report.max_abs_curvature > 1.0, "curvature witness missing"
+    assert bump_report.curvature.max_abs > 1.0, "curvature witness missing"
 
     worst_total = 0.0
     for name in gallery_names():
-        tot = abs(total_curvature(gallery(name), n=256))
+        tot = abs(curvature_survey(gallery(name), 256).total)
         assert tot < 1e-6, f"{name}: total curvature {tot:.2e}"
         worst_total = max(worst_total, tot)
     print(f"flatness: flat/{flat_report.verdict}, bump/{bump_report.verdict} "
-          f"(max |K| {bump_report.max_abs_curvature:.2f}), worst "
+          f"(max |K| {bump_report.curvature.max_abs:.2f}), worst "
           f"|integral K dA| {worst_total:.1e}")
 
 

@@ -11,6 +11,7 @@ from torusflow.entropy import (PRESETS, EntropyParams, dynamical_distance,
                                estimate_entropy, phase_distance,
                                probe_trajectories, sample_phase_points,
                                separated_count, separated_counts)
+from torusflow.cli import _jsonable
 from torusflow.errors import ValidationError
 from torusflow.metrics import gallery
 
@@ -164,7 +165,7 @@ def test_estimate_entropy_saturation_flags(flat):
 
 def test_estimate_json_and_csv(flat, tmp_path):
     res = estimate_entropy(flat, TINY)
-    obj = json.loads(res.to_json())
+    obj = json.loads(json.dumps(res, default=_jsonable))
     assert obj["metric"] == "flat"
     assert obj["counts"] == res.counts
     out = tmp_path / "table.csv"

@@ -9,10 +9,10 @@ from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
 from torusflow.metrics import (MetricSpec, _canonical_terms, _lower_symbols,
                                _Series, gallery, gallery_names,
-                               gauss_curvature, gauss_curvature_batch,
-                               gauss_curvature_grid, geodesic_accel,
+                               curvature_survey, gauss_curvature_batch,
+                               geodesic_accel,
                                liouville_metric, load_metric, quadratic_form,
-                               resolve_metric, save_metric, total_curvature)
+                               resolve_metric, save_metric)
 
 # frozen curvature extrema of the gallery, measured on the 256x256 grid
 GALLERY_MAX_K = {
@@ -156,8 +156,7 @@ def test_geodesic_accel_matches_christoffel(liouville):
 
 
 def test_gauss_curvature_flat_zero(flat):
-    K = gauss_curvature_grid(flat, n=64)
-    assert np.abs(K).max() == 0.0
+    assert curvature_survey(flat, 64).max_abs == 0.0
 
 
 def test_gauss_curvature_conformal_oracle(liouville):
@@ -175,23 +174,24 @@ def test_gauss_curvature_conformal_oracle(liouville):
             + logu(x0, y0 + eps) + logu(x0, y0 - eps) - 4 * logu(x0, y0))
            / eps ** 2)
     u = u_at(x0, y0)
-    assert gauss_curvature(liouville, (x0, y0)) == pytest.approx(
+    K = gauss_curvature_batch(liouville, np.array([x0]), np.array([y0]))
+    assert K[0] == pytest.approx(
         -lap / (2 * u), rel=1e-4)
 
 
 def test_gallery_curvature_extrema():
     for name, ref in GALLERY_MAX_K.items():
-        K = gauss_curvature_grid(gallery(name), n=256)
+        max_abs = curvature_survey(gallery(name), 256).max_abs
         if ref == 0.0:
-            assert np.abs(K).max() == 0.0
+            assert max_abs == 0.0
         else:
-            assert np.abs(K).max() == pytest.approx(ref, rel=1e-5)
+            assert max_abs == pytest.approx(ref, rel=1e-5)
 
 
 def test_total_curvature_vanishes():
     # Gauss-Bonnet: integral of K dA is zero on every torus metric
     for name in gallery_names():
-        assert abs(total_curvature(gallery(name))) < 1e-6
+        assert abs(curvature_survey(gallery(name), 256).total) < 1e-6
 
 
 def test_curvature_batch_matches_pointwise(bump):
@@ -200,7 +200,7 @@ def test_curvature_batch_matches_pointwise(bump):
     batch = gauss_curvature_batch(bump, xs, ys)
     for i in range(3):
         assert batch[i] == pytest.approx(
-            gauss_curvature(bump, (xs[i], ys[i])), rel=1e-12)
+            gauss_curvature_batch(bump, xs[i:i + 1], ys[i:i + 1])[0], rel=1e-12)
 
 
 def test_file_grammar_roundtrip(tmp_path, liouville):
@@ -511,6 +511,4 @@ def test_fields_skips_empty_g12(bump, monkeypatch):
 @pytest.mark.parametrize("n", [0, -3])
 def test_curvature_grid_size_validated(liouville, n):
     with pytest.raises(ValidationError):
-        gauss_curvature_grid(liouville, n=n)
-    with pytest.raises(ValidationError):
-        total_curvature(liouville, n=n)
+        curvature_survey(liouville, n)
