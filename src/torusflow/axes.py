@@ -19,6 +19,7 @@ tight to a fraction of a percent for mildly curved metrics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -375,39 +376,22 @@ def check_foliation(spec, klass, n_seeds, n=192):
         curves.append(res.curve)
 
     order = np.argsort(intercepts)
-    sorted_icpt = [intercepts[k] for k in order]
-    clusters = []
-    for k, val in zip(order, sorted_icpt):
-        wrapped = (val - clusters[-1][-1][1]) % period_w if clusters else None
-        if clusters and min(wrapped, period_w - wrapped) < _DISTINCT_TOL:
-            clusters[-1].append((k, val))
-        else:
-            clusters.append([(k, val)])
-    # the first and last cluster can be the same one across the seam
-    if len(clusters) > 1:
-        gap = (clusters[0][0][1] - clusters[-1][-1][1]) % period_w
-        if min(gap, period_w - gap) < _DISTINCT_TOL:
-            clusters[0] = clusters.pop() + clusters[0]
-
-    reps = [cl[0][0] for cl in clusters]
-    crossing_free = True
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            if sh.torus_crossing_count(curves[reps[a]], curves[reps[b]]) > 0:
-                crossing_free = False
-
-    if sorted_icpt:
-        arr = np.sort(np.array(sorted_icpt))
-        gaps = np.diff(np.concatenate([arr, [arr[0] + period_w]]))
-        max_gap = float(gaps.max()) / period_w
-    else:
-        max_gap = 1.0
-    foliated = (len(clusters) >= n_seeds // 2 and max_gap < 2.0 / n_seeds
+    icpt = np.asarray(intercepts, dtype=float)[order]
+    # gaps between neighbours on the circle of intercepts; a gap of
+    # _DISTINCT_TOL or more starts a new limit curve, represented by the
+    # first intercept after it (no such gap: all form one curve)
+    gaps = np.diff(icpt, append=icpt[:1] + period_w)
+    reps = ([curves[k] for k in order[np.roll(gaps, 1) >= _DISTINCT_TOL]]
+            or curves[:1])
+    crossing_free = not any(sh.torus_crossing_count(a, b) > 0
+                            for a, b in itertools.combinations(reps, 2))
+    max_gap = float(gaps.max()) / period_w if len(gaps) else 1.0
+    foliated = (len(reps) >= n_seeds // 2 and max_gap < 2.0 / n_seeds
                 and crossing_free)
     return FoliationReport(klass=(p, q), n_seeds=n_seeds,
-                           n_distinct=len(clusters), max_gap_fraction=max_gap,
+                           n_distinct=len(reps), max_gap_fraction=max_gap,
                            crossing_free=crossing_free, foliated=foliated,
-                           intercepts=sorted_icpt, verdicts=verdicts)
+                           intercepts=icpt.tolist(), verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------

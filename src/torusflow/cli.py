@@ -63,7 +63,8 @@ def _manifest(args, fields):
 
 
 def _dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
+    return json.dumps(doc, indent=2, sort_keys=True, default=_jsonable,
+                      allow_nan=False)
 
 
 def _emit(args, payload):
@@ -202,7 +203,7 @@ def cmd_strip(args, spec):
     est, strip = _probe_ray(spec, args, args.dt)
     return {
         "direction": list(est.direction),
-        "slope": None if est.rotation.infinite else est.rotation.slope,
+        "slope": est.rotation.slope,
         "vertical": est.rotation.infinite,
         "tail_oscillation": est.tail_oscillation,
         "strip_width": strip.width,
@@ -310,7 +311,7 @@ def cmd_report(args, spec):
         "probe_ray": {
             "base": list(args.base), "angle": args.angle,
             "horizon": args.horizon,
-            "slope": None if est.rotation.infinite else est.rotation.slope,
+            "slope": est.rotation.slope,
             "strip_width": strip.width,
             "tail_oscillation": est.tail_oscillation,
         },

@@ -83,17 +83,31 @@ class DeckTransform:
         return f"{rep.m}/{rep.n}"
 
 
+def half_lattice(rx, ry):
+    """One of each pair +-(m, n) of nonzero shifts with |m| <= rx, |n| <= ry.
+
+    The listed ones are those with m > 0, or m = 0 and n > 0, in
+    lexicographic order.  Each torus point met by a curve and a deck
+    translate of it shows up for exactly one listed shift.
+    """
+    return [(m, n) for m in range(rx + 1) for n in range(-ry, ry + 1)
+            if m > 0 or n > 0]
+
+
+def circle_distance(a, b, period):
+    """Distance |a - b| on a circle of the given period, in the dtype of a - b.
+
+    The period is cast to that dtype first, so float32 operands stay in
+    float32 arithmetic.
+    """
+    d = np.abs(a - b)
+    return np.minimum(d, d.dtype.type(period) - d, out=d)
+
+
 def primitive_classes(radius):
     """Sign-normalised primitive vectors with sup-norm at most `radius`."""
-    out = []
-    for m in range(0, radius + 1):
-        for n in range(-radius, radius + 1):
-            t = DeckTransform(m, n)
-            if t.is_identity or not t.is_primitive:
-                continue
-            if t.class_rep() == t:
-                out.append(t)
-    return sorted(out, key=lambda t: (t.m, t.n))
+    return [DeckTransform(m, n) for m, n in half_lattice(radius, radius)
+            if math.gcd(m, n) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +137,19 @@ def torus_self_crossings(traj):
     """Parameter pairs where the projected geodesic meets itself on the torus.
 
     Each unordered pair {t1, t2} with equal torus points lifts to a unique
-    integer difference vector, so scanning only sign-normalised translates
-    within sup-norm _TORUS_CLASS_RADIUS (plus the identity case from the
-    planar lift) records each such torus crossing exactly once.  Returns a list of (event, loop_class) sorted by
-    (t1, t2): event times are ordered t1 < t2 and loop_class is the deck
-    class of the loop run from t1 to t2, with (0, 0) for contractible ones.
+    integer difference vector, so the half-lattice of translates within
+    sup-norm _TORUS_CLASS_RADIUS, plus the identity case of the planar lift,
+    records each such torus crossing exactly once.  Returns (event,
+    loop_class) pairs sorted by (t1, t2), with t1 < t2 and loop_class the
+    deck class of the loop run from t1 to t2, (0, 0) for contractible ones.
     """
     ident = DeckTransform(0, 0)
     events, _ = self_intersections(traj)
     out = [(ev, ident) for ev in events]
-    r = _TORUS_CLASS_RADIUS
-    taus = [DeckTransform(m, n) for m in range(0, r + 1)
-            for n in range(-r, r + 1) if m > 0 or n > 0]
-    found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
-                                  [(tau.m, tau.n) for tau in taus],
+    shifts = half_lattice(_TORUS_CLASS_RADIUS, _TORUS_CLASS_RADIUS)
+    found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t, shifts,
                                   traj.v, traj.v)
-    for tau, (events, _) in zip(taus, found):
+    for tau, (events, _) in zip([DeckTransform(*v) for v in shifts], found):
         # an event (ta, tb) asserts lift(ta) = tau(lift(tb)); the loop
         # class compares the later lift point against the earlier one
         for ev in events:
@@ -197,6 +208,8 @@ def intersection_census(traj, class_radius, horizons):
     are computed once at the deepest horizon and re-thresholded, so a rung
     counts exactly the crossings both of whose parameters lie within it.
     """
+    if not all(map(math.isfinite, horizons)):
+        raise ValidationError(f"census horizons must be finite, got {horizons}")
     horizons = tuple(sorted(horizons))
     if horizons[-1] > traj.horizon + 1e-9:
         raise ValidationError(
@@ -228,28 +241,20 @@ def intersection_census(traj, class_radius, horizons):
 class RotationNumber:
     """Slope of an asymptotic direction as a point of the projective line.
 
-    The vertical direction is a first-class value (`infinite`), kept as a
-    tag so that comparisons and printed values never rely on float
-    sentinels.
+    The vertical direction is the point at infinity, with slope None, so
+    that comparisons and printed values never rely on float sentinels.
     """
 
-    infinite: bool
-    slope: float = float("nan")
-
-    @classmethod
-    def finite(cls, value):
-        return cls(infinite=False, slope=float(value))
-
-    @classmethod
-    def infinity(cls):
-        return cls(infinite=True)
+    slope: float | None
 
     @classmethod
     def of_direction(cls, dx, dy):
         """Slope map: (x, y) -> y/x when x is nonzero, else the vertical point."""
-        if dx != 0.0:
-            return cls.finite(dy / dx)
-        return cls.infinity()
+        return cls(float(dy / dx) if dx != 0.0 else None)
+
+    @property
+    def infinite(self):
+        return self.slope is None
 
     def projective_angle(self):
         """Angle in [0, pi) of the corresponding line through the origin."""
@@ -510,9 +515,7 @@ def max_projective_jump(estimates):
     if len(estimates) < 2:
         raise ValidationError("a projective jump needs at least two estimates")
     ang = np.array([e.rotation.projective_angle() for e in estimates])
-    d = np.abs(np.diff(ang))
-    d = np.minimum(d, math.pi - d)
-    return float(d.max())
+    return float(circle_distance(ang[1:], ang[:-1], math.pi).max())
 
 
 def hit_rotation_targets(spec, base, targets, horizon, grid=256, tol=1e-3):
@@ -526,17 +529,15 @@ def hit_rotation_targets(spec, base, targets, horizon, grid=256, tol=1e-3):
     """
     if grid < 2:
         raise ValidationError(f"the scan grid needs at least 2 angles, got {grid}")
+    if not all(map(math.isfinite, targets)):
+        raise ValidationError(f"rotation targets must be finite, got {targets}")
 
     def fan(angles):
         return direction_field(spec, base, angles, horizon=horizon, dt=1.0, h=0.01)
 
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     estimates = fan(angles)
-
-    def slope_or_none(est):
-        return None if est.rotation.infinite else est.rotation.slope
-
-    slopes = [slope_or_none(e) for e in estimates]
+    slopes = [e.rotation.slope for e in estimates]
     state = []
     for target in targets:
         bracket = None
@@ -562,7 +563,7 @@ def hit_rotation_targets(spec, base, targets, horizon, grid=256, tol=1e-3):
         ests = fan(mids)
         for s, angle, est in zip(pending, mids, ests):
             s["iterations"] += 1
-            s_mid = slope_or_none(est)
+            s_mid = est.rotation.slope
             s["angle"] = angle
             if s_mid is None:
                 s["bracket"] = None

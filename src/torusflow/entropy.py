@@ -17,7 +17,9 @@ the first probe index at which the pair separates, and each horizon
 compares those indices with its window length.  The scan repeats the
 per-pair test of _pair_separates elementwise in float32, with no
 reduction across pairs, so the counts are bit-identical to scanning each
-(candidate, kept) pair on its own for each horizon.
+(candidate, kept) pair on its own for each horizon.  The launch test is
+the scan's own float32 predicate (_apart) at probe 0, so a pair is apart
+at launch exactly when the scan would find it apart at its first probe.
 
 Three monotonicity properties are guaranteed structurally rather than
 numerically:
@@ -44,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cover import circle_distance
 from .errors import ValidationError
 from .flow import integrate_batch
 from .metrics import quadratic_form
@@ -79,8 +82,8 @@ class EntropyParams:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValidationError("n_samples must be at least 1")
-        if not all(eps > 0 for eps in self.epsilons):
-            raise ValidationError("every epsilon must be positive")
+        if not all(0 < eps < math.inf for eps in self.epsilons):
+            raise ValidationError("every epsilon must be positive and finite")
         if not all(map(math.isfinite, (*self.horizons, self.dt_probe, self.step_h))):
             raise ValidationError("horizons, dt_probe and step_h must be finite")
         if list(self.horizons) != sorted(self.horizons):
@@ -152,23 +155,16 @@ def phase_distance(u, v):
     direction angles; the two add with weight 1:1.  Symmetric, and zero
     exactly on equal points.
     """
-    dx = abs(u[0] - v[0]) % 1.0
-    dx = min(dx, 1.0 - dx)
-    dy = abs(u[1] - v[1]) % 1.0
-    dy = min(dy, 1.0 - dy)
-    da = abs(math.atan2(u[3], u[2]) - math.atan2(v[3], v[2])) % TWO_PI
-    da = min(da, TWO_PI - da)
-    return math.hypot(dx, dy) + da
+    a, b = (np.array([[w[0] % 1.0, w[1] % 1.0, math.atan2(w[3], w[2])]])
+            for w in (u, v))
+    return float(_phase_gap(a, b)[0])
 
 
-def _wrapped_delta(a, b, period):
-    """Circle distance |a - b| modulo period, in the dtype of a - b.
-
-    The period is cast to that dtype first, so float32 operands stay in
-    float32 arithmetic.
-    """
-    d = np.abs(a - b)
-    return np.minimum(d, d.dtype.type(period) - d, out=d)
+def _phase_gap(a, b):
+    """Phase distance of reduced rows (x mod 1, y mod 1, angle), rowwise."""
+    dx = circle_distance(a[..., 0], b[..., 0], 1.0)
+    dy = circle_distance(a[..., 1], b[..., 1], 1.0)
+    return np.hypot(dx, dy) + circle_distance(a[..., 2], b[..., 2], TWO_PI)
 
 
 def dynamical_distance(spec, u, v, t_max):
@@ -181,25 +177,21 @@ def dynamical_distance(spec, u, v, t_max):
     states = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
     _, probes = probe_trajectories(spec, states, float(t_max),
                                    EntropyParams.dt_probe, EntropyParams.step_h)
-    a = probes[0].astype(np.float64)
-    b = probes[1].astype(np.float64)
-    dx = _wrapped_delta(a[:, 0], b[:, 0], 1.0)
-    dy = _wrapped_delta(a[:, 1], b[:, 1], 1.0)
-    da = _wrapped_delta(a[:, 2], b[:, 2], TWO_PI)
-    return float((np.hypot(dx, dy) + da).max())
+    probes = probes.astype(np.float64)
+    return float(_phase_gap(probes[0], probes[1]).max())
 
 
 def _pair_separates(probes, i, j, k_limit, eps):
-    """Whether samples i and j get phase distance >= eps within the window."""
+    """Whether samples i and j get phase distance >= eps within the window.
+
+    The per-pair reference for _apart, written out on its own.
+    """
     a = probes[i, :k_limit]
     b = probes[j, :k_limit]
     for s in range(0, k_limit, _CHUNK):
-        dx = np.abs(a[s:s + _CHUNK, 0] - b[s:s + _CHUNK, 0])
-        np.minimum(dx, 1.0 - dx, out=dx)
-        dy = np.abs(a[s:s + _CHUNK, 1] - b[s:s + _CHUNK, 1])
-        np.minimum(dy, 1.0 - dy, out=dy)
-        da = np.abs(a[s:s + _CHUNK, 2] - b[s:s + _CHUNK, 2])
-        np.minimum(da, np.float32(TWO_PI) - da, out=da)
+        dx = circle_distance(a[s:s + _CHUNK, 0], b[s:s + _CHUNK, 0], 1.0)
+        dy = circle_distance(a[s:s + _CHUNK, 1], b[s:s + _CHUNK, 1], 1.0)
+        da = circle_distance(a[s:s + _CHUNK, 2], b[s:s + _CHUNK, 2], TWO_PI)
         # sum metric without the square root: sqrt(pos2) + da >= eps holds
         # iff da >= eps already or pos2 >= (eps - da)^2
         rest = np.float32(eps) - da
@@ -207,6 +199,18 @@ def _pair_separates(probes, i, j, k_limit, eps):
         if bool(np.any((rest <= 0.0) | (pos2 >= rest * rest))):
             return True
     return False
+
+
+def _apart(a, b, eps):
+    """Whether reduced rows a and b are eps-apart, elementwise.
+
+    The arithmetic runs in the rows' dtype, eps cast to it, without the
+    square root of the sum metric, as in _pair_separates.
+    """
+    dx = circle_distance(a[..., 0], b[..., 0], 1.0)
+    dy = circle_distance(a[..., 1], b[..., 1], 1.0)
+    rest = dx.dtype.type(eps) - circle_distance(a[..., 2], b[..., 2], TWO_PI)
+    return (rest <= 0.0) | (dx * dx + dy * dy >= rest * rest)
 
 
 def _first_separations(probes, i, js, k_stop, eps):
@@ -221,20 +225,11 @@ def _first_separations(probes, i, js, k_stop, eps):
     """
     first = np.full(len(js), k_stop, dtype=np.intp)
     live = np.arange(len(js))
-    eps32 = np.float32(eps)
     for s in range(0, k_stop, _CHUNK):
         if not len(live):
             break
         e = min(s + _CHUNK, k_stop)
-        a = probes[i, s:e]
-        b = probes[js[live], s:e]
-        dx = _wrapped_delta(a[:, 0], b[:, :, 0], 1.0)
-        dy = _wrapped_delta(a[:, 1], b[:, :, 1], 1.0)
-        da = _wrapped_delta(a[:, 2], b[:, :, 2], TWO_PI)
-        # sum metric without the square root, as in _pair_separates
-        rest = eps32 - da
-        pos2 = dx * dx + dy * dy
-        hit = (rest <= 0.0) | (pos2 >= rest * rest)
+        hit = _apart(probes[i, s:e], probes[js[live], s:e], eps)
         found = hit.any(axis=1)
         first[live[found]] = s + hit[found].argmax(axis=1)
         live = live[~found]
@@ -264,26 +259,18 @@ def separated_counts(probes, eps, k_limits, m_limit=None):
         raise ValidationError(f"the probe array holds {n_probes} probes per "
                               f"sample, fewer than the {k_stop} of the "
                               f"longest window")
-    eps = float(eps)
-    start = probes[:m, 0, :].astype(np.float64)
     kept = np.zeros((len(k_limits), m), dtype=bool)
-    # samples kept in at least one window, and their launch points
+    # samples kept in at least one window
     pool = np.empty(m, dtype=np.intp)
-    pool_start = np.empty((m, 3))
     n_pool = 0
     for i in range(m):
-        ps = pool_start[:n_pool]
-        dx = _wrapped_delta(ps[:, 0], start[i, 0], 1.0)
-        dy = _wrapped_delta(ps[:, 1], start[i, 1], 1.0)
-        rest = eps - _wrapped_delta(ps[:, 2], start[i, 2], TWO_PI)
-        pos2 = dx * dx + dy * dy
-        near = pool[:n_pool][(rest > 0.0) & (pos2 < rest * rest)]
+        pooled = pool[:n_pool]
+        near = pooled[~_apart(probes[pooled, 0], probes[i, 0], eps)]
         first = _first_separations(probes, i, near, k_stop, eps)
         blocked = kept[:, near] & (first >= k_limits[:, None])
         kept[:, i] = ~blocked.any(axis=1)
         if kept[:, i].any():
             pool[n_pool] = i
-            pool_start[n_pool] = start[i]
             n_pool += 1
     return kept.sum(axis=1)
 

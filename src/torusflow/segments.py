@@ -282,9 +282,10 @@ def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, theta_min, same_curve, t_sep,
     margin = np.abs(cross) / (np.hypot(*tanA.T) * np.hypot(*tanB.T))
 
     if same_curve:
-        gap = np.abs(t1 - t2)
-        if cyclic_span is not None:
-            gap = np.minimum(gap, cyclic_span - gap)
+        # cover imports this module, so its circle distance is imported here
+        from .cover import circle_distance
+        gap = (np.abs(t1 - t2) if cyclic_span is None
+               else circle_distance(t1, t2, cyclic_span))
         keep = gap > t_sep
         t1, t2, pts, cross, margin = (t1[keep], t2[keep], pts[keep],
                                       cross[keep], margin[keep])

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import segments as sg
+from .cover import half_lattice
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
 from .metrics import accel_from_fields, quadratic_form
 
@@ -88,10 +89,8 @@ class ClosedCurve:
         # crossings between the period and distinct translates of itself,
         # each torus point showing up for exactly one half-lattice shift
         span = np.ceil(p.max(axis=0) - p.min(axis=0)).astype(int)
-        shifts = [(jj, kk) for jj in range(0, span[0] + 1)
-                  for kk in range(-span[1] - 1, span[1] + 2)
-                  if jj > 0 or kk > 0]
-        found = sg.crossings_by_shift(p, t, p, t, shifts)
+        found = sg.crossings_by_shift(p, t, p, t,
+                                      half_lattice(span[0], span[1] + 1))
         return len(events) + sum(len(ev) for ev, _ in found)
 
 
@@ -335,11 +334,11 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     extinction = None
     plateaued = False
     step = 0
-    maxk = float("nan")
 
     # geometry of the current curve; carried across iterations so each
     # accepted step evaluates the metric only on its own result
     acc, x_ss, h, k = _covariant_acceleration(spec, nodes, deck)
+    maxk = float(k.max())
     L = float(h.sum())
     centroid0 = nodes.mean(axis=0)
     containment_drift = 0.0

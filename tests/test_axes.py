@@ -1,10 +1,13 @@
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusflow import axes
+from torusflow import axes, shortening
 from torusflow.axes import (check_foliation, find_minimal_axis, flatness_test,
                             grid_shortest_class_length, line_deviation,
                             shoot_closed_geodesic)
@@ -97,6 +100,79 @@ def test_foliation_flat_vs_liouville(flat, liouville):
     rep = check_foliation(liouville, (1, 0), n_seeds=6, n=96)
     assert not rep.foliated
     assert rep.n_distinct < 6
+
+
+def _limit_curves_reference(intercepts, period_w):
+    """(n_distinct, representative indices) by the pairwise clustering scan
+    and seam merge that check_foliation's circular gaps replaced."""
+    order = np.argsort(intercepts)
+    clusters = []
+    for k in order:
+        val = intercepts[k]
+        wrapped = (val - clusters[-1][-1][1]) % period_w if clusters else None
+        if clusters and min(wrapped, period_w - wrapped) < axes._DISTINCT_TOL:
+            clusters[-1].append((k, val))
+        else:
+            clusters.append([(k, val)])
+    # the first and last cluster can be the same one across the seam
+    if len(clusters) > 1:
+        gap = (clusters[0][0][1] - clusters[-1][-1][1]) % period_w
+        if min(gap, period_w - gap) < axes._DISTINCT_TOL:
+            clusters[0] = clusters.pop() + clusters[0]
+    return len(clusters), {int(cl[0][0]) for cl in clusters}
+
+
+@st.composite
+def _foliation_limits(draw):
+    """A class, and per seed the transverse offset of its limit or None."""
+    klass = draw(st.sampled_from([(1, 0), (1, 1), (2, 1)]))
+    period = 1.0 / math.hypot(*klass)
+    tol = axes._DISTINCT_TOL
+    # cluster centres, some on or next to the seam, with members spread
+    # around them by less than the distinctness tolerance
+    centre = (st.floats(0.0, 1.0, exclude_max=True).map(lambda u: u * period)
+              | st.sampled_from([0.0, 0.3 * tol, period - 0.3 * tol]))
+    members = st.tuples(centre, st.lists(st.floats(-0.9 * tol, 0.9 * tol),
+                                         min_size=1, max_size=4))
+    offsets = [(c + d) % period
+               for c, ds in draw(st.lists(members, max_size=6)) for d in ds]
+    offsets += [None] * draw(st.integers(0, 2))
+    return klass, period, draw(st.permutations(offsets)) if offsets else [None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_foliation_limits())
+def test_foliation_limit_curves_match_pairwise_clustering(case):
+    klass, period, offsets = case
+    e_w = axes._class_frame(klass)[4]
+    limits = iter(offsets)
+    limit_curves = []
+    pairs = []
+
+    def fake_evolve(spec, curve, max_steps):
+        w = next(limits)
+        if w is None:
+            return SimpleNamespace(verdict="budget_exhausted", curve=None)
+        limit_curves.append(SimpleNamespace(nodes=np.tile(w * e_w, (4, 1))))
+        return SimpleNamespace(verdict="converged_to_geodesic",
+                               curve=limit_curves[-1])
+
+    def no_crossings(a, b):
+        pairs.append((a, b))
+        return 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shortening, "evolve", fake_evolve)
+        mp.setattr(shortening, "torus_crossing_count", no_crossings)
+        report = check_foliation(None, klass, n_seeds=len(offsets))
+    intercepts = [float(np.median((c.nodes @ e_w) % period))
+                  for c in limit_curves]
+    n_distinct, reps = _limit_curves_reference(intercepts, period)
+    assert report.n_distinct == n_distinct
+    assert report.intercepts == sorted(intercepts)
+    if n_distinct > 1:
+        # the representatives are the curves the crossing check pairs up
+        index = {id(c): k for k, c in enumerate(limit_curves)}
+        assert {index[id(c)] for pair in pairs for c in pair} == reps
 
 
 def test_flatness_verdicts(flat, bump):

@@ -7,19 +7,30 @@ import sys
 import numpy as np
 import pytest
 
-from torusflow import cli, flow, metrics
+from torusflow import cli, flow, metrics, shortening
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def loads(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON readers do."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
+    if out.startswith("{"):
+        loads(out)      # every manifest on stdout is strict JSON
     return code, out, err
 
 
 def test_gallery_lists_metrics(capsys):
     code, out, _ = run(capsys, "gallery")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["metrics"][0] == "flat"
     assert payload["command"] == "gallery"
     assert len(payload["config_sha256"]) == 64
@@ -28,7 +39,7 @@ def test_gallery_lists_metrics(capsys):
 def test_gallery_describe(capsys):
     code, out, _ = run(capsys, "gallery", "--describe", "liouville", "--grid", "64")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["max_abs_curvature"] > 1.0
     assert abs(payload["total_curvature"]) < 1e-6
 
@@ -38,7 +49,7 @@ def test_integrate_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "integrate", "--metric", "flat", "--angle", "0.5",
                        "--horizon", "2.0", "--csv", str(csv_path))
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["config"]["horizon"] == 2.0
     header = csv_path.read_text().splitlines()
     assert header[0].startswith("# metric=flat")
@@ -53,7 +64,7 @@ def test_rotation_field_csv_carries_config_hash(capsys, tmp_path):
                        "--n-angles", "4", "--horizon", "20.0", "--dt", "0.5",
                        "--csv", str(csv_path))
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     header = csv_path.read_text().splitlines()[0]
     assert payload["config_sha256"] in header
 
@@ -76,7 +87,7 @@ def test_numerical_failure_manifest(capsys):
     code, out, _ = run(capsys, "strip", "--metric", "flat", "--angle", "0.4",
                        "--horizon", "5.0")
     assert code == 1
-    manifest = json.loads(out)
+    manifest = loads(out)
     assert manifest["failure"] == "NotEscaping"
     assert manifest["command"] == "strip"
     assert "config_sha256" in manifest
@@ -100,6 +111,14 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     ("entropy", "--metric", "flat", "--horizons", "nan,2"),
     # curve shortening would halve its step 40 times on NaN nodes
     ("csf", "--metric", "flat", "--circle", "nan,0.5,0.2"),
+    # a NaN rung would be counted as an empty census
+    ("intersections", "--metric", "flat", "--angle", "0.4",
+     "--horizons", "10,nan"),
+    ("rotation-targets", "--metric", "flat", "--targets", "nan",
+     "--horizon", "20", "--grid", "8"),
+    # an infinite epsilon makes every pair inseparable
+    ("entropy", "--metric", "flat", "--samples", "16", "--horizons", "2,4",
+     "--epsilons", "inf"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -136,7 +155,7 @@ def test_step_failure_manifest(capsys, monkeypatch):
     code, out, _ = run(capsys, "integrate", "--metric", "liouville",
                        "--angle", "0.7", "--horizon", "10.0")
     assert code == 1
-    manifest = json.loads(out)
+    manifest = loads(out)
     assert manifest["failure"] == "StepFailure"
     assert manifest["command"] == "integrate"
     assert "stalled at t=" in manifest["message"]
@@ -208,9 +227,9 @@ def test_entropy_nonpositive_epsilon_exits_2(capsys, eps):
 def test_config_hash_tracks_inputs(capsys):
     _, out1, _ = run(capsys, "gallery")
     _, out2, _ = run(capsys, "gallery")
-    assert json.loads(out1)["config_sha256"] == json.loads(out2)["config_sha256"]
+    assert loads(out1)["config_sha256"] == loads(out2)["config_sha256"]
     _, out3, _ = run(capsys, "gallery", "--grid", "128")
-    assert json.loads(out3)["config_sha256"] != json.loads(out1)["config_sha256"]
+    assert loads(out3)["config_sha256"] != loads(out1)["config_sha256"]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -232,7 +251,7 @@ def test_config_hash_ignores_output_paths(capsys, tmp_path, monkeypatch):
     docs = []
     for name in ("a.json", "b.json"):
         assert run(capsys, "gallery", "--out", name)[0] == 0
-        docs.append(json.loads((tmp_path / name).read_text()))
+        docs.append(loads((tmp_path / name).read_text()))
     assert docs[0]["config_sha256"] == docs[1]["config_sha256"]
     assert [d["config"]["out"] for d in docs] == ["a.json", "b.json"]
 
@@ -241,9 +260,21 @@ def test_csf_circle_run(capsys):
     code, out, _ = run(capsys, "csf", "--metric", "flat",
                        "--circle", "0.5,0.5,0.15", "--n", "64")
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["verdict"] == "shrank_to_point"
     assert abs(payload["extinction_time"] - 0.15 ** 2 / 2) / (0.15 ** 2 / 2) < 0.05
+
+
+def test_csf_without_steps_reports_the_seed_curvature(capsys):
+    code, out, _ = run(capsys, "csf", "--metric", "flat",
+                       "--circle", "0.5,0.5,0.15", "--n", "64",
+                       "--max-steps", "0")
+    assert code == 0
+    payload = loads(out)
+    seed = shortening.circle_curve((0.5, 0.5), 0.15, n=64)
+    _, k = seed.curvature(metrics.gallery("flat"))
+    assert payload["steps"] == 0
+    assert payload["max_curvature"] == float(k.max())
 
 
 def test_entropy_custom_ladder(capsys, tmp_path):
@@ -252,7 +283,7 @@ def test_entropy_custom_ladder(capsys, tmp_path):
                        "--samples", "128", "--horizons", "2,4",
                        "--epsilons", "1.25,1.0", "--csv", str(csv_path))
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["sample_limited"] is False
     assert csv_path.exists()
 
@@ -263,7 +294,7 @@ def test_out_file_and_env_redirect(capsys, tmp_path, monkeypatch):
     assert code == 0
     target = tmp_path / "listing.json"
     assert target.exists()
-    assert json.loads(target.read_text())["metrics"]
+    assert loads(target.read_text())["metrics"]
     assert str(target) in out
 
 

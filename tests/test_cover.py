@@ -77,6 +77,25 @@ def test_primitive_classes_radius():
     r1 = [(t.m, t.n) for t in primitive_classes(1)]
     assert r1 == [(0, 1), (1, -1), (1, 0), (1, 1)]
     assert len(primitive_classes(3)) == 16
+    for radius in range(6):
+        box = [DeckTransform(m, n) for m in range(-radius, radius + 1)
+               for n in range(-radius, radius + 1) if m or n]
+        reps = [t for t in box if t.is_primitive and t.class_rep() == t]
+        assert primitive_classes(radius) == sorted(
+            reps, key=lambda t: (t.m, t.n))
+
+
+@given(rx=st.integers(0, 6), ry=st.integers(0, 6))
+def test_half_lattice_lists_one_of_each_pair(rx, ry):
+    listed = cover.half_lattice(rx, ry)
+    assert listed == sorted(set(listed))
+    box = {(m, n) for m in range(rx + 1) for n in range(-ry, ry + 1)} - {(0, 0)}
+    assert set(listed) <= box
+    for m, n in box:
+        if (-m, -n) in box:
+            assert ((m, n) in listed) != ((-m, -n) in listed)
+        else:
+            assert (m, n) in listed
 
 
 # ---------------------------------------------------------------------------

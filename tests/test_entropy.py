@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -193,39 +194,25 @@ def test_separated_count_rejects_m_limit_beyond_samples():
 
 # -- separated_counts against the per-pair greedy scan it replaced ----------
 
-def _reference_count(probes, eps, k_limit, m_limit=None):
+def _reference_count(probes, eps, k_limit, m_limit, apart_at_launch):
     """Greedy count for one window, one _pair_separates call per pair."""
     m = probes.shape[0] if m_limit is None else int(m_limit)
-    eps = float(eps)
-    start = probes[:m, 0, :].astype(np.float64)
     kept = []
-    kept_start = np.empty((m, 3))
     for i in range(m):
-        ok = True
-        if kept:
-            ks = kept_start[:len(kept)]
-            dx = np.abs(ks[:, 0] - start[i, 0])
-            dx = np.minimum(dx, 1.0 - dx)
-            dy = np.abs(ks[:, 1] - start[i, 1])
-            dy = np.minimum(dy, 1.0 - dy)
-            da = np.abs(ks[:, 2] - start[i, 2])
-            da = np.minimum(da, entropy.TWO_PI - da)
-            rest = eps - da
-            pos2 = dx * dx + dy * dy
-            near = np.nonzero((rest > 0.0) & (pos2 < rest * rest))[0]
-            for idx in near:
-                if not entropy._pair_separates(probes, i, kept[idx], k_limit,
-                                               eps):
-                    ok = False
-                    break
-        if ok:
-            kept_start[len(kept)] = start[i]
+        # a pair already apart at launch needs no scan, even in an empty window
+        near = [j for j in kept if not apart_at_launch(i, j)]
+        if all(entropy._pair_separates(probes, i, j, k_limit, eps)
+               for j in near):
             kept.append(i)
     return len(kept)
 
 
 def _reference_counts(probes, eps, k_limits, m_limit=None):
-    return [_reference_count(probes, eps, k, m_limit) for k in k_limits]
+    @functools.cache
+    def apart_at_launch(i, j):
+        return entropy._pair_separates(probes, i, j, 1, eps)
+    return [_reference_count(probes, eps, k, m_limit, apart_at_launch)
+            for k in k_limits]
 
 
 # dyadic grids holding the wrap edges 0, 0.5 and +-pi: on them the float32

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
@@ -420,6 +420,9 @@ def _reference_eval(series, xr, yr, order):
             (d2 * wy * wy).sum(axis=-1))
 
 
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
 def _assert_matches_reference(series, xr, yr, order):
     const, rest = series.l1_split()
     m = max(1, int(np.abs(series.mx).max()), int(np.abs(series.my).max()))
@@ -429,7 +432,10 @@ def _assert_matches_reference(series, xr, yr, order):
     for d, (a, b) in enumerate(zip(got, want)):
         # derivative rows of order 1 and 2 scale with (2 pi m)^order
         k = 0 if d == 0 else (1 if d < 3 else 2)
-        tol = 1e-13 * (abs(const) + rest) * (2.0 * math.pi * m) ** k
+        # the floor keeps subnormal coefficients, whose relative tolerance
+        # underflows to 0, to a few steps of the subnormal grid
+        tol = (max(1e-13 * (abs(const) + rest), 8 * _SUBNORMAL)
+               * (2.0 * math.pi * m) ** k)
         assert np.abs(a - b).max() <= tol
 
 
@@ -441,6 +447,7 @@ _unit = st.floats(0.0, 1.0, exclude_max=True)
 @given(terms=st.lists(_term, min_size=1, max_size=12),
        pts=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=20),
        order=st.integers(0, 2))
+@example(terms=[(1, 0, 0.0, 5e-324)], pts=[(0.625, 0.0)], order=1)
 @settings(max_examples=150, deadline=None)
 def test_series_eval_matches_cos_sin_reference(terms, pts, order):
     series = _Series(_canonical_terms(terms))
