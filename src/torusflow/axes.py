@@ -34,6 +34,10 @@ from .metrics import CurvatureSurvey, curvature_survey, quadratic_form
 # the shooting's basin, and far above the curvature floor of a 256-node
 # polygon that the flow's own default tolerance sits below
 _BASIN_K_TOL = 1e-2
+# flow candidates whose lengths agree to this relative gap keep their seed
+# order: mirror-image seeds flow to twin axes whose lengths differ only by
+# rounding (about 1e-15), while distinct flow results differ by 1e-10 or more
+_TWIN_RTOL = 1e-12
 # largest closing residual the shooting accepts
 _SHOOT_TOL = 1e-5
 # lattice oracle: chart margin either side of one transverse period, move
@@ -155,7 +159,8 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
     transverse period are relaxed by curve shortening until their
     curvature falls below _BASIN_K_TOL, their length plateaus or 40,000
     steps have run.  Every flow result is a candidate, whatever its
-    verdict: the candidates are sorted by length, and the three shortest
+    verdict: the candidates are sorted by length, lengths within
+    _TWIN_RTOL of each other keeping their seed order, and the three shortest
     are shot in that order; the first that closes is the axis, and
     NotConverged is raised when none does.  With certify=True the result is
     compared against the independent grid oracle and the comparison stored
@@ -171,7 +176,10 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
         seed = sh.straight_class_curve((p, q), base=base, n=n)
         res = sh.evolve(spec, seed, max_steps=40000, k_tol=_BASIN_K_TOL)
         candidates.append((res.length, res.curve))
-    candidates.sort(key=lambda c: c[0])
+    lengths = [c[0] for c in candidates]
+    tol = _TWIN_RTOL * min(lengths)
+    # rank by the number of clearly shorter candidates; the sort is stable
+    candidates.sort(key=lambda c: sum(other < c[0] - tol for other in lengths))
 
     last_err = None
     for length, curve in candidates[:3]:

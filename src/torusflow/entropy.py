@@ -86,6 +86,8 @@ class EntropyParams:
             raise ValidationError("every epsilon must be positive and finite")
         if not all(map(math.isfinite, (*self.horizons, self.dt_probe, self.step_h))):
             raise ValidationError("horizons, dt_probe and step_h must be finite")
+        if not all(T > 0 for T in self.horizons):
+            raise ValidationError("every horizon must be positive")
         if list(self.horizons) != sorted(self.horizons):
             raise ValidationError("horizons must be ascending")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):

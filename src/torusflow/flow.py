@@ -313,10 +313,10 @@ def _evaluate(y, coef, x):
 # ---------------------------------------------------------------------------
 # fixed-step batch engine
 
-def _rhs_batch(spec, y):
-    x, yy, vx, vy = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-    ax, ay = geodesic_accel(spec, x, yy, vx, vy)
-    return np.stack([vx, vy, ax, ay], axis=1)
+def _rhs_batch(spec, y, out):
+    """The geodesic field at the (4, M) state rows y, written into out."""
+    out[0:2] = y[2:4]
+    out[2], out[3] = geodesic_accel(spec, *y)
 
 
 def integrate_batch(spec, states, T, h, sample_dt):
@@ -325,7 +325,8 @@ def integrate_batch(spec, states, T, h, sample_dt):
     Parameters
     ----------
     states : (M, 4) array of (x, y, vx, vy)
-    T : horizon; T/h must be an integer count of steps (within roundoff)
+    T : positive horizon; T/h must be an integer count of steps (within
+        roundoff)
     h : positive RK4 step
     sample_dt : positive sampling interval, an integer multiple of h; the
         initial state is always the first sample
@@ -335,8 +336,11 @@ def integrate_batch(spec, states, T, h, sample_dt):
     times : (K,) sample times
     samples : (M, K, 4) recorded states
 
-    Each batch member evolves by elementwise arithmetic, so its samples are
-    identical no matter which other states share the batch.
+    The state and the four stages live in preallocated (4, M) row buffers,
+    one row per component, and every step updates them in place with `out=`
+    in the operand order of y + (h/6) (k1 + 2 k2 + 2 k3 + k4).  Each batch
+    member evolves by elementwise arithmetic, so its samples are identical
+    no matter which other states share the batch.
     """
     y = np.array(states, dtype=float)
     if y.ndim != 2 or y.shape[1] != 4:
@@ -345,6 +349,8 @@ def integrate_batch(spec, states, T, h, sample_dt):
         raise ValidationError("step h and sample_dt must be positive")
     if not all(map(math.isfinite, (T, h, sample_dt))):
         raise ValidationError("horizon T, step h and sample_dt must be finite")
+    if T <= 0:
+        raise ValidationError("horizon T must be positive")
     nsteps = int(round(T / h))
     if abs(nsteps * h - T) > 1e-9 * max(1.0, T):
         raise ValidationError(f"horizon {T} is not a multiple of the step {h}")
@@ -355,15 +361,24 @@ def integrate_batch(spec, states, T, h, sample_dt):
     samples = np.empty((y.shape[0], nsamp, 4))
     samples[:, 0] = y
     times = np.arange(nsamp) * (sample_every * h)
+    y = np.ascontiguousarray(y.T)
+    k1, k2, k3, k4, arg = np.empty((5,) + y.shape)
+    half, sixth = 0.5 * h, h / 6.0
     k = 1
     for n in range(1, nsteps + 1):
-        k1 = _rhs_batch(spec, y)
-        k2 = _rhs_batch(spec, y + (0.5 * h) * k1)
-        k3 = _rhs_batch(spec, y + (0.5 * h) * k2)
-        k4 = _rhs_batch(spec, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rhs_batch(spec, y, k1)
+        _rhs_batch(spec, np.add(y, np.multiply(half, k1, out=arg), out=arg), k2)
+        _rhs_batch(spec, np.add(y, np.multiply(half, k2, out=arg), out=arg), k3)
+        _rhs_batch(spec, np.add(y, np.multiply(h, k3, out=arg), out=arg), k4)
+        # k1 + 2 k2 + 2 k3 + k4, summed left to right
+        np.multiply(2.0, k2, out=arg)
+        np.add(k1, arg, out=k1)
+        np.multiply(2.0, k3, out=arg)
+        np.add(k1, arg, out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(y, np.multiply(sixth, k1, out=k1), out=y)
         if n % sample_every == 0:
-            samples[:, k] = y
+            samples[:, k] = y.T
             k += 1
     return times, samples
 

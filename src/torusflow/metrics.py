@@ -16,10 +16,13 @@ builds each axis's mode powers by repeated multiplication (negative modes
 are conjugates), so a term costs a gather and a few multiplies instead of
 one cos and one sin.  Derivatives are the same sums with coefficients
 multiplied by 2 pi i m.  Large inputs are evaluated in blocks of a fixed
-number of point-terms, which keeps temporaries cache-sized.  Every output
-is a per-point sum over the trailing term axis with no reduction across
-points (no BLAS), so a point's value does not depend on the batch or block
-it was evaluated in.  Next to this blocked batch path, Python floats take a
+number of point-terms, which keeps temporaries cache-sized.  The coefficient
+rows are contracted with each point's terms by one `np.einsum` without
+`optimize` (no BLAS), whose sum runs over one point's terms at a time and
+never across points, so a point's value does not depend on the batch or
+block it was evaluated in.  A constant series, whose only mode is (0, 0),
+skips the phases: its value is the constant and every derivative is an
+exact zero.  Next to this blocked batch path, Python floats take a
 one-point path (`geodesic_accel`, `MetricSpec.point_fields`): the same tables,
 one dot product and none of the batch path's fixed per-call cost.
 
@@ -124,9 +127,12 @@ class _Series:
         # Re(z * a) = z.real * a.real - z.imag * a.imag: a real dot product
         # of z viewed as float pairs with conj(a) viewed the same way
         coef = np.conj(rows).view(float)
-        self._coef = tuple(coef[:r, None, :] for r in (1, 3, 6))
+        self._coef = tuple(coef[:r] for r in (1, 3, 6))
         self._coef_point = coef[:3]
         self._block_points = max(1, _BLOCK_TERMS // len(terms))
+        # the value of a series with only the (0, 0) mode, else None; eval
+        # returns it and +0.0 derivatives, which is what the contraction gives
+        self._const = self.c[0] if self._pos == 0 else None
 
     def eval(self, xr, yr, order):
         """Evaluate value and partial derivatives at reduced coordinates.
@@ -135,12 +141,17 @@ class _Series:
         0 -> (v,); 1 -> (v, vx, vy); 2 -> (v, vx, vy, vxx, vxy, vyy).
         Inputs are 1-D arrays of coordinates already reduced to [0, 1).
         Points are evaluated in blocks of _BLOCK_TERMS // (number of terms);
-        the arithmetic is elementwise plus one reduction over the trailing
-        term axis, so results do not depend on how points are batched or
-        blocked.
+        the arithmetic is elementwise plus one `einsum` contraction over each
+        point's own terms, so results do not depend on how points are batched
+        or blocked.  A constant series returns its constant and exact zeros
+        without forming phases.
         """
         coef = self._coef[order]
         n = len(xr)
+        if self._const is not None:
+            out = np.zeros((len(coef), n))
+            out[0] = self._const
+            return tuple(out)
         b = self._block_points
         if n <= b:
             return tuple(self._block(xr, yr, coef))
@@ -150,6 +161,12 @@ class _Series:
         return tuple(out)
 
     def _block(self, xr, yr, coef):
+        # no optimize=: that could route through BLAS, whose summation order
+        # may depend on the batch
+        return np.einsum("nk,rk->rn", self._terms(xr, yr), coef)
+
+    def _terms(self, xr, yr):
+        """X**mx * Y**my per point and term, as (points, 2 * terms) float pairs."""
         pos, neg = self._pos, self._neg
         n = len(xr)
         powers = np.empty((2, 1 + pos + neg, n), dtype=complex)
@@ -168,15 +185,14 @@ class _Series:
         # one gather for both axes, each point's terms contiguous
         g = powers.reshape(-1, n).T.take(self._take, axis=1)
         k = len(self.mx)
-        z = g[:, :k] * g[:, k:]
-        return (z.view(float) * coef).sum(axis=-1)
+        return (g[:, :k] * g[:, k:]).view(float)
 
     def eval_point(self, xr, yr):
         """(v, vx, vy) at one reduced point as floats: `eval`'s tables and
         coefficients summed by one dot product (equal to rounding, not bitwise)."""
         row = []
         for r in (xr, yr):
-            # e**1..e**pos by repeated multiplication, as in `_block`
+            # e**1..e**pos by repeated multiplication, as in `_terms`
             powers = [1.0, *accumulate(repeat(cmath.exp(_TWO_PI_J * r), self._pos), mul)]
             row += powers
             row += map(complex.conjugate, powers[1:self._neg + 1])

@@ -67,6 +67,22 @@ def test_basin_stop_matches_full_flow(bump, klass, monkeypatch):
     assert np.abs(gap - periods * np.asarray(klass)).max() < 1e-9
 
 
+def test_twin_candidates_keep_seed_order(flat, monkeypatch):
+    # lengths that differ by rounding keep their seed order; a real gap wins
+    lengths = iter([1.0 + 4e-15, 1.0 - 3e-15, 1.0 + 1e-9, 1.0, 0.999])
+    monkeypatch.setattr(axes.sh, "evolve", lambda spec, seed, **kw: SimpleNamespace(
+        length=next(lengths), curve=seed))
+    shot = []
+
+    def shoot(spec, klass, start, theta, length, n_samples):
+        shot.append(length)
+        raise axes.NotConverged("recorded")
+    monkeypatch.setattr(axes, "shoot_closed_geodesic", shoot)
+    with pytest.raises(axes.NotConverged):
+        find_minimal_axis(flat, (1, 0))
+    assert shot == [0.999, 1.0 + 4e-15, 1.0 - 3e-15]
+
+
 def test_shooting_judges_stalled_flow_candidates(twofreq):
     # every two-frequency (1, 1) seed flow plateaus at a curvature near 0.05,
     # above the basin tolerance; the shooting still closes the shortest one.

@@ -121,6 +121,25 @@ INTEGRATE = ("integrate", "--metric", "liouville")
      "--epsilons", "inf"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
+    _assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # fixed-step RK4 would ask numpy for a negative sample count
+    ("rotation-field", "--metric", "flat", "--horizon", "-5"),
+    ("rotation-targets", "--metric", "flat", "--targets", "0.5",
+     "--horizon", "-5"),
+    ("entropy", "--metric", "flat", "--samples", "8", "--horizons=-6,-3",
+     "--epsilons", "1.25"),
+    # a negative rung would be counted and fitted into the headline slope
+    ("entropy", "--metric", "flat", "--samples", "8", "--horizons=-3,6",
+     "--epsilons", "1.25"),
+])
+def test_nonpositive_horizon_exits_2(capsys, argv):
+    _assert_input_error(capsys, argv)
+
+
+def _assert_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -29,6 +29,9 @@ def test_params_validation():
         EntropyParams(dt_probe=0.03, step_h=0.02)
     with pytest.raises(ValidationError):
         EntropyParams(horizons=(1.03, 2.0))
+    for horizons in ((-3.0, 6.0), (0.0, 6.0)):
+        with pytest.raises(ValidationError, match="positive"):
+            EntropyParams(horizons=horizons)
 
 
 def test_presets_are_valid():

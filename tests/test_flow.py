@@ -191,6 +191,13 @@ def test_integrate_rejects_nonfinite_horizon(flat, T):
         integrate(flat, unit_tangent(flat, (0.1, 0.2), 0.3), T)
 
 
+@pytest.mark.parametrize("T", [-5.0, -0.01, 0.0])
+def test_batch_rejects_nonpositive_horizon(flat, T):
+    with pytest.raises(ValidationError, match="horizon T must be positive"):
+        integrate_batch(flat, np.array([[0.1, 0.2, 1.0, 0.0]]), T, h=0.01,
+                        sample_dt=0.01)
+
+
 def test_sample_times_stay_inside_horizon(flat):
     # 3 * 0.1 rounds to 0.30000000000000004, past the horizon
     assert list(_sample_times(0.3, 0.1)) == [0.0, 0.1, 0.2, 0.3]
@@ -223,6 +230,44 @@ def test_batch_member_independent_of_batch(liouville):
     _, all4 = integrate_batch(liouville, states, 5.0, h=0.01, sample_dt=0.1)
     _, just1 = integrate_batch(liouville, states[2:3], 5.0, h=0.01, sample_dt=0.1)
     assert np.array_equal(all4[2], just1[0])
+
+
+def _stacked_rk4(spec, states, T, h, sample_dt):
+    """The (M, 4) RK4 loop with a stacked right-hand side and a fresh array per
+    stage, which integrate_batch's in-place row buffers replaced."""
+    def rhs(y):
+        x, yy, vx, vy = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+        ax, ay = geodesic_accel(spec, x, yy, vx, vy)
+        return np.stack([vx, vy, ax, ay], axis=1)
+
+    y = np.array(states, dtype=float)
+    nsteps = int(round(T / h))
+    sample_every = int(round(sample_dt / h))
+    samples = [y]
+    for n in range(1, nsteps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + (0.5 * h) * k1)
+        k3 = rhs(y + (0.5 * h) * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if n % sample_every == 0:
+            samples.append(y)
+    return np.stack(samples, axis=1)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+@pytest.mark.parametrize("M", [1, 5, 64])
+def test_batch_equals_stacked_reference(name, M):
+    spec = gallery(name)
+    rng = np.random.default_rng(M)
+    states = []
+    for x, y, ang in rng.uniform(-2.0, 2.0, size=(M, 3)):
+        v = unit_tangent(spec, (x, y), ang)
+        states.append([v.x, v.y, v.vx, v.vy])
+    _, got = integrate_batch(spec, states, 2.0, h=0.02, sample_dt=0.1)
+    want = _stacked_rk4(spec, states, 2.0, 0.02, 0.1)
+    # compared as integers, so a flipped sign of zero counts too
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_batch_matches_adaptive(liouville):

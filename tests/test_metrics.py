@@ -487,9 +487,15 @@ def test_fields_components_match_reference():
             assert np.abs([p[key + suffix] for p in points] - w).max() <= 1e-12
 
 
+def _bits(a):
+    # compared as integers, a flipped sign of zero counts too
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def test_fields_blocks_equal_one_point_calls(bump):
     # the bump's 71 terms make its blocks a few hundred points long
-    n = 2 * bump._series["g11"]._block_points + 37
+    b = bump._series["g11"]._block_points
+    n = 2 * b + 37
     rng = np.random.default_rng(12)
     x = rng.uniform(-3, 3, n)
     y = rng.uniform(-3, 3, n)
@@ -498,12 +504,59 @@ def test_fields_blocks_equal_one_point_calls(bump):
             whole = spec.fields(x, y, order=order)
             parts = [spec.fields(x[i:i + 1], y[i:i + 1], order=order) for i in range(n)]
             for key, val in whole.items():
-                assert np.array_equal(val, np.concatenate([p[key] for p in parts]))
+                assert np.array_equal(_bits(val), _bits([p[key][0] for p in parts]))
+    # batches that straddle the first and second block boundaries
+    whole = bump.fields(x, y, order=2)
+    for lo, hi in ((b - 5, b + 9), (1, 2 * b + 1), (b - 1, n)):
+        part = bump.fields(x[lo:hi], y[lo:hi], order=2)
+        for key, val in whole.items():
+            assert np.array_equal(_bits(val[lo:hi]), _bits(part[key]))
     ax, ay = geodesic_accel(bump, x, y, np.cos(x), np.sin(y))
     one = [geodesic_accel(bump, x[i:i + 1], y[i:i + 1], np.cos(x[i:i + 1]),
                           np.sin(y[i:i + 1])) for i in range(n)]
-    assert np.array_equal(ax, np.concatenate([a for a, _ in one]))
-    assert np.array_equal(ay, np.concatenate([b for _, b in one]))
+    assert np.array_equal(_bits(ax), _bits([a[0] for a, _ in one]))
+    assert np.array_equal(_bits(ay), _bits([c[0] for _, c in one]))
+
+
+def test_constant_series_equals_general_path(flat, monkeypatch):
+    # the flat metric's one series is constant, and eval skips its phases
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-3, 3, 50)
+    y = rng.uniform(-3, 3, 50)
+    vx, vy = rng.uniform(-2, 2, (2, 50))
+    series = flat._series["g11"]
+    assert series._const == 1.0
+    fast = [flat.fields(x, y, order=order) for order in (0, 1, 2)]
+    fast_accel = geodesic_accel(flat, x, y, vx, vy)
+    monkeypatch.setattr(series, "_const", None)
+    for order, f in enumerate(fast):
+        for key, val in flat.fields(x, y, order=order).items():
+            assert np.array_equal(_bits(f[key]), _bits(val))
+    for a, b in zip(fast_accel, geodesic_accel(flat, x, y, vx, vy)):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def _trailing_sum_eval(series, xr, yr, order):
+    """eval with the (rows, points, terms) product summed over its trailing
+    axis: the contraction the einsum replaced."""
+    return tuple((series._terms(xr, yr) * series._coef[order][:, None, :]).sum(axis=-1))
+
+
+@given(terms=st.lists(_term, min_size=1, max_size=40),
+       pts=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=20),
+       order=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_series_eval_matches_trailing_sum(terms, pts, order):
+    series = _Series(_canonical_terms(terms))
+    xr = np.array([p[0] for p in pts])
+    yr = np.array([p[1] for p in pts])
+    got = series.eval(xr, yr, order)
+    want = _trailing_sum_eval(series, xr, yr, order)
+    for a, b, row in zip(got, want, series._coef[order]):
+        # both sum the same products of magnitude at most |row|, in two
+        # orders; subnormal products may round once more
+        tol = 2 * len(row) * (np.finfo(float).eps * np.abs(row).sum() + _SUBNORMAL)
+        assert np.abs(a - b).max() <= tol
 
 
 def test_fields_skips_empty_g12(bump, monkeypatch):
