@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shortening as sh
+from .cover import intersection_census
 from .errors import NotConverged, ValidationError
 from .flow import integrate, unit_tangent
 from .metrics import CurvatureSurvey, curvature_survey, quadratic_form
@@ -427,7 +428,6 @@ class FlatnessReport:
 
 def flatness_test(spec, grid_n=256):
     """Decide flatness by curvature, and look for a dynamical witness."""
-    from .cover import intersection_census
     survey = curvature_survey(spec, grid_n)
 
     v0 = unit_tangent(spec, (0.173, 0.319), 0.437)

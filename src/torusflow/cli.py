@@ -3,9 +3,10 @@
 Every run echoes its resolved configuration and a sha256 of the options
 that change the numbers (output paths are echoed but not hashed), so a
 result file pins down exactly what produced it.  Reports go to stdout as
-JSON (or to --out); sampled series go to CSV files.  Exit codes: 0
-success, 1 a numerical procedure failed and a failure manifest was
-emitted, 2 bad usage.
+JSON (or to --out); sampled series go to CSV files, each headed by the
+same `# config_sha256=<digest>` line and then its column line.  Exit
+codes: 0 success, 1 a numerical procedure failed and a failure manifest
+was emitted, 2 bad usage or a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -79,9 +80,17 @@ def _emit(args, payload):
     return 0
 
 
-def _csv_header_comment(args):
+def _write_csv(args, path, columns, rows):
+    """Write rows under `# config_sha256=<digest>` and the column line.
+
+    Numbers get 17 significant digits, so they read back exactly.  An unset
+    path writes nothing.
+    """
+    if not path:
+        return
     _, digest = _config_echo(args)
-    return f"config_sha256={digest}"
+    np.savetxt(_resolve_out(path), rows, fmt="%.17g", delimiter=",",
+               comments="", header=f"# config_sha256={digest}\n{columns}")
 
 
 def _values(kind, count):
@@ -127,12 +136,13 @@ def cmd_gallery(args, spec):
 def cmd_integrate(args, spec):
     v0 = unit_tangent(spec, args.base, args.angle)
     traj = integrate(spec, v0, args.horizon, dt=args.dt)
-    if args.csv:
-        traj.to_csv(_resolve_out(args.csv))
+    s = traj.arclength(spec)
+    _write_csv(args, args.csv, "t,x,y,vx,vy,s",
+               np.column_stack([traj.t, traj.xy, traj.v, s]))
     return {
         "samples": len(traj),
         "final_point": [float(traj.xy[-1, 0]), float(traj.xy[-1, 1])],
-        "arclength": float(traj.s[-1]),
+        "arclength": float(s[-1]),
         "speed_drift": traj.speed_drift(spec),
         "csv": args.csv,
     }
@@ -142,15 +152,10 @@ def cmd_rotation_field(args, spec):
     angles = np.linspace(0.0, 2.0 * math.pi, args.n_angles, endpoint=False)
     ests = cover.direction_field(spec, args.base, angles, horizon=args.horizon,
                                  dt=args.dt, h=args.h)
-    if args.csv:
-        path = _resolve_out(args.csv)
-        rows = np.array([[a, e.rotation.projective_angle(),
-                          float("inf") if e.rotation.infinite else e.rotation.slope,
-                          e.tail_oscillation]
-                         for a, e in zip(angles, ests)])
-        np.savetxt(path, rows, delimiter=",", comments="",
-                   header=f"# {_csv_header_comment(args)}\n"
-                          "angle,projective_angle,slope,tail_oscillation")
+    _write_csv(args, args.csv, "angle,projective_angle,slope,tail_oscillation",
+               [[a, e.rotation.projective_angle(),
+                 float("inf") if e.rotation.infinite else e.rotation.slope,
+                 e.tail_oscillation] for a, e in zip(angles, ests)])
     return {
         "n_angles": args.n_angles,
         "max_projective_jump": cover.max_projective_jump(ests),
@@ -221,15 +226,10 @@ def cmd_csf(args, spec):
                                                 amplitude=args.amplitude)
     result = shortening.evolve(spec, curve, max_steps=args.max_steps,
                                snapshot_times=args.snapshots or ())
-    if args.records:
-        path = _resolve_out(args.records)
-        rows = np.array([[r.step, r.t, r.dt, r.length, r.max_curvature,
-                          r.shrink_rate, r.curvature_integral]
-                         for r in result.records])
-        np.savetxt(path, rows, delimiter=",", comments="",
-                   header=f"# {_csv_header_comment(args)}\n"
-                          "step,t,dt,length,max_curvature,shrink_rate,"
-                          "curvature_integral")
+    _write_csv(args, args.records,
+               "step,t,dt,length,max_curvature,shrink_rate,curvature_integral",
+               [[r.step, r.t, r.dt, r.length, r.max_curvature, r.shrink_rate,
+                 r.curvature_integral] for r in result.records])
     return {
         "verdict": result.verdict,
         "t_final": result.t_final,
@@ -288,8 +288,10 @@ def cmd_entropy(args, spec):
             n_samples=args.samples, horizons=args.horizons,
             epsilons=args.epsilons, dt_probe=args.dt_probe, seed=args.seed)
     est = entropy.estimate_entropy(spec, params)
-    if args.csv:
-        est.write_csv(_resolve_out(args.csv))
+    _write_csv(args, args.csv, "horizon,epsilon,count",
+               [[T, e, est.counts[i][j]]
+                for i, T in enumerate(params.horizons)
+                for j, e in enumerate(params.epsilons)])
     return {
         "headline": est.headline,
         "headline_epsilon": est.headline_epsilon,
@@ -432,18 +434,19 @@ def main(argv=None):
     try:
         spec = resolve_metric(args.metric) if "metric" in args else None
         payload = args.func(args, spec)
-    except ValidationError as exc:
+        if payload is None:
+            return 0
+        if spec is not None:
+            payload["metric"] = spec.name
+        return _emit(args, payload)
+    except (ValidationError, OSError) as exc:
+        # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TorusflowError as exc:
         print(_dumps(_manifest(args, {"failure": type(exc).__name__,
                                       "message": str(exc)})))
         return 1
-    if payload is None:
-        return 0
-    if spec is not None:
-        payload["metric"] = spec.name
-    return _emit(args, payload)
 
 
 if __name__ == "__main__":

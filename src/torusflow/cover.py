@@ -25,6 +25,7 @@ from . import segments as sg
 from .errors import (AxesNotDisjoint, NotEscaping, PrimitiveRequired,
                      ValidationError)
 from .flow import integrate_rays, unit_tangent
+from .metrics import circle_distance
 
 IntersectionEvent = sg.IntersectionEvent
 
@@ -94,16 +95,6 @@ def half_lattice(rx, ry):
             if m > 0 or n > 0]
 
 
-def circle_distance(a, b, period):
-    """Distance |a - b| on a circle of the given period, in the dtype of a - b.
-
-    The period is cast to that dtype first, so float32 operands stay in
-    float32 arithmetic.
-    """
-    d = np.abs(a - b)
-    return np.minimum(d, d.dtype.type(period) - d, out=d)
-
-
 def primitive_classes(radius):
     """Sign-normalised primitive vectors with sup-norm at most `radius`."""
     return [DeckTransform(m, n) for m, n in half_lattice(radius, radius)
@@ -113,7 +104,7 @@ def primitive_classes(radius):
 # ---------------------------------------------------------------------------
 # intersections of lifts
 
-def self_intersections(traj, t_sep=sg.SELF_T_SEP, refine=True):
+def self_intersections(traj, t_sep=sg.SELF_T_SEP):
     """Transversal self-crossings of one lifted geodesic.
 
     Returns (events, tangential); events are sorted by parameter and each
@@ -121,16 +112,15 @@ def self_intersections(traj, t_sep=sg.SELF_T_SEP, refine=True):
     distinct strands and are excluded.
     """
     return sg.crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v, traj.v,
-                        same_curve=True, t_sep=t_sep, refine=refine)
+                        same_curve=True, t_sep=t_sep)
 
 
-def translate_intersections(traj, tau, refine=True):
+def translate_intersections(traj, tau):
     """Transversal crossings between a lift and its deck translate tau(lift)."""
     if tau.is_identity:
         raise ValidationError("translate_intersections needs a nonzero translation")
     shifted = tau.apply_array(traj.xy)
-    return sg.crossings(traj.xy, traj.t, shifted, traj.t, traj.v, traj.v,
-                        refine=refine)
+    return sg.crossings(traj.xy, traj.t, shifted, traj.t, traj.v, traj.v)
 
 
 def torus_self_crossings(traj):
@@ -218,8 +208,7 @@ def intersection_census(traj, class_radius, horizons):
     powers = [k for k in range(-class_radius, class_radius + 1) if k != 0]
     etas = [rep.power(k) for rep in reps for k in powers]
     found = iter(sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
-                                       [(eta.m, eta.n) for eta in etas],
-                                       refine=False))
+                                       [(eta.m, eta.n) for eta in etas]))
     classes = {}
     for rep in reps:
         counts = {}
@@ -454,7 +443,7 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
 
     ev, tang = sg.crossings(tiled, np.arange(len(tiled), dtype=float),
                             eta.apply_array(tiled),
-                            np.arange(len(tiled), dtype=float), refine=False)
+                            np.arange(len(tiled), dtype=float))
     if ev or tang:
         raise AxesNotDisjoint(
             f"translate {eta} of the axis meets the axis ({len(ev)} crossings)")
@@ -474,16 +463,16 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
     for label, c in (("c1", c1), ("c2", c2)):
         ixy, it = interior(c)
         iev, _ = sg.crossings(ixy, it, tiled,
-                              np.arange(len(tiled), dtype=float), refine=False)
+                              np.arange(len(tiled), dtype=float))
         if iev:
             return AnchoredCrossingResult(
                 found=False, reason=f"interior of {label} meets the axis",
                 diagnostics={"interior_events": len(iev)})
 
     ev_plus, _ = sg.crossings(c1.xy, c1.t, eta.apply_array(tiled),
-                              np.arange(len(tiled), dtype=float), refine=False)
+                              np.arange(len(tiled), dtype=float))
     ev_minus, _ = sg.crossings(c2.xy, c2.t, eta.inverse().apply_array(tiled),
-                               np.arange(len(tiled), dtype=float), refine=False)
+                               np.arange(len(tiled), dtype=float))
     if not ev_plus or not ev_minus:
         return AnchoredCrossingResult(
             found=False,

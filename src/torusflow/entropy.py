@@ -40,16 +40,14 @@ is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cover import circle_distance
 from .errors import ValidationError
 from .flow import integrate_batch
-from .metrics import quadratic_form
+from .metrics import circle_distance, quadratic_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -306,14 +304,6 @@ class EntropyEstimate:
     sample_limited: bool
     saturated: list
     diagnostics: dict = field(default_factory=dict)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["horizon", "epsilon", "count"])
-            for i, T in enumerate(self.params.horizons):
-                for j, e in enumerate(self.params.epsilons):
-                    w.writerow([T, e, self.counts[i][j]])
 
 
 def _slope_of_counts(horizons, counts):

@@ -14,8 +14,7 @@ sample.  Its right-hand side evaluates the metric point by point
 geodesics simultaneously with a fixed-step classical RK4; each trajectory
 in the batch is computed by arithmetic that does not depend on the rest of
 the batch, which the entropy sampler relies on for reproducibility.
-`integrate_rays` wraps each batch member as a Trajectory with its
-arclength.
+`integrate_rays` wraps each batch member as a Trajectory.
 
 Unit speed is an invariant of the continuous flow, so the g-norm of the
 velocity is monitored as an accuracy certificate and never renormalized.
@@ -77,24 +76,19 @@ def _check_unit(spec, v0):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled geodesic on the cover.
+    """Uniformly sampled geodesic on the cover; speeds and arclength are
+    computed from the samples on demand, given the metric.
 
     Attributes
     ----------
     t : (N,) times (equal to arclength up to the reported speed drift)
     xy : (N, 2) cover positions
     v : (N, 2) velocities
-    s : (N,) Riemannian arclength accumulated by trapezoid rule on speeds
     """
 
-    spec_name: str
     t: np.ndarray
     xy: np.ndarray
     v: np.ndarray
-    s: np.ndarray
-    rtol: float
-    atol: float
-    method: str = "dop853"
 
     def __len__(self):
         return len(self.t)
@@ -114,13 +108,11 @@ class Trajectory:
         """Max deviation of the g-speed from 1 over all samples."""
         return float(np.abs(self.speeds(spec) - 1.0).max())
 
-    def to_csv(self, path):
-        header = (f"# metric={self.spec_name} method={self.method} "
-                  f"rtol={self.rtol:g} atol={self.atol:g}\n"
-                  "t,x,y,vx,vy,s")
-        data = np.column_stack([self.t, self.xy, self.v, self.s])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
+    def arclength(self, spec):
+        """(N,) Riemannian arclength: trapezoid rule on the sampled speeds."""
+        sp = self.speeds(spec)
+        ds = 0.5 * (sp[1:] + sp[:-1]) * np.diff(self.t)
+        return np.concatenate([np.zeros(1), np.cumsum(ds)])
 
 
 def _sample_times(T, dt):
@@ -130,16 +122,6 @@ def _sample_times(T, dt):
     if ts[-1] < T - 1e-12 * max(1.0, T):
         ts = np.append(ts, T)
     return ts
-
-
-def _arclength(spec, xy, v, t):
-    """Trapezoid arclength along the sample axis of (..., N, 2) arrays."""
-    # views, not copies, and no fields() dict kept: whole fans come through here
-    p, w = xy.reshape(-1, 2), v.reshape(-1, 2)
-    sp = quadratic_form(spec.fields(p[:, 0], p[:, 1], order=0), w[:, 0], w[:, 1])
-    sp = np.sqrt(sp, out=sp).reshape(xy.shape[:-1])
-    ds = 0.5 * (sp[..., 1:] + sp[..., :-1]) * np.diff(t)
-    return np.concatenate([np.zeros(sp.shape[:-1] + (1,)), np.cumsum(ds, axis=-1)], axis=-1)
 
 
 def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -170,9 +152,7 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     # a complex array viewed as floats is its (real, imag) pairs
     xy = np.array(zs).view(float).reshape(-1, 2)
     v = np.array(ws).view(float).reshape(-1, 2)
-    s = _arclength(spec, xy, v, ts)
-    return Trajectory(spec_name=spec.name, t=ts, xy=xy, v=v, s=s,
-                      rtol=rtol, atol=atol, method="dop853")
+    return Trajectory(t=ts, xy=xy, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +374,8 @@ def integrate_rays(spec, tangents, T, dt, h=None):
         h = dt / 2.0
     states = np.array([[v.x, v.y, v.vx, v.vy] for v in tangents])
     times, samples = integrate_batch(spec, states, T, h=h, sample_dt=dt)
-    # one fields() call for every ray; its values do not depend on the batch
-    s = _arclength(spec, samples[..., 0:2], samples[..., 2:4], times)
-    out = []
-    for i in range(states.shape[0]):
-        xy = np.ascontiguousarray(samples[i, :, 0:2])
-        v = np.ascontiguousarray(samples[i, :, 2:4])
-        out.append(Trajectory(spec_name=spec.name, t=times.copy(), xy=xy, v=v,
-                              s=s[i], rtol=float("nan"), atol=float("nan"),
-                              method=f"rk4-batch-h{h:g}"))
-    return out
+    return [Trajectory(t=times.copy(),
+                       xy=np.ascontiguousarray(samples[i, :, 0:2]),
+                       v=np.ascontiguousarray(samples[i, :, 2:4]))
+            for i in range(states.shape[0])]
 

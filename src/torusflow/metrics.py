@@ -9,7 +9,8 @@ with integer mode numbers (mx, my).  Everything downstream (geodesic flow,
 curve shortening, length oracles, entropy sampling) consumes metrics through
 this representation: derivatives of any order are available in closed form
 and periodicity under integer translations is exact because coordinates are
-reduced modulo 1 before any phase is formed.
+reduced modulo 1 before any phase is formed; `circle_distance` is the
+matching distance on a circle of any period.
 
 Evaluation forms X = e^{2 pi i x} and Y = e^{2 pi i y} once per point and
 builds each axis's mode powers by repeated multiplication (negative modes
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import mul
@@ -74,6 +76,16 @@ _BLOCK_TERMS = 1 << 12
 # _Series.eval's output order
 _KEYS = tuple(tuple(tuple(c + d for d in ("", "x", "y", "xx", "xy", "yy")[:n])
                     for c in "EFG") for n in (1, 3, 6))
+
+
+def circle_distance(a, b, period):
+    """Distance |a - b| on a circle of the given period, in the dtype of a - b.
+
+    The period is cast to that dtype first, so float32 operands stay in
+    float32 arithmetic.
+    """
+    d = np.abs(a - b)
+    return np.minimum(d, d.dtype.type(period) - d, out=d)
 
 
 def _canonical_terms(terms):
@@ -613,7 +625,6 @@ def resolve_metric(ref):
     """Gallery name or file path -> MetricSpec (convenience for the CLI)."""
     if ref in _GALLERY:
         return gallery(ref)
-    import os
     if os.path.exists(ref):
         return load_metric(ref)
     raise ValidationError(f"metric {ref!r} is neither a gallery name nor a file")

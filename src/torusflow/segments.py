@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import circle_distance
+
 THETA_MIN = 1e-4    # |sin| threshold separating transversal from tangential
 SELF_T_SEP = 0.1    # parameter separation excluding trivial self-overlap
 
@@ -180,7 +182,7 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0):
 
 
 def crossings(xyA, tA, xyB, tB, vA=None, vB=None, same_curve=False,
-              t_sep=SELF_T_SEP, cyclic_span=None, refine=True):
+              t_sep=SELF_T_SEP, cyclic_span=None):
     """All transversal crossings between two polylines: (events, tangential).
 
     The single-shift case of `crossings_by_shift`, which documents the
@@ -188,24 +190,23 @@ def crossings(xyA, tA, xyB, tB, vA=None, vB=None, same_curve=False,
     """
     return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB,
                               same_curve=same_curve, t_sep=t_sep,
-                              cyclic_span=cyclic_span, refine=refine)[0]
+                              cyclic_span=cyclic_span)[0]
 
 
 def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
-                       same_curve=False, t_sep=SELF_T_SEP, cyclic_span=None,
-                       refine=True):
+                       same_curve=False, t_sep=SELF_T_SEP, cyclic_span=None):
     """Crossings of polyline A with each translate B + shift, A hashed once.
 
     Parameters
     ----------
     xyA, xyB : (N, 2) node positions; tA, tB: (N,) node parameters
     shifts : sequence of (dx, dy) translations of B, deck shifts in practice
-    vA, vB : optional node velocities enabling Hermite refinement
+    vA, vB : optional node velocities; when both are given every crossing
+        is polished on the local cubic Hermite model
     same_curve : self-intersection mode (B is A, zero shift); skips adjacent
         segments and pairs with parameter separation below t_sep
     cyclic_span : period of the parameter for closed curves; the t_sep
         filter then uses cyclic parameter distance
-    refine : polish on the local cubic model when velocities are available
 
     Returns
     -------
@@ -228,7 +229,7 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
         ~((loB + shifts > hiA) | (hiB + shifts < loA)).any(axis=1))
     if len(live) == 0:
         return out
-    if not refine or vA is None or vB is None:
+    if vA is None or vB is None:
         vA = vB = None
     lensA = np.hypot(*(xyA[1:] - xyA[:-1]).T)
     lensB = np.hypot(*(xyB[1:] - xyB[:-1]).T)
@@ -282,8 +283,6 @@ def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, theta_min, same_curve, t_sep,
     margin = np.abs(cross) / (np.hypot(*tanA.T) * np.hypot(*tanB.T))
 
     if same_curve:
-        # cover imports this module, so its circle distance is imported here
-        from .cover import circle_distance
         gap = (np.abs(t1 - t2) if cyclic_span is None
                else circle_distance(t1, t2, cyclic_span))
         keep = gap > t_sep

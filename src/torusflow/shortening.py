@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dgtsv
 from . import segments as sg
 from .cover import half_lattice
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
-from .metrics import accel_from_fields, quadratic_form
+from .metrics import accel_from_fields, gauss_curvature_batch, quadratic_form
 
 
 @dataclass
@@ -310,7 +310,6 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     snapshot_times: the step lands exactly on each requested time and the
     curve is copied into result.snapshots as (t, ClosedCurve).
     """
-    from .metrics import gauss_curvature_batch
     nodes = curve.nodes.copy()
     deck = curve.deck
     d = np.asarray(deck, dtype=float)

@@ -37,9 +37,7 @@ LAUNCH_ANGLE = 0.437
 
 def _truncate(traj, horizon):
     m = int(np.searchsorted(traj.t, horizon + 1e-12))
-    return Trajectory(spec_name=traj.spec_name, t=traj.t[:m], xy=traj.xy[:m],
-                      v=traj.v[:m], s=traj.s[:m], rtol=traj.rtol,
-                      atol=traj.atol, method=traj.method)
+    return Trajectory(t=traj.t[:m], xy=traj.xy[:m], v=traj.v[:m])
 
 
 @pytest.fixture(scope="session")

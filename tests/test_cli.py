@@ -44,29 +44,70 @@ def test_gallery_describe(capsys):
     assert abs(payload["total_curvature"]) < 1e-6
 
 
-def test_integrate_csv(capsys, tmp_path):
-    csv_path = tmp_path / "traj.csv"
-    code, out, _ = run(capsys, "integrate", "--metric", "flat", "--angle", "0.5",
-                       "--horizon", "2.0", "--csv", str(csv_path))
-    assert code == 0
-    payload = loads(out)
-    assert payload["config"]["horizon"] == 2.0
-    header = csv_path.read_text().splitlines()
-    assert header[0].startswith("# metric=flat")
-    assert header[1] == "t,x,y,vx,vy,s"
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=2)
-    assert data.shape[1] == 6
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
-def test_rotation_field_csv_carries_config_hash(capsys, tmp_path):
-    csv_path = tmp_path / "field.csv"
-    code, out, _ = run(capsys, "rotation-field", "--metric", "flat",
-                       "--n-angles", "4", "--horizon", "20.0", "--dt", "0.5",
-                       "--csv", str(csv_path))
+def _integrate_rows(payload, rows):
+    spec = metrics.gallery("liouville")
+    traj = flow.integrate(spec, flow.unit_tangent(spec, (0.0, 0.0), 0.5), 2.0,
+                          dt=0.25)
+    s = traj.arclength(spec)
+    want = np.column_stack([traj.t, traj.xy, traj.v, s])
+    assert np.array_equal(_bits(rows), _bits(want))
+    assert payload["arclength"] == rows[-1, 5]
+
+
+def _rotation_field_rows(payload, rows):
+    angles = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    assert np.array_equal(_bits(rows[:, 0]), _bits(angles))
+
+
+def _csf_rows(payload, rows):
+    assert np.array_equal(rows[:, 0], np.arange(1, payload["steps"] + 1))
+    assert rows[-1, [1, 3, 4]].tolist() == [
+        payload["t_final"], payload["length"], payload["max_curvature"]]
+
+
+def _entropy_rows(payload, rows):
+    grid = [[T, e] for T in (2.0, 4.0) for e in (1.25, 1.0)]
+    assert rows[:, :2].tolist() == grid
+    assert rows[:, 2].reshape(2, 2).tolist() == payload["counts"]
+
+
+# every CSV file the CLI writes: command line, path flag, column line, and a
+# check of the rows against the manifest or a direct call
+CSV_FILES = {
+    "integrate": (("integrate", "--metric", "liouville", "--angle", "0.5",
+                   "--horizon", "2.0", "--dt", "0.25"), "--csv",
+                  "t,x,y,vx,vy,s", _integrate_rows),
+    "rotation-field": (("rotation-field", "--metric", "flat", "--n-angles",
+                        "4", "--horizon", "20.0", "--dt", "0.5"), "--csv",
+                       "angle,projective_angle,slope,tail_oscillation",
+                       _rotation_field_rows),
+    "csf": (("csf", "--metric", "flat", "--circle", "0.5,0.5,0.15", "--n",
+             "64", "--max-steps", "30"), "--records",
+            "step,t,dt,length,max_curvature,shrink_rate,curvature_integral",
+            _csf_rows),
+    "entropy": (("entropy", "--metric", "flat", "--samples", "32",
+                 "--horizons", "2,4", "--epsilons", "1.25,1.0"), "--csv",
+                "horizon,epsilon,count", _entropy_rows),
+}
+
+
+@pytest.mark.parametrize("command", CSV_FILES)
+def test_csv_file(capsys, tmp_path, command):
+    argv, flag, columns, check = CSV_FILES[command]
+    path = tmp_path / "out.csv"
+    code, out, _ = run(capsys, *argv, flag, str(path))
     assert code == 0
     payload = loads(out)
-    header = csv_path.read_text().splitlines()[0]
-    assert payload["config_sha256"] in header
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# config_sha256={payload['config_sha256']}"
+    assert lines[1] == columns
+    rows = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    assert rows.shape == (len(lines) - 2, len(columns.split(",")))
+    check(payload, rows)
 
 
 def test_unknown_metric_exits_2(capsys):
@@ -128,6 +169,15 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     # a negative rung would be counted and fitted into the headline slope
     ("entropy", "--metric", "flat", "--samples", "8", "--horizons=-3,6",
      "--epsilons", "1.25"),
+    # a path that cannot be written or read is an input error, not a failure
+    # manifest
+    ("integrate", "--metric", "flat", "--angle", "0.5", "--horizon", "1",
+     "--csv", "/nonexistent/x.csv"),
+    ("gallery", "--out", "/nonexistent/x.json"),
+    ("entropy", "--metric", "flat", "--samples", "8", "--horizons", "2,4",
+     "--epsilons", "1.25", "--csv", "/nonexistent/c.csv"),
+    ("gallery", "--save", "flat", "/nonexistent/flat.metric"),
+    ("integrate", "--metric", ".", "--angle", "0.5", "--horizon", "1"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import cover
+from torusflow import segments as sg
 from torusflow.cover import (DeckTransform, RotationNumber,
                              asymptotic_direction, detect_anchored_crossing_pair,
                              detect_double_loop, direction_antisymmetry,
@@ -23,8 +24,7 @@ def synth(xy, dt=1.0):
     xy = np.asarray(xy, dtype=float)
     t = np.arange(len(xy)) * dt
     v = np.gradient(xy, dt, axis=0)
-    return Trajectory(spec_name="synthetic", t=t, xy=xy, v=v, s=t.copy(),
-                      rtol=0.0, atol=0.0, method="synthetic")
+    return Trajectory(t=t, xy=xy, v=v)
 
 
 def spiral(turns=6.0, n=1200, pitch=0.55):
@@ -103,11 +103,17 @@ def test_half_lattice_lists_one_of_each_pair(rx, ry):
 
 def test_self_intersections_simple_cross():
     traj = synth([(0, 0), (1, 1), (1, 0), (0, 1)])
-    events, tangential = self_intersections(traj, t_sep=0.5, refine=False)
+    # without velocities the polyline solve is reported as is
+    events, tangential = sg.crossings(traj.xy, traj.t, traj.xy, traj.t,
+                                      same_curve=True, t_sep=0.5)
     assert len(events) == 1 and not tangential
     ev = events[0]
     assert (ev.x, ev.y) == pytest.approx((0.5, 0.5), abs=1e-12)
     assert ev.t1 < ev.t2
+    # self_intersections polishes the same crossing on the Hermite arcs
+    polished, tangential = self_intersections(traj, t_sep=0.5)
+    assert len(polished) == 1 and not tangential
+    assert polished[0].t1 < polished[0].t2
 
 
 def test_translate_intersections_equivariance():

@@ -167,16 +167,11 @@ def test_estimate_entropy_saturation_flags(flat):
     assert res.sample_limited
 
 
-def test_estimate_json_and_csv(flat, tmp_path):
+def test_estimate_json(flat):
     res = estimate_entropy(flat, TINY)
     obj = json.loads(json.dumps(res, default=_jsonable))
     assert obj["metric"] == "flat"
     assert obj["counts"] == res.counts
-    out = tmp_path / "table.csv"
-    res.write_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "horizon,epsilon,count"
-    assert len(lines) == 1 + 4 * 2
 
 
 def test_estimate_entropy_rejects_short_windows(flat):

@@ -11,10 +11,11 @@ from test_metrics import SHEARED
 
 from torusflow import dop853_tables, flow
 from torusflow.errors import StepFailure, ValidationError
-from torusflow.flow import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory, _arclength,
+from torusflow.flow import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory,
                             _sample_times, integrate, integrate_batch,
                             integrate_rays, unit_tangent)
-from torusflow.metrics import gallery, gallery_names, geodesic_accel
+from torusflow.metrics import (gallery, gallery_names, geodesic_accel,
+                               quadratic_form)
 
 
 def test_unit_tangent_angle_and_direction_agree(liouville):
@@ -53,7 +54,7 @@ def test_arclength_equals_time(liouville):
     v = unit_tangent(liouville, (0.7, 0.1), 0.2)
     traj = integrate(liouville, v, 30.0, dt=0.05)
     # unit-speed parameterisation: arclength tracks time
-    assert abs(traj.s[-1] - traj.t[-1]) < 1e-6
+    assert abs(traj.arclength(liouville)[-1] - traj.t[-1]) < 1e-6
 
 
 def test_short_horizon_reversal(liouville):
@@ -292,14 +293,32 @@ def test_batch_sampling_grid(flat):
                         sample_dt=0.013)   # not a multiple of h
 
 
-@pytest.mark.parametrize("name", ["liouville", "two-frequency"])
-def test_integrate_rays_arclength_equals_per_ray(name):
-    # integrate_rays takes every ray's arclength from one fields() call
+def _arclength_reference(spec, xy, v, t):
+    """Trapezoid arclength along the sample axis of (..., N, 2) arrays: the
+    eager arclength every Trajectory used to carry, which integrate_rays
+    took for a whole fan from one fields() call."""
+    p, w = xy.reshape(-1, 2), v.reshape(-1, 2)
+    sp = quadratic_form(spec.fields(p[:, 0], p[:, 1], order=0), w[:, 0], w[:, 1])
+    sp = np.sqrt(sp, out=sp).reshape(xy.shape[:-1])
+    ds = 0.5 * (sp[..., 1:] + sp[..., :-1]) * np.diff(t)
+    return np.concatenate([np.zeros(sp.shape[:-1] + (1,)), np.cumsum(ds, axis=-1)], axis=-1)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_arclength_matches_reference(name):
     spec = gallery(name)
-    vs = [unit_tangent(spec, (0.2, 0.6), a) for a in (0.3, 1.9, 4.4)]
-    for ray in integrate_rays(spec, vs, 4.0, dt=0.1):
-        assert np.array_equal(ray.s, _arclength(spec, ray.xy, ray.v, ray.t))
-        assert ray.s.shape == ray.t.shape and ray.s[0] == 0.0
+    ray = integrate(spec, unit_tangent(spec, (0.2, 0.6), 0.3), 4.0, dt=0.05)
+    fan = integrate_rays(spec, [unit_tangent(spec, (0.2, 0.6), a)
+                                for a in (0.3, 1.9, 4.4)], 4.0, dt=0.1)
+    want = _arclength_reference(spec, ray.xy, ray.v, ray.t)
+    got = ray.arclength(spec)
+    assert got.shape == ray.t.shape and got[0] == 0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the reference on the whole fan at once, as integrate_rays once did
+    want = _arclength_reference(spec, np.stack([r.xy for r in fan]),
+                                np.stack([r.v for r in fan]), fan[0].t)
+    got = np.stack([r.arclength(spec) for r in fan])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_integrate_rays_shapes(flat):
@@ -308,13 +327,3 @@ def test_integrate_rays_shapes(flat):
     assert len(trajs) == 2
     assert all(isinstance(t, Trajectory) for t in trajs)
     assert trajs[1].xy.shape == trajs[0].xy.shape
-
-
-def test_trajectory_csv(tmp_path, flat):
-    v = unit_tangent(flat, (0, 0), 0.3)
-    traj = integrate(flat, v, 1.0, dt=0.25)
-    path = tmp_path / "ray.csv"
-    traj.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=2)
-    assert data.shape == (len(traj), 6)
-    assert np.allclose(data[:, 1:3], traj.xy)

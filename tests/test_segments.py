@@ -31,7 +31,7 @@ def _fields(events):
 
 
 def brute_force(xyA, tA, xyB, tB, shift, vA=None, vB=None, same_curve=False,
-                t_sep=sg.SELF_T_SEP, cyclic_span=None, refine=True):
+                t_sep=sg.SELF_T_SEP, cyclic_span=None):
     """Every segment pair of A and B + shift through the exact solve."""
     xyA = np.asarray(xyA, dtype=float)
     xyB = np.asarray(xyB, dtype=float) + np.asarray(shift, dtype=float)
@@ -41,8 +41,6 @@ def brute_force(xyA, tA, xyB, tB, shift, vA=None, vB=None, same_curve=False,
     if same_curve:
         keep = iA < iB - 1
         iA, iB = iA[keep], iB[keep]
-    if not refine:
-        vA = vB = None
     return sg._events(xyA, np.asarray(tA, float), vA, xyB,
                       np.asarray(tB, float), vB, iA, iB, sg.THETA_MIN,
                       same_curve, t_sep, cyclic_span)
@@ -96,13 +94,14 @@ def test_engine_matches_brute_force(A, B, shifts, refine, seed):
     rng = np.random.default_rng(seed)
     tA = np.arange(len(A), dtype=float)
     tB = 0.5 * np.arange(len(B), dtype=float)
-    vA = A + rng.normal(size=A.shape)
-    vB = B + rng.normal(size=B.shape)
-    got = sg.crossings_by_shift(A, tA, B, tB, shifts, vA, vB, refine=refine)
+    # velocities switch on the Hermite polish; without them the polyline
+    # solve is reported as is
+    vA = A + rng.normal(size=A.shape) if refine else None
+    vB = B + rng.normal(size=B.shape) if refine else None
+    got = sg.crossings_by_shift(A, tA, B, tB, shifts, vA, vB)
     assert len(got) == len(shifts)
     for shift, res in zip(shifts, got):
-        assert_same(res, brute_force(A, tA, B, tB, shift, vA, vB,
-                                     refine=refine))
+        assert_same(res, brute_force(A, tA, B, tB, shift, vA, vB))
 
 
 @given(A=polylines(max_nodes=40), cyclic=st.booleans(),
@@ -197,8 +196,9 @@ def census_reference(traj, class_radius, horizons):
         for k in range(-class_radius, class_radius + 1):
             if k == 0:
                 continue
-            events, _ = translate_intersections(traj, rep.power(k),
-                                                refine=False)
+            # the census counts polyline crossings: no velocities, no polish
+            events, _ = sg.crossings(traj.xy, traj.t,
+                                     rep.power(k).apply_array(traj.xy), traj.t)
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
         classes[rep.class_key()] = ClassCensus(
@@ -208,10 +208,10 @@ def census_reference(traj, class_radius, horizons):
                               classes=classes)
 
 
-def torus_self_crossings_reference(traj, class_radius=2, refine=True):
+def torus_self_crossings_reference(traj, class_radius=2):
     out = []
     ident = DeckTransform(0, 0)
-    events, _ = self_intersections(traj, refine=refine)
+    events, _ = self_intersections(traj)
     out.extend((ev, ident) for ev in events)
     r = int(class_radius)
     for m in range(0, r + 1):
@@ -219,7 +219,7 @@ def torus_self_crossings_reference(traj, class_radius=2, refine=True):
             if m == 0 and n <= 0:
                 continue
             tau = DeckTransform(m, n)
-            events, _ = translate_intersections(traj, tau, refine=refine)
+            events, _ = translate_intersections(traj, tau)
             for ev in events:
                 if ev.t1 > ev.t2:
                     ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,

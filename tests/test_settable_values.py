@@ -12,7 +12,7 @@ import torusflow
 
 # defaulted parameters over every def: positional defaults plus keyword-only
 # defaults other than None
-DEFAULTED_PARAMETER_BUDGET = 42
+DEFAULTED_PARAMETER_BUDGET = 38
 
 
 def _defs():
