@@ -95,6 +95,20 @@ CSV_FILES = {
 }
 
 
+def test_integrate_csv(capsys, tmp_path):
+    csv_path = tmp_path / "traj.csv"
+    code, out, _ = run(capsys, "integrate", "--metric", "flat", "--angle", "0.5",
+                       "--horizon", "2.0", "--csv", str(csv_path))
+    assert code == 0
+    payload = loads(out)
+    assert payload["config"]["horizon"] == 2.0
+    header = csv_path.read_text().splitlines()
+    assert header[0] == f"# config_sha256={payload['config_sha256']}"
+    assert header[1] == "t,x,y,vx,vy,s"
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=2)
+    assert data.shape == (payload["samples"], 6)
+
+
 @pytest.mark.parametrize("command", CSV_FILES)
 def test_csv_file(capsys, tmp_path, command):
     argv, flag, columns, check = CSV_FILES[command]

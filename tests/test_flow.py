@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_tables
 from test_metrics import SHEARED
 
-from torusflow import dop853_tables, flow
+from torusflow import cli, dop853_tables, flow
 from torusflow.errors import StepFailure, ValidationError
 from torusflow.flow import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory,
                             _sample_times, integrate, integrate_batch,
@@ -319,6 +319,19 @@ def test_arclength_matches_reference(name):
                                 np.stack([r.v for r in fan]), fan[0].t)
     got = np.stack([r.arclength(spec) for r in fan])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_trajectory_csv(capsys, tmp_path, flat):
+    # a trajectory reaches a CSV file through the integrate command
+    v = unit_tangent(flat, (0, 0), 0.3)
+    traj = integrate(flat, v, 1.0, dt=0.25)
+    path = tmp_path / "ray.csv"
+    assert cli.main(["integrate", "--metric", "flat", "--angle", "0.3",
+                     "--horizon", "1.0", "--dt", "0.25", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert data.shape == (len(traj), 6)
+    assert np.allclose(data[:, 1:3], traj.xy)
 
 
 def test_integrate_rays_shapes(flat):
