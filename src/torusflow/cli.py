@@ -22,7 +22,7 @@ import numpy as np
 
 from . import axes, cover, entropy, shortening
 from .errors import TorusflowError, ValidationError
-from .flow import integrate, unit_tangent
+from .flow import arclength_of, integrate, speed_drift_of, unit_tangent
 from .metrics import (curvature_survey, gallery_names, resolve_metric,
                       save_metric)
 
@@ -136,14 +136,15 @@ def cmd_gallery(args, spec):
 def cmd_integrate(args, spec):
     v0 = unit_tangent(spec, args.base, args.angle)
     traj = integrate(spec, v0, args.horizon, dt=args.dt)
-    s = traj.arclength(spec)
+    speeds = traj.speeds(spec)
+    s = arclength_of(traj.t, speeds)
     _write_csv(args, args.csv, "t,x,y,vx,vy,s",
                np.column_stack([traj.t, traj.xy, traj.v, s]))
     return {
         "samples": len(traj),
         "final_point": [float(traj.xy[-1, 0]), float(traj.xy[-1, 1])],
         "arclength": float(s[-1]),
-        "speed_drift": traj.speed_drift(spec),
+        "speed_drift": speed_drift_of(speeds),
         "csv": args.csv,
     }
 
@@ -375,7 +376,8 @@ def build_parser():
     p.add_argument("--class-radius", type=int, default=3)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--witness", action="store_true",
-                   help="also look for a double-loop configuration")
+                   help="also look for a double loop (loop classes of "
+                        f"sup-norm <= {cover._TORUS_CLASS_RADIUS} only)")
 
     p = add("strip", cmd_strip, "bounding slab of one lifted ray", metric, base)
     p.add_argument("--angle", type=float, required=True)

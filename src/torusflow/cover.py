@@ -46,9 +46,6 @@ class DeckTransform:
     m: int
     n: int
 
-    def apply_array(self, xy):
-        return np.asarray(xy, dtype=float) + np.array([self.m, self.n], dtype=float)
-
     def inverse(self):
         return DeckTransform(-self.m, -self.n)
 
@@ -95,6 +92,18 @@ def half_lattice(rx, ry):
             if m > 0 or n > 0]
 
 
+def box_shifts(xyA, xyB):
+    """Integer shifts s, in lexicographic order, whose box(B) + s may meet
+    box(A), rounded outwards (the crossing engine's box test drops the rest).
+
+    For B = A, the s >= (0, 0) are the zero shift and one of each pair +-s.
+    """
+    lo = np.floor(xyA.min(axis=0) - xyB.max(axis=0)).astype(int)
+    hi = np.ceil(xyA.max(axis=0) - xyB.min(axis=0)).astype(int)
+    return [(m, n) for m in range(lo[0], hi[0] + 1)
+            for n in range(lo[1], hi[1] + 1)]
+
+
 def primitive_classes(radius):
     """Sign-normalised primitive vectors with sup-norm at most `radius`."""
     return [DeckTransform(m, n) for m, n in half_lattice(radius, radius)
@@ -104,41 +113,40 @@ def primitive_classes(radius):
 # ---------------------------------------------------------------------------
 # intersections of lifts
 
-def self_intersections(traj, t_sep=sg.SELF_T_SEP):
+def self_intersections(traj):
     """Transversal self-crossings of one lifted geodesic.
 
     Returns (events, tangential); events are sorted by parameter and each
-    has t1 < t2.  Pairs closer than t_sep in parameter are not crossings of
-    distinct strands and are excluded.
+    has t1 < t2.  Pairs closer than segments.SELF_T_SEP in parameter are not
+    crossings of distinct strands and are excluded.
     """
-    return sg.crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v, traj.v,
-                        same_curve=True, t_sep=t_sep)
+    return sg.crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v, traj.v)
 
 
 def translate_intersections(traj, tau):
     """Transversal crossings between a lift and its deck translate tau(lift)."""
     if tau.is_identity:
         raise ValidationError("translate_intersections needs a nonzero translation")
-    shifted = tau.apply_array(traj.xy)
-    return sg.crossings(traj.xy, traj.t, shifted, traj.t, traj.v, traj.v)
+    return sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
+                                 [(tau.m, tau.n)], traj.v, traj.v)[0]
 
 
 def torus_self_crossings(traj):
-    """Parameter pairs where the projected geodesic meets itself on the torus.
+    """Parameter pairs where the projected geodesic meets itself on the torus
+    with a loop class of sup-norm at most _TORUS_CLASS_RADIUS; farther loop
+    classes are not scanned.
 
     Each unordered pair {t1, t2} with equal torus points lifts to a unique
-    integer difference vector, so the half-lattice of translates within
-    sup-norm _TORUS_CLASS_RADIUS, plus the identity case of the planar lift,
-    records each such torus crossing exactly once.  Returns (event,
-    loop_class) pairs sorted by (t1, t2), with t1 < t2 and loop_class the
-    deck class of the loop run from t1 to t2, (0, 0) for contractible ones.
+    integer difference vector, so the zero shift plus the half-lattice
+    within that radius records each such crossing exactly once.  Returns
+    (event, loop_class) pairs sorted by (t1, t2), with t1 < t2 and
+    loop_class the deck class of the loop run from t1 to t2, (0, 0) for
+    contractible ones.
     """
-    ident = DeckTransform(0, 0)
-    events, _ = self_intersections(traj)
-    out = [(ev, ident) for ev in events]
-    shifts = half_lattice(_TORUS_CLASS_RADIUS, _TORUS_CLASS_RADIUS)
+    shifts = [(0, 0)] + half_lattice(_TORUS_CLASS_RADIUS, _TORUS_CLASS_RADIUS)
     found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t, shifts,
                                   traj.v, traj.v)
+    out = []
     for tau, (events, _) in zip([DeckTransform(*v) for v in shifts], found):
         # an event (ta, tb) asserts lift(ta) = tau(lift(tb)); the loop
         # class compares the later lift point against the earlier one
@@ -441,9 +449,9 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
     span_hi = int(math.ceil(offs.max())) + 2 + max(abs(eta.m), abs(eta.n))
     tiled = _tile_axis(axis_nodes, axis_deck, span_lo, span_hi)
 
-    ev, tang = sg.crossings(tiled, np.arange(len(tiled), dtype=float),
-                            eta.apply_array(tiled),
-                            np.arange(len(tiled), dtype=float))
+    t_tiled = np.arange(len(tiled), dtype=float)
+    ev, tang = sg.crossings_by_shift(tiled, t_tiled, tiled, t_tiled,
+                                     [(eta.m, eta.n)])[0]
     if ev or tang:
         raise AxesNotDisjoint(
             f"translate {eta} of the axis meets the axis ({len(ev)} crossings)")
@@ -462,17 +470,16 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
 
     for label, c in (("c1", c1), ("c2", c2)):
         ixy, it = interior(c)
-        iev, _ = sg.crossings(ixy, it, tiled,
-                              np.arange(len(tiled), dtype=float))
+        iev, _ = sg.crossings(ixy, it, tiled, t_tiled)
         if iev:
             return AnchoredCrossingResult(
                 found=False, reason=f"interior of {label} meets the axis",
                 diagnostics={"interior_events": len(iev)})
 
-    ev_plus, _ = sg.crossings(c1.xy, c1.t, eta.apply_array(tiled),
-                              np.arange(len(tiled), dtype=float))
-    ev_minus, _ = sg.crossings(c2.xy, c2.t, eta.inverse().apply_array(tiled),
-                               np.arange(len(tiled), dtype=float))
+    ev_plus, _ = sg.crossings_by_shift(c1.xy, c1.t, tiled, t_tiled,
+                                       [(eta.m, eta.n)])[0]
+    ev_minus, _ = sg.crossings_by_shift(c2.xy, c2.t, tiled, t_tiled,
+                                        [(-eta.m, -eta.n)])[0]
     if not ev_plus or not ev_minus:
         return AnchoredCrossingResult(
             found=False,

@@ -106,13 +106,22 @@ class Trajectory:
 
     def speed_drift(self, spec):
         """Max deviation of the g-speed from 1 over all samples."""
-        return float(np.abs(self.speeds(spec) - 1.0).max())
+        return speed_drift_of(self.speeds(spec))
 
     def arclength(self, spec):
         """(N,) Riemannian arclength: trapezoid rule on the sampled speeds."""
-        sp = self.speeds(spec)
-        ds = 0.5 * (sp[1:] + sp[:-1]) * np.diff(self.t)
-        return np.concatenate([np.zeros(1), np.cumsum(ds)])
+        return arclength_of(self.t, self.speeds(spec))
+
+
+def speed_drift_of(speeds):
+    """Max deviation of sampled g-speeds from 1."""
+    return float(np.abs(speeds - 1.0).max())
+
+
+def arclength_of(t, speeds):
+    """Cumulative trapezoid rule on speeds sampled at times t, from 0."""
+    ds = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(t)
+    return np.concatenate([np.zeros(1), np.cumsum(ds)])
 
 
 def _sample_times(T, dt):

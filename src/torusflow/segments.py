@@ -6,7 +6,8 @@ with a list of translates B + shift: A goes into a uniform spatial hash once
 (cells twice the 95th-percentile segment length, keyed by column and row
 within A's cell range; a segment longer than a cell is hashed in pieces no
 longer than a cell), and each translate is rasterised onto the same grid
-and looked up in it.  Candidate pairs get an exact closed-form solve, and
+and looked up in it; the zero shift of B = A (one object) is A's
+self-intersection query.  Candidate pairs get an exact closed-form solve, and
 crossings whose |sin| of intersection angle falls below a margin threshold
 are reported separately as tangential events rather than being counted.
 When node velocities are available the crossing is polished on a local
@@ -181,20 +182,19 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0):
     return a, b, 0.5 * (Pa + Qb), da, db, ok
 
 
-def crossings(xyA, tA, xyB, tB, vA=None, vB=None, same_curve=False,
-              t_sep=SELF_T_SEP, cyclic_span=None):
+def crossings(xyA, tA, xyB, tB, vA=None, vB=None, t_sep=SELF_T_SEP,
+              cyclic_span=None):
     """All transversal crossings between two polylines: (events, tangential).
 
     The single-shift case of `crossings_by_shift`, which documents the
     arguments and the result.
     """
     return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB,
-                              same_curve=same_curve, t_sep=t_sep,
-                              cyclic_span=cyclic_span)[0]
+                              t_sep=t_sep, cyclic_span=cyclic_span)[0]
 
 
 def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
-                       same_curve=False, t_sep=SELF_T_SEP, cyclic_span=None):
+                       t_sep=SELF_T_SEP, cyclic_span=None):
     """Crossings of polyline A with each translate B + shift, A hashed once.
 
     Parameters
@@ -203,8 +203,9 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
     shifts : sequence of (dx, dy) translations of B, deck shifts in practice
     vA, vB : optional node velocities; when both are given every crossing
         is polished on the local cubic Hermite model
-    same_curve : self-intersection mode (B is A, zero shift); skips adjacent
-        segments and pairs with parameter separation below t_sep
+    t_sep : a self-intersection query (zero shift with xyB the very object
+        xyA; an equal copy is another curve) skips adjacent segments and
+        pairs with parameter separation up to t_sep
     cyclic_span : period of the parameter for closed curves; the t_sep
         filter then uses cyclic parameter distance
 
@@ -216,6 +217,7 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
     callers.  Each shift is solved and refined as its own batch, so its
     events do not depend on which other shifts share the call.
     """
+    self_query = xyB is xyA
     xyA, xyB, tA, tB, shifts = (np.asarray(v, dtype=float)
                                 for v in (xyA, xyB, tA, tB, shifts))
     shifts = shifts.reshape(-1, 2)
@@ -235,17 +237,18 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
     lensB = np.hypot(*(xyB[1:] - xyB[:-1]).T)
     cell = 2.0 * max(np.percentile(lensA, 95), np.percentile(lensB, 95), 1e-9)
     boxesA = _pieces(xyA, cell)
-    boxesB = boxesA if xyB is xyA else _pieces(xyB, cell)
+    boxesB = boxesA if self_query else _pieces(xyB, cell)
     table = _CellTable(xyA, boxesA, cell)
     for i in live:
+        same_curve = self_query and not shifts[i].any()
         iA, iB = _candidate_pairs(table, boxesB, shifts[i][:, None],
                                   len(xyB) - 1, same_curve)
         out[i] = _events(xyA, tA, vA, xyB + shifts[i], tB, vB, iA, iB,
-                         THETA_MIN, same_curve, t_sep, cyclic_span)
+                         same_curve, t_sep, cyclic_span)
     return out
 
 
-def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, theta_min, same_curve, t_sep,
+def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve, t_sep,
             cyclic_span):
     """Exact crossings of the candidate segment pairs, refined when vA is set."""
     a = xyA[iA]
@@ -296,5 +299,5 @@ def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, theta_min, same_curve, t_sep,
                                x=float(pts[j, 0]), y=float(pts[j, 1]),
                                sign=int(np.sign(cross[j])) or 1,
                                margin=float(margin[j]))
-        (events if margin[j] >= theta_min else tangential).append(ev)
+        (events if margin[j] >= THETA_MIN else tangential).append(ev)
     return events, tangential

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import segments as sg
-from .cover import half_lattice
+from .cover import box_shifts
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
 from .metrics import accel_from_fields, gauss_curvature_batch, quadratic_form
 
@@ -83,15 +83,13 @@ class ClosedCurve:
         """Transversal self-crossings of the torus curve (0 when embedded)."""
         p = self.closed_polyline()
         t = np.arange(len(p), dtype=float)
-        n = self.n_nodes
-        events, _ = sg.crossings(p, t, p, t, same_curve=True, t_sep=1.5,
-                                 cyclic_span=float(n))
-        # crossings between the period and distinct translates of itself,
-        # each torus point showing up for exactly one half-lattice shift
-        span = np.ceil(p.max(axis=0) - p.min(axis=0)).astype(int)
-        found = sg.crossings_by_shift(p, t, p, t,
-                                      half_lattice(span[0], span[1] + 1))
-        return len(events) + sum(len(ev) for ev, _ in found)
+        # the period against itself (zero shift, nodes 1.5 apart or more
+        # on the closed parameter) and against one of each pair of distinct
+        # translates, so each torus point shows up for exactly one shift
+        shifts = [s for s in box_shifts(p, p) if s >= (0, 0)]
+        found = sg.crossings_by_shift(p, t, p, t, shifts, t_sep=1.5,
+                                      cyclic_span=float(self.n_nodes))
+        return sum(len(ev) for ev, _ in found)
 
 
 def circle_curve(center, radius, n):
@@ -456,13 +454,7 @@ def torus_crossing_count(curveA, curveB):
     tA = np.arange(len(pA), dtype=float)
     pB = curveB.closed_polyline()
     tB = np.arange(len(pB), dtype=float)
-    loA, hiA = pA.min(axis=0), pA.max(axis=0)
-    loB, hiB = pB.min(axis=0), pB.max(axis=0)
-    first = np.floor(loA - hiB).astype(int)
-    last = np.ceil(hiA - loB).astype(int)
-    shifts = [(jj, kk) for jj in range(first[0], last[0] + 1)
-              for kk in range(first[1], last[1] + 1)]
-    found = sg.crossings_by_shift(pA, tA, pB, tB, shifts)
+    found = sg.crossings_by_shift(pA, tA, pB, tB, box_shifts(pA, pB))
     return sum(len(ev) for ev, _ in found)
 
 

@@ -109,6 +109,24 @@ def test_integrate_csv(capsys, tmp_path):
     assert data.shape == (payload["samples"], 6)
 
 
+def test_integrate_evaluates_the_samples_once(capsys, monkeypatch):
+    # the arclength column and the speed drift share one pass over the
+    # samples; the metric's 64 x 64 check at construction and the
+    # single-point unit check at launch are calls of other sizes
+    sizes = []
+    fields = metrics.MetricSpec.fields
+
+    def counted(self, x, y, *args, **kwargs):
+        sizes.append(np.size(x))
+        return fields(self, x, y, *args, **kwargs)
+    monkeypatch.setattr(metrics.MetricSpec, "fields", counted)
+    code, out, _ = run(capsys, "integrate", "--metric", "liouville",
+                       "--angle", "0.4", "--horizon", "20")
+    assert code == 0
+    samples = loads(out)["samples"]
+    assert samples > 1 and sizes.count(samples) == 1
+
+
 @pytest.mark.parametrize("command", CSV_FILES)
 def test_csv_file(capsys, tmp_path, command):
     argv, flag, columns, check = CSV_FILES[command]

