@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shortening as sh
-from .cover import intersection_census
+from .cover import class_frame, intersection_census, primitive_classes
 from .errors import NotConverged, ValidationError
 from .flow import integrate, unit_tangent
 from .metrics import CurvatureSurvey, curvature_survey, quadratic_form
@@ -53,21 +53,11 @@ _DISTINCT_TOL = 1e-3
 _WITNESS_HORIZON = 240.0
 
 
-def _class_frame(klass):
-    p, q = int(klass[0]), int(klass[1])
-    if p == 0 and q == 0:
-        raise ValidationError("an axis class must be a nonzero integer vector")
-    norm = math.hypot(p, q)
-    e_s = np.array([p / norm, q / norm])
-    e_w = np.array([-q / norm, p / norm])
-    return p, q, norm, e_s, e_w
-
-
 @dataclass
 class Axis:
     """Closed geodesic of one translation class, sampled at unit speed.
 
-    nodes holds one period (first node not repeated), deck the class.
+    nodes holds one period (first node not repeated), klass the class.
     closing_residual is the sup norm of the position and angle gaps of the
     shooting solution; length equals the period of the unit-speed orbit.
     """
@@ -79,10 +69,6 @@ class Axis:
     start: tuple
     angle: float
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def deck(self):
-        return self.klass
 
     def curve(self):
         return sh.ClosedCurve(nodes=self.nodes.copy(), deck=self.klass)
@@ -112,7 +98,7 @@ def shoot_closed_geodesic(spec, klass, start, theta, period, n_samples=256):
     angle.  Raises NotConverged when, after at most 12 Newton steps, the
     residual stays above _SHOOT_TOL.
     """
-    p, q, norm, e_s, e_w = _class_frame(klass)
+    p, q, norm, e_s, e_w = class_frame(klass)
     x0 = np.asarray(start, dtype=float)
     u = np.array([0.0, float(theta), float(period)])
 
@@ -167,7 +153,7 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
     compared against the independent grid oracle and the comparison stored
     in diagnostics.
     """
-    p, q, norm, e_s, e_w = _class_frame(klass)
+    p, q, norm, e_s, e_w = class_frame(klass)
     period_w = 1.0 / norm
 
     candidates = []
@@ -208,15 +194,6 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
 # ---------------------------------------------------------------------------
 # independent grid oracle
 
-def _stencil(radius):
-    moves = []
-    for di in range(1, radius + 1):
-        for dj in range(-radius, radius + 1):
-            if math.gcd(di, abs(dj)) == 1:
-                moves.append((di, dj))
-    return moves
-
-
 def grid_shortest_class_length(spec, klass, n=512):
     """Shortest class-(p, q) loop length over a dense chart graph.
 
@@ -229,7 +206,7 @@ def grid_shortest_class_length(spec, klass, n=512):
     window around the best one.  Pure dynamic programming; nothing is
     shared with the flow pipeline.
     """
-    p, q, norm, e_s, e_w = _class_frame(klass)
+    p, q, norm, e_s, e_w = class_frame(klass)
     Ns = int(round(norm * n))
     ds = norm / Ns
     dw = 1.0 / n
@@ -260,7 +237,7 @@ def grid_shortest_class_length(spec, klass, n=512):
             return 0.5 * (np.sqrt(src[:, -dj:]) + np.sqrt(dst[:, :dj]))
         return 0.5 * (np.sqrt(src) + np.sqrt(dst))
 
-    moves = _stencil(_ORACLE_STENCIL_RADIUS)
+    moves = [s for s in primitive_classes(_ORACLE_STENCIL_RADIUS) if s[0] > 0]
     wgt = {}
     for di, dj in moves:
         delta = di * ds * e_s + dj * dw * e_w
@@ -331,7 +308,7 @@ def _vertical_relax(d, vw):
 
 def line_deviation(axis):
     """Width of the smallest class-direction slab containing the axis."""
-    _, _, _, _, e_w = _class_frame(axis.klass)
+    _, _, _, _, e_w = class_frame(axis.klass)
     w = axis.nodes @ e_w
     return float(w.max() - w.min())
 
@@ -366,7 +343,7 @@ def check_foliation(spec, klass, n_seeds, n=192):
     """
     if n_seeds < 1:
         raise ValidationError(f"a foliation check needs at least 1 seed, got {n_seeds}")
-    p, q, norm, e_s, e_w = _class_frame(klass)
+    p, q, norm, e_s, e_w = class_frame(klass)
     period_w = 1.0 / norm
 
     intercepts = []

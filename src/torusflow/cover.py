@@ -1,7 +1,12 @@
 """Analysis of lifted geodesics on the universal cover.
 
-The deck group of the square torus acts by integer translations.  This
-module tracks how a lifted geodesic meets its own deck translates
+The deck group of the square torus acts by integer translations, so a deck
+shift and a translation class are both integer pairs (m, n): `class_rep`
+normalises a class to its primitive representative, `class_frame` gives a
+class's direction and normal, and `half_lattice`, `box_shifts` and
+`primitive_classes` list the shifts a query scans.
+
+This module tracks how a lifted geodesic meets its own deck translates
 (self-intersections, per-class intersection censuses), where it escapes to
 (asymptotic direction, rotation number as a point of the projective line,
 bounding strip), and detects the two configurations that certify dynamical
@@ -37,48 +42,34 @@ _TORUS_CLASS_RADIUS = 2
 
 
 # ---------------------------------------------------------------------------
-# deck group
+# deck group: shifts and classes as integer pairs
 
-@dataclass(frozen=True)
-class DeckTransform:
-    """Integer translation (x, y) -> (x + m, y + n) of the cover."""
+def class_rep(shift):
+    """Primitive representative of the class of a nonzero shift (m, n).
 
-    m: int
-    n: int
+    Two nonzero shifts are equivalent when they have equal nonzero powers;
+    each class is tagged by the primitive vector along the same line that
+    half_lattice lists, the one with rep > (0, 0).
+    """
+    m, n = shift
+    if m == 0 and n == 0:
+        raise PrimitiveRequired("the identity translation has no class")
+    d = math.gcd(m, n)
+    rep = (m // d, n // d)
+    return rep if rep > (0, 0) else (-rep[0], -rep[1])
 
-    def inverse(self):
-        return DeckTransform(-self.m, -self.n)
 
-    def power(self, k):
-        return DeckTransform(k * self.m, k * self.n)
-
-    @property
-    def is_identity(self):
-        return self.m == 0 and self.n == 0
-
-    @property
-    def is_primitive(self):
-        """True when (m, n) is not a nontrivial multiple of a shorter vector."""
-        return not self.is_identity and math.gcd(abs(self.m), abs(self.n)) == 1
-
-    def class_rep(self):
-        """Primitive, sign-normalised representative of this transform's class.
-
-        Two nonzero transforms are equivalent when they have equal nonzero
-        powers; each class is tagged by the primitive vector along the same
-        line, with the first nonzero coordinate positive.
-        """
-        if self.is_identity:
-            raise PrimitiveRequired("the identity translation has no class")
-        d = math.gcd(abs(self.m), abs(self.n))
-        m, n = self.m // d, self.n // d
-        if m < 0 or (m == 0 and n < 0):
-            m, n = -m, -n
-        return DeckTransform(m, n)
-
-    def class_key(self):
-        rep = self.class_rep()
-        return f"{rep.m}/{rep.n}"
+def class_frame(klass):
+    """(p, q, |(p, q)|, e_s, e_w) of a nonzero class (p, q): e_s is the unit
+    class direction and e_w its normal, e_s turned a quarter anticlockwise."""
+    p, q = int(klass[0]), int(klass[1])
+    if p == 0 and q == 0:
+        raise ValidationError(
+            "a translation class must be a nonzero integer vector")
+    norm = math.hypot(p, q)
+    e_s = np.array([p / norm, q / norm])
+    e_w = np.array([-q / norm, p / norm])
+    return p, q, norm, e_s, e_w
 
 
 def half_lattice(rx, ry):
@@ -105,9 +96,9 @@ def box_shifts(xyA, xyB):
 
 
 def primitive_classes(radius):
-    """Sign-normalised primitive vectors with sup-norm at most `radius`."""
-    return [DeckTransform(m, n) for m, n in half_lattice(radius, radius)
-            if math.gcd(m, n) == 1]
+    """Class representatives (class_rep's) with sup-norm at most `radius`,
+    in half_lattice order."""
+    return [s for s in half_lattice(radius, radius) if math.gcd(*s) == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +114,13 @@ def self_intersections(traj):
     return sg.crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v, traj.v)
 
 
-def translate_intersections(traj, tau):
-    """Transversal crossings between a lift and its deck translate tau(lift)."""
-    if tau.is_identity:
+def translate_intersections(traj, shift):
+    """Transversal crossings between a lift and its deck translate lift + shift."""
+    m, n = shift
+    if m == 0 and n == 0:
         raise ValidationError("translate_intersections needs a nonzero translation")
     return sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
-                                 [(tau.m, tau.n)], traj.v, traj.v)[0]
+                                 [(m, n)], traj.v, traj.v)[0]
 
 
 def torus_self_crossings(traj):
@@ -140,23 +132,23 @@ def torus_self_crossings(traj):
     integer difference vector, so the zero shift plus the half-lattice
     within that radius records each such crossing exactly once.  Returns
     (event, loop_class) pairs sorted by (t1, t2), with t1 < t2 and
-    loop_class the deck class of the loop run from t1 to t2, (0, 0) for
-    contractible ones.
+    loop_class the integer pair (m, n) by which the loop run from t1 to t2
+    advances, (0, 0) for contractible ones.
     """
     shifts = [(0, 0)] + half_lattice(_TORUS_CLASS_RADIUS, _TORUS_CLASS_RADIUS)
     found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t, shifts,
                                   traj.v, traj.v)
     out = []
-    for tau, (events, _) in zip([DeckTransform(*v) for v in shifts], found):
-        # an event (ta, tb) asserts lift(ta) = tau(lift(tb)); the loop
+    for (m, n), (events, _) in zip(shifts, found):
+        # an event (ta, tb) asserts lift(ta) = lift(tb) + (m, n); the loop
         # class compares the later lift point against the earlier one
         for ev in events:
             if ev.t1 > ev.t2:
                 ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,
                                           -ev.sign, ev.margin)
-                loop = tau
+                loop = (m, n)
             else:
-                loop = tau.inverse()
+                loop = (-m, -n)
             out.append((ev, loop))
     out.sort(key=lambda pair: (pair[0].t1, pair[0].t2))
     return out
@@ -200,12 +192,16 @@ def _growing(counts_by_power):
 def intersection_census(traj, class_radius, horizons):
     """Census of crossings between a lift and translate families.
 
-    For every primitive class within `class_radius` (sup-norm) and every
-    nonzero power k with |k| <= class_radius, counts the transversal
-    crossings of the lift with its translate at each horizon rung.  Events
-    are computed once at the deepest horizon and re-thresholded, so a rung
-    counts exactly the crossings both of whose parameters lie within it.
+    For every primitive class (m, n) within `class_radius` (sup-norm, at
+    least 1) and every nonzero power k with |k| <= class_radius, counts the
+    transversal crossings of the lift with its translate by (k m, k n) at
+    each horizon rung; classes are keyed "m/n".  Events are computed once at
+    the deepest horizon and re-thresholded, so a rung counts exactly the
+    crossings both of whose parameters lie within it.
     """
+    if class_radius < 1:
+        raise ValidationError(
+            f"census class radius must be at least 1, got {class_radius}")
     if not all(map(math.isfinite, horizons)):
         raise ValidationError(f"census horizons must be finite, got {horizons}")
     horizons = tuple(sorted(horizons))
@@ -214,19 +210,19 @@ def intersection_census(traj, class_radius, horizons):
             f"census horizon {horizons[-1]} exceeds trajectory horizon {traj.horizon}")
     reps = primitive_classes(class_radius)
     powers = [k for k in range(-class_radius, class_radius + 1) if k != 0]
-    etas = [rep.power(k) for rep in reps for k in powers]
-    found = iter(sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
-                                       [(eta.m, eta.n) for eta in etas]))
+    found = iter(sg.crossings_by_shift(
+        traj.xy, traj.t, traj.xy, traj.t,
+        [(k * m, k * n) for m, n in reps for k in powers]))
     classes = {}
-    for rep in reps:
+    for m, n in reps:
         counts = {}
         for k in powers:
             events, _ = next(found)
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
-        classes[rep.class_key()] = ClassCensus(class_key=rep.class_key(),
-                                               counts=counts,
-                                               growing=_growing(counts))
+        key = f"{m}/{n}"
+        classes[key] = ClassCensus(class_key=key, counts=counts,
+                                   growing=_growing(counts))
     return IntersectionCensus(horizons=horizons, class_radius=class_radius,
                               classes=classes)
 
@@ -423,8 +419,8 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
     c1, c2 : Trajectory segments whose endpoints are expected on the axis
     axis_nodes : (N, 2) one period of the axis lift
     axis_deck : (p, q) translation closing the axis
-    eta : DeckTransform; its translate of the axis must be disjoint from the
-        axis itself, otherwise AxesNotDisjoint is raised
+    eta : (m, n) deck shift; its translate of the axis must be disjoint from
+        the axis itself, otherwise AxesNotDisjoint is raised
 
     The four arc endpoints must lie within 1e-6 of the axis, and each arc's
     interior, without the 2% of its samples at either end, must avoid it.
@@ -433,9 +429,9 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
     geometric requirements hold and both required crossings exist.
     """
     axis_nodes = np.asarray(axis_nodes, dtype=float)
-    axis_class = DeckTransform(int(round(axis_deck[0])),
-                               int(round(axis_deck[1]))).class_rep()
-    if eta.class_rep() == axis_class:
+    m, n = eta
+    axis_class = class_rep((int(round(axis_deck[0])), int(round(axis_deck[1]))))
+    if class_rep(eta) == axis_class:
         # such a translate maps the axis onto itself as a set, with no
         # transversal crossings to count
         raise AxesNotDisjoint(
@@ -445,13 +441,13 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
     dlen2 = float(dirvec @ dirvec)
     # project everything on the axis direction to size the tiling
     offs = ((arcs - axis_nodes[0]) @ dirvec) / dlen2
-    span_lo = int(math.floor(offs.min())) - 2 - max(abs(eta.m), abs(eta.n))
-    span_hi = int(math.ceil(offs.max())) + 2 + max(abs(eta.m), abs(eta.n))
+    span_lo = int(math.floor(offs.min())) - 2 - max(abs(m), abs(n))
+    span_hi = int(math.ceil(offs.max())) + 2 + max(abs(m), abs(n))
     tiled = _tile_axis(axis_nodes, axis_deck, span_lo, span_hi)
 
     t_tiled = np.arange(len(tiled), dtype=float)
     ev, tang = sg.crossings_by_shift(tiled, t_tiled, tiled, t_tiled,
-                                     [(eta.m, eta.n)])[0]
+                                     [(m, n)])[0]
     if ev or tang:
         raise AxesNotDisjoint(
             f"translate {eta} of the axis meets the axis ({len(ev)} crossings)")
@@ -477,9 +473,9 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
                 diagnostics={"interior_events": len(iev)})
 
     ev_plus, _ = sg.crossings_by_shift(c1.xy, c1.t, tiled, t_tiled,
-                                       [(eta.m, eta.n)])[0]
+                                       [(m, n)])[0]
     ev_minus, _ = sg.crossings_by_shift(c2.xy, c2.t, tiled, t_tiled,
-                                        [(-eta.m, -eta.n)])[0]
+                                        [(-m, -n)])[0]
     if not ev_plus or not ev_minus:
         return AnchoredCrossingResult(
             found=False,
@@ -494,7 +490,7 @@ def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
 # ---------------------------------------------------------------------------
 # rotation-number field over launch angles
 
-def direction_field(spec, base, angles, horizon, dt, h=0.01):
+def direction_field(spec, base, angles, horizon, dt, h):
     """Direction estimates for a fan of launch angles at one base point.
 
     Batch-integrates all rays at once; estimates come from the uniform

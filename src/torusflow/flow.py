@@ -372,15 +372,13 @@ def integrate_batch(spec, states, T, h, sample_dt):
     return times, samples
 
 
-def integrate_rays(spec, tangents, T, dt, h=None):
+def integrate_rays(spec, tangents, T, dt, h):
     """Batch-integrate many unit tangents and wrap each ray as a Trajectory.
 
-    Fixed-step RK4 at step h (default dt/2) sampled every dt.  Accuracy is
-    order h^4, ample for intersection censuses and direction estimates; use
-    `integrate` when 1e-9 level exactness is required.
+    Fixed-step RK4 at step h sampled every dt.  Accuracy is order h^4,
+    ample for intersection censuses and direction estimates; use `integrate`
+    when 1e-9 level exactness is required.
     """
-    if h is None:
-        h = dt / 2.0
     states = np.array([[v.x, v.y, v.vx, v.vy] for v in tangents])
     times, samples = integrate_batch(spec, states, T, h=h, sample_dt=dt)
     return [Trajectory(t=times.copy(),

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import segments as sg
-from .cover import box_shifts
+from .cover import box_shifts, class_frame
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
 from .metrics import accel_from_fields, gauss_curvature_batch, quadratic_form
 
@@ -106,15 +106,11 @@ def straight_class_curve(klass, base=(0.0, 0.0), n=256, amplitude=0.0):
     The transverse bend makes a non-geodesic seed whose flow has something
     to do; amplitude 0 gives the affine representative.
     """
-    p, q = int(klass[0]), int(klass[1])
-    if p == 0 and q == 0:
-        raise ValidationError("a class curve needs a nonzero translation class")
+    p, q, _, _, e_w = class_frame(klass)
     u = np.arange(n, dtype=float) / n
     nodes = np.stack([base[0] + u * p, base[1] + u * q], axis=1)
     if amplitude != 0.0:
-        norm = math.hypot(p, q)
-        perp = np.array([-q / norm, p / norm])
-        nodes += amplitude * np.sin(2.0 * math.pi * u)[:, None] * perp
+        nodes += amplitude * np.sin(2.0 * math.pi * u)[:, None] * e_w
     return ClosedCurve(nodes=nodes, deck=(p, q))
 
 

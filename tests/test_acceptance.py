@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from torusflow.axes import find_minimal_axis, flatness_test
-from torusflow.cover import (DeckTransform, asymptotic_direction,
+from torusflow.cover import (asymptotic_direction,
                              detect_double_loop, direction_antisymmetry,
                              direction_field, fit_strip, hit_rotation_targets,
                              intersection_census, max_projective_jump,
@@ -89,8 +89,7 @@ def test_criterion_01_flat_exactness():
     worst_line = 0.0
     worst_slope = 0.0
     crossings = 0
-    taus = [DeckTransform(1, 0), DeckTransform(0, 1),
-            DeckTransform(1, 1), DeckTransform(1, -1)]
+    taus = [(1, 0), (0, 1), (1, 1), (1, -1)]
     for k, (ray, ang) in enumerate(zip(rays, angles)):
         ideal = ray.xy[0] + ray.t[:, None] * ray.v[0]
         worst_line = max(worst_line, float(np.abs(ray.xy - ideal).max()))
@@ -116,7 +115,7 @@ def test_criterion_01_flat_exactness():
 
 def test_criterion_02_energy_equivariance():
     """Unit speed, deck equivariance, and time reversal on all four metrics."""
-    tau = DeckTransform(1, 1)
+    tau = (1, 1)
     lines = []
     for name in gallery_names():
         spec = gallery(name)
@@ -130,9 +129,9 @@ def test_criterion_02_energy_equivariance():
         # doubled integration
         t_eq = 1000.0 if name == "flat" else 200.0
         a = integrate(spec, v0, t_eq, dt=0.5, rtol=1e-12, atol=1e-13)
-        shifted = UnitTangent(v0.x + tau.m, v0.y + tau.n, v0.vx, v0.vy)
+        shifted = UnitTangent(v0.x + tau[0], v0.y + tau[1], v0.vx, v0.vy)
         b = integrate(spec, shifted, t_eq, dt=0.5, rtol=1e-12, atol=1e-13)
-        eq_gap = max(float(np.abs(b.xy - (a.xy + [tau.m, tau.n])).max()),
+        eq_gap = max(float(np.abs(b.xy - (a.xy + tau)).max()),
                      float(np.abs(b.v - a.v).max()))
         assert eq_gap < 1e-9, f"{name}: deck equivariance gap {eq_gap:.3e}"
 

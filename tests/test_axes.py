@@ -11,7 +11,9 @@ from torusflow import axes, shortening
 from torusflow.axes import (check_foliation, find_minimal_axis, flatness_test,
                             grid_shortest_class_length, line_deviation,
                             shoot_closed_geodesic)
+from torusflow.cover import class_frame
 from torusflow.errors import ValidationError
+from torusflow.metrics import quadratic_form
 from torusflow.shortening import evolve
 
 # closed-form lengths of the two short liouville axes, from one-dimensional
@@ -20,7 +22,9 @@ LIOUVILLE_AXIS_LENGTH = {(1, 0): 0.8862896010071855, (0, 1): 0.8323066247111648}
 
 
 def test_class_frame_rejects_zero(flat):
-    with pytest.raises(ValidationError):
+    # the one nonzero-class check, shared with straight_class_curve
+    with pytest.raises(ValidationError,
+                       match="translation class must be a nonzero"):
         find_minimal_axis(flat, (0, 0))
 
 
@@ -28,7 +32,7 @@ def test_shoot_flat_horizontal(flat):
     axis = shoot_closed_geodesic(flat, (1, 0), (0.0, 0.3), 0.0, 1.0)
     assert axis.length == pytest.approx(1.0, abs=1e-10)
     assert axis.closing_residual < 1e-10
-    assert axis.deck == (1, 0)
+    assert axis.klass == (1, 0)
     assert np.allclose(axis.nodes[:, 1], 0.3, atol=1e-12)
 
 
@@ -102,6 +106,34 @@ def test_grid_oracle_flat(flat):
     assert math.sqrt(2.0) - 1e-12 <= diag["length"] <= math.sqrt(2.0) + 0.001
 
 
+def _stencil_reference(radius):
+    # the loop that listed the oracle's moves before primitive_classes did
+    moves = []
+    for di in range(1, radius + 1):
+        for dj in range(-radius, radius + 1):
+            if math.gcd(di, abs(dj)) == 1:
+                moves.append((di, dj))
+    return moves
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_oracle_moves_equal_stencil_loop(flat, radius, monkeypatch):
+    # each move (di, dj) weighs its edges through one quadratic form of the
+    # chart step di ds e_s + dj dw e_w, then the vertical chain (0, 1) follows;
+    # for class (1, 0) on an n-grid that step is (di / n, dj / n)
+    n = 16
+    seen = []
+
+    def spy(g, dx, dy):
+        seen.append((round(float(dx) * n), round(float(dy) * n)))
+        return quadratic_form(g, dx, dy)
+
+    monkeypatch.setattr(axes, "_ORACLE_STENCIL_RADIUS", radius)
+    monkeypatch.setattr(axes, "quadratic_form", spy)
+    grid_shortest_class_length(flat, (1, 0), n=n)
+    assert seen == _stencil_reference(radius) + [(0, 1)]
+
+
 def test_certified_axis_carries_oracle_gap(flat):
     axis = find_minimal_axis(flat, (0, 1), n=128, n_offsets=3, certify=True)
     assert "grid_oracle" in axis.diagnostics
@@ -160,7 +192,7 @@ def _foliation_limits(draw):
 @given(_foliation_limits())
 def test_foliation_limit_curves_match_pairwise_clustering(case):
     klass, period, offsets = case
-    e_w = axes._class_frame(klass)[4]
+    e_w = class_frame(klass)[4]
     limits = iter(offsets)
     limit_curves = []
     pairs = []

@@ -292,6 +292,16 @@ def test_foliation_seeds_below_one_exits_2(capsys, seeds):
     assert not out and "at least 1 seed" in err
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_intersections_class_radius_below_one_exits_2(capsys, radius):
+    # below radius 1 there is no class to count: an empty census is no answer
+    code, out, err = run(capsys, "intersections", "--metric", "flat",
+                         "--angle", "0.3", "--horizons", "10",
+                         "--class-radius", radius)
+    assert code == 2
+    assert not out and "census class radius must be at least 1" in err
+
+
 @pytest.mark.parametrize("grid", ["0", "1"])
 def test_rotation_targets_grid_below_two_exits_2(capsys, grid):
     code, out, err = run(capsys, "rotation-targets", "--metric", "flat",

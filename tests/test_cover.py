@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from torusflow import cover
 from torusflow import segments as sg
-from torusflow.cover import (DeckTransform, RotationNumber,
-                             asymptotic_direction, detect_anchored_crossing_pair,
+from torusflow.cover import (RotationNumber, asymptotic_direction,
+                             class_frame, class_rep,
+                             detect_anchored_crossing_pair,
                              detect_double_loop, direction_antisymmetry,
                              direction_field, fit_strip, hit_rotation_targets,
                              intersection_census, max_projective_jump,
@@ -18,6 +19,7 @@ from torusflow.cover import (DeckTransform, RotationNumber,
 from torusflow.errors import (AxesNotDisjoint, NotEscaping, PrimitiveRequired,
                               ValidationError)
 from torusflow.flow import Trajectory
+from torusflow.shortening import straight_class_curve
 
 
 def synth(xy, dt=1.0):
@@ -42,48 +44,94 @@ nonzero_pairs = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
     lambda p: p != (0, 0))
 
 
-@given(a=nonzero_pairs, b=nonzero_pairs)
+def class_rep_reference(m, n):
+    # the class normalisation of the retired deck-transform class
+    d = math.gcd(abs(m), abs(n))
+    m, n = m // d, n // d
+    if m < 0 or (m == 0 and n < 0):
+        m, n = -m, -n
+    return m, n
+
+
+def class_frame_reference(klass):
+    # the frame axes computed for itself before cover.class_frame
+    p, q = int(klass[0]), int(klass[1])
+    norm = math.hypot(p, q)
+    e_s = np.array([p / norm, q / norm])
+    e_w = np.array([-q / norm, p / norm])
+    return p, q, norm, e_s, e_w
+
+
+def straight_class_curve_reference(klass, base, n, amplitude):
+    # straight_class_curve's nodes with the normal it computed inline
+    p, q = int(klass[0]), int(klass[1])
+    u = np.arange(n, dtype=float) / n
+    nodes = np.stack([base[0] + u * p, base[1] + u * q], axis=1)
+    if amplitude != 0.0:
+        norm = math.hypot(p, q)
+        perp = np.array([-q / norm, p / norm])
+        nodes += amplitude * np.sin(2.0 * math.pi * u)[:, None] * perp
+    return nodes
+
+
+@given(a=nonzero_pairs, b=nonzero_pairs, k=st.integers(-4, 4).filter(bool))
 @settings(max_examples=80, deadline=None)
-def test_deck_compose_inverse(a, b):
-    ta, tb = DeckTransform(*a), DeckTransform(*b)
-    inv = ta.inverse()
+def test_deck_compose_inverse(a, b, k):
+    # deck shifts compose by pair addition; a shift, its inverse and its
+    # nonzero powers name one class
     xy = np.array([[0.25, -0.5]])
-    assert np.array_equal(xy + [ta.m, ta.n] + [inv.m, inv.n], xy)
-    ab = xy + [ta.m, ta.n] + [tb.m, tb.n]
-    assert np.array_equal(ab, xy + [a[0] + b[0], a[1] + b[1]])
-    assert ta.power(3).m == 3 * ta.m and ta.power(-2).n == -2 * ta.n
+    assert np.array_equal(xy + a + (-a[0], -a[1]), xy)
+    assert np.array_equal(xy + a + b, xy + (a[0] + b[0], a[1] + b[1]))
+    rep = class_rep(a)
+    assert class_rep((-a[0], -a[1])) == rep
+    assert class_rep((k * a[0], k * a[1])) == rep
 
 
 @given(a=nonzero_pairs)
 @settings(max_examples=80, deadline=None)
 def test_class_rep_normalisation(a):
-    t = DeckTransform(*a)
-    rep = t.class_rep()
-    assert rep.is_primitive
+    rep = class_rep(a)
+    assert rep == class_rep_reference(*a)
+    assert type(rep) is tuple and math.gcd(*rep) == 1
     # first nonzero coordinate of the representative is positive
-    lead = rep.m if rep.m != 0 else rep.n
-    assert lead > 0
-    assert t.inverse().class_rep() == rep
+    assert rep > (0, 0)
+    assert class_rep(rep) == rep
 
 
 def test_primitive_rules():
-    assert DeckTransform(2, 3).is_primitive
-    assert not DeckTransform(2, 4).is_primitive
-    assert not DeckTransform(0, 0).is_primitive
+    assert class_rep((2, 3)) == (2, 3)
+    assert class_rep((2, 4)) == (1, 2)
+    assert class_rep((0, -3)) == (0, 1)
     with pytest.raises(PrimitiveRequired):
-        DeckTransform(0, 0).class_rep()
+        class_rep((0, 0))
 
 
 def test_primitive_classes_radius():
-    r1 = [(t.m, t.n) for t in primitive_classes(1)]
-    assert r1 == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    assert primitive_classes(1) == [(0, 1), (1, -1), (1, 0), (1, 1)]
     assert len(primitive_classes(3)) == 16
     for radius in range(6):
-        box = [DeckTransform(m, n) for m in range(-radius, radius + 1)
+        box = [(m, n) for m in range(-radius, radius + 1)
                for n in range(-radius, radius + 1) if m or n]
-        reps = [t for t in box if t.is_primitive and t.class_rep() == t]
-        assert primitive_classes(radius) == sorted(
-            reps, key=lambda t: (t.m, t.n))
+        reps = [s for s in box if class_rep_reference(*s) == s]
+        assert primitive_classes(radius) == sorted(reps)
+
+
+CLASS_CURVES = [((1, 0), (0.0, 0.0), 64, 0.0), ((2, -1), (0.3, 0.1), 97, 0.08),
+                ((-1, 2), (0.1, 0.4), 64, -0.3), ((0, -1), (0.5, 0.0), 80, 0.45),
+                ((-3, -2), (0.2, 0.7), 50, 0.2), ((1, 1), (0.0, 0.5), 33, 0.0)]
+
+
+@pytest.mark.parametrize("klass,base,n,amplitude", CLASS_CURVES)
+def test_class_frame_equals_inline_frames(klass, base, n, amplitude):
+    got = class_frame(klass)
+    want = class_frame_reference(klass)
+    assert got[:3] == want[:3]
+    for g, w in zip(got[3:], want[3:]):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    curve = straight_class_curve(klass, base=base, n=n, amplitude=amplitude)
+    want = straight_class_curve_reference(klass, base, n, amplitude)
+    assert np.array_equal(curve.nodes.view(np.int64), want.view(np.int64))
+    assert curve.deck == klass
 
 
 @given(rx=st.integers(0, 6), ry=st.integers(0, 6))
@@ -119,7 +167,7 @@ def test_self_intersections_simple_cross():
 
 def test_translate_intersections_equivariance():
     traj = spiral()
-    tau = DeckTransform(1, 1)
+    tau = (1, 1)
     ev1, _ = translate_intersections(traj, tau)
     shifted = replace(traj, xy=traj.xy + [3.0, -2.0])
     ev2, _ = translate_intersections(shifted, tau)
@@ -131,7 +179,7 @@ def test_translate_intersections_equivariance():
 
 def test_translate_intersections_rejects_identity():
     with pytest.raises(ValidationError):
-        translate_intersections(spiral(), DeckTransform(0, 0))
+        translate_intersections(spiral(), (0, 0))
 
 
 def test_census_growth_on_spiral():
@@ -160,7 +208,8 @@ def test_torus_self_crossings_unique_and_ordered():
     keys = [(round(ev.t1, 9), round(ev.t2, 9)) for ev, _ in pairs]
     assert len(set(keys)) == len(keys)
     assert all(ev.t1 < ev.t2 for ev, _ in pairs)
-    ident = [ev for ev, tau in pairs if tau.is_identity]
+    assert all(type(loop) is tuple for _, loop in pairs)
+    ident = [ev for ev, loop in pairs if loop == (0, 0)]
     events, _ = self_intersections(traj)
     assert len(ident) == len(events)
 
@@ -213,7 +262,8 @@ def test_fit_strip_sine_ribbon():
 
 def test_direction_field_flat_slopes(flat):
     angles = [0.2, 0.8, 2.0]
-    ests = direction_field(flat, (0.0, 0.0), angles, horizon=40.0, dt=0.5)
+    ests = direction_field(flat, (0.0, 0.0), angles, horizon=40.0, dt=0.5,
+                           h=0.01)
     for ang, est in zip(angles, ests):
         assert est.rotation.slope == pytest.approx(math.tan(ang), abs=1e-9)
     assert max_projective_jump(ests) > 0
@@ -261,7 +311,7 @@ def _tent(x0, peak_y, width=0.1, n=201):
 
 def test_anchored_crossing_pair_positive():
     axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
-    eta = DeckTransform(0, 1)
+    eta = (0, 1)
     c1 = _tent(0.2, 1.2)     # rises through eta(axis) at y = 1
     c2 = _tent(0.6, -1.2)    # dips through eta^-1(axis) at y = -1
     res = detect_anchored_crossing_pair(c1, c2, axis_nodes, (1, 0), eta)
@@ -275,7 +325,7 @@ def test_anchored_crossing_pair_missing_side():
     axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
     res = detect_anchored_crossing_pair(
         _tent(0.2, 1.2), _tent(0.6, 1.2), axis_nodes, (1, 0),
-        DeckTransform(0, 1))
+        (0, 1))
     assert not res.found
     assert "missing" in res.reason
 
@@ -285,7 +335,7 @@ def test_anchored_crossing_pair_endpoints_checked():
     c1 = _tent(0.2, 1.2)
     bad = synth(c1.xy + [0.0, 0.05])      # lifted off the axis
     res = detect_anchored_crossing_pair(bad, _tent(0.6, -1.2), axis_nodes,
-                                        (1, 0), DeckTransform(0, 1))
+                                        (1, 0), (0, 1))
     assert not res.found and "endpoints" in res.reason
 
 
@@ -293,4 +343,4 @@ def test_anchored_crossing_pair_parallel_eta_rejected():
     axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
     with pytest.raises(AxesNotDisjoint):
         detect_anchored_crossing_pair(_tent(0.2, 1.2), _tent(0.6, -1.2),
-                                      axis_nodes, (1, 0), DeckTransform(2, 0))
+                                      axis_nodes, (1, 0), (2, 0))

@@ -309,7 +309,8 @@ def test_arclength_matches_reference(name):
     spec = gallery(name)
     ray = integrate(spec, unit_tangent(spec, (0.2, 0.6), 0.3), 4.0, dt=0.05)
     fan = integrate_rays(spec, [unit_tangent(spec, (0.2, 0.6), a)
-                                for a in (0.3, 1.9, 4.4)], 4.0, dt=0.1)
+                                for a in (0.3, 1.9, 4.4)], 4.0, dt=0.1,
+                         h=0.05)
     want = _arclength_reference(spec, ray.xy, ray.v, ray.t)
     got = ray.arclength(spec)
     assert got.shape == ray.t.shape and got[0] == 0.0
@@ -336,7 +337,7 @@ def test_trajectory_csv(capsys, tmp_path, flat):
 
 def test_integrate_rays_shapes(flat):
     vs = [unit_tangent(flat, (0, 0), a) for a in (0.2, 1.4)]
-    trajs = integrate_rays(flat, vs, 3.0, dt=0.1)
+    trajs = integrate_rays(flat, vs, 3.0, dt=0.1, h=0.05)
     assert len(trajs) == 2
     assert all(isinstance(t, Trajectory) for t in trajs)
     assert trajs[1].xy.shape == trajs[0].xy.shape

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import cover, flow, segments as sg
-from torusflow.cover import (ClassCensus, DeckTransform, IntersectionCensus,
-                             box_shifts, half_lattice, primitive_classes,
+from torusflow.cover import (ClassCensus, IntersectionCensus, box_shifts,
+                             half_lattice, primitive_classes,
                              self_intersections, translate_intersections)
 from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, circle_curve,
@@ -217,19 +217,18 @@ def test_candidates_share_a_cell():
 def census_reference(traj, class_radius, horizons):
     horizons = tuple(sorted(horizons))
     classes = {}
-    for rep in primitive_classes(class_radius):
+    for m, n in primitive_classes(class_radius):
         counts = {}
         for k in range(-class_radius, class_radius + 1):
             if k == 0:
                 continue
             # the census counts polyline crossings: no velocities, no polish
-            eta = rep.power(k)
             events, _ = sg.crossings(traj.xy, traj.t,
-                                     traj.xy + [eta.m, eta.n], traj.t)
+                                     traj.xy + [k * m, k * n], traj.t)
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
-        classes[rep.class_key()] = ClassCensus(
-            class_key=rep.class_key(), counts=counts,
+        classes[f"{m}/{n}"] = ClassCensus(
+            class_key=f"{m}/{n}", counts=counts,
             growing=cover._growing(counts))
     return IntersectionCensus(horizons=horizons, class_radius=class_radius,
                               classes=classes)
@@ -237,23 +236,21 @@ def census_reference(traj, class_radius, horizons):
 
 def torus_self_crossings_reference(traj, class_radius=2):
     out = []
-    ident = DeckTransform(0, 0)
     events, _ = self_intersections(traj)
-    out.extend((ev, ident) for ev in events)
+    out.extend((ev, (0, 0)) for ev in events)
     r = int(class_radius)
     for m in range(0, r + 1):
         for n in range(-r, r + 1):
             if m == 0 and n <= 0:
                 continue
-            tau = DeckTransform(m, n)
-            events, _ = translate_intersections(traj, tau)
+            events, _ = translate_intersections(traj, (m, n))
             for ev in events:
                 if ev.t1 > ev.t2:
                     ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,
                                               -ev.sign, ev.margin)
-                    loop = tau
+                    loop = (m, n)
                 else:
-                    loop = tau.inverse()
+                    loop = (-m, -n)
                 out.append((ev, loop))
     out.sort(key=lambda pair: (pair[0].t1, pair[0].t2))
     return out

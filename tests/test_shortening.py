@@ -29,7 +29,8 @@ def test_circle_geometry(flat):
 def test_curve_validation():
     with pytest.raises(ValidationError):
         ClosedCurve(nodes=np.zeros((3, 2)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="translation class must be a nonzero"):
         straight_class_curve((0, 0))
 
 
