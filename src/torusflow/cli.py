@@ -376,8 +376,8 @@ def build_parser():
     p.add_argument("--class-radius", type=int, default=3)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--witness", action="store_true",
-                   help="also look for a double loop (loop classes of "
-                        f"sup-norm <= {cover._TORUS_CLASS_RADIUS} only)")
+                   help="also count every torus self-crossing, whatever "
+                        "its loop class, and look for a double loop")
 
     p = add("strip", cmd_strip, "bounding slab of one lifted ray", metric, base)
     p.add_argument("--angle", type=float, required=True)

@@ -3,16 +3,15 @@
 The deck group of the square torus acts by integer translations, so a deck
 shift and a translation class are both integer pairs (m, n): `class_rep`
 normalises a class to its primitive representative, `class_frame` gives a
-class's direction and normal, and `half_lattice`, `box_shifts` and
-`primitive_classes` list the shifts a query scans.
+class's direction and normal, and `half_lattice` and `primitive_classes`
+list the shifts a census scans.
 
 This module tracks how a lifted geodesic meets its own deck translates
-(self-intersections, per-class intersection censuses), where it escapes to
-(asymptotic direction, rotation number as a point of the projective line,
-bounding strip), and detects the two configurations that certify dynamical
-complexity: a double loop on one lift, and a pair of geodesic segments
-anchored on a closed geodesic's axis whose interiors cross disjoint
-translates of that axis on either side.
+(self-intersections, per-class intersection censuses, and every
+self-crossing of its torus projection, found by one complete scan that
+lists no shifts), where it escapes to (asymptotic direction, rotation
+number as a point of the projective line, bounding strip), and detects the
+double loop on one lift that certifies dynamical complexity.
 
 All finite-horizon counts and estimates are evidence about the sampled
 window, never proofs about infinite rays; report consumers are expected to
@@ -22,13 +21,12 @@ treat them that way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import segments as sg
-from .errors import (AxesNotDisjoint, NotEscaping, PrimitiveRequired,
-                     ValidationError)
+from .errors import NotEscaping, PrimitiveRequired, ValidationError
 from .flow import integrate_rays, unit_tangent
 from .metrics import circle_distance
 
@@ -37,8 +35,6 @@ IntersectionEvent = sg.IntersectionEvent
 # a ray must end at least this far from its launch point for its escape
 # direction to be estimated
 _MIN_ESCAPE_NORM = 10.0
-# sup-norm radius of the translates torus_self_crossings scans
-_TORUS_CLASS_RADIUS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +79,6 @@ def half_lattice(rx, ry):
             if m > 0 or n > 0]
 
 
-def box_shifts(xyA, xyB):
-    """Integer shifts s, in lexicographic order, whose box(B) + s may meet
-    box(A), rounded outwards (the crossing engine's box test drops the rest).
-
-    For B = A, the s >= (0, 0) are the zero shift and one of each pair +-s.
-    """
-    lo = np.floor(xyA.min(axis=0) - xyB.max(axis=0)).astype(int)
-    hi = np.ceil(xyA.max(axis=0) - xyB.min(axis=0)).astype(int)
-    return [(m, n) for m in range(lo[0], hi[0] + 1)
-            for n in range(lo[1], hi[1] + 1)]
-
-
 def primitive_classes(radius):
     """Class representatives (class_rep's) with sup-norm at most `radius`,
     in half_lattice order."""
@@ -124,22 +108,20 @@ def translate_intersections(traj, shift):
 
 
 def torus_self_crossings(traj):
-    """Parameter pairs where the projected geodesic meets itself on the torus
-    with a loop class of sup-norm at most _TORUS_CLASS_RADIUS; farther loop
-    classes are not scanned.
+    """Every torus self-crossing of the projected geodesic, any loop class.
 
     Each unordered pair {t1, t2} with equal torus points lifts to a unique
-    integer difference vector, so the zero shift plus the half-lattice
-    within that radius records each such crossing exactly once.  Returns
-    (event, loop_class) pairs sorted by (t1, t2), with t1 < t2 and
-    loop_class the integer pair (m, n) by which the loop run from t1 to t2
-    advances, (0, 0) for contractible ones.
+    integer difference vector, and `segments.torus_crossings` scans every
+    such vector in one pass, the zero shift and one of each pair +-s, so
+    each crossing is recorded exactly once.  Returns (event, loop_class)
+    pairs sorted by (t1, t2), with t1 < t2 and loop_class the integer pair
+    (m, n) by which the loop run from t1 to t2 advances, (0, 0) for
+    contractible ones.
     """
-    shifts = [(0, 0)] + half_lattice(_TORUS_CLASS_RADIUS, _TORUS_CLASS_RADIUS)
-    found = sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t, shifts,
-                                  traj.v, traj.v)
+    found = sg.torus_crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v,
+                               traj.v)
     out = []
-    for (m, n), (events, _) in zip(shifts, found):
+    for (m, n), (events, _) in found.items():
         # an event (ta, tb) asserts lift(ta) = lift(tb) + (m, n); the loop
         # class compares the later lift point against the earlier one
         for ev in events:
@@ -344,7 +326,7 @@ def fit_strip(traj, direction=None):
 
 
 # ---------------------------------------------------------------------------
-# configuration detectors
+# the double-loop detector
 
 @dataclass(frozen=True)
 class DoubleLoopWitness:
@@ -371,120 +353,6 @@ def detect_double_loop(events):
         if best is None or ev.t2 < best.t2:
             best = ev
     return None
-
-
-def _point_polyline_distance(points, poly):
-    """Distance from each point to a polyline, vectorised over segments."""
-    a = poly[:-1]
-    d = poly[1:] - a
-    len2 = (d * d).sum(axis=1)
-    len2[len2 == 0.0] = 1.0
-    out = np.empty(len(points))
-    for i, p in enumerate(np.asarray(points, dtype=float)):
-        t = np.clip(((p - a) * d).sum(axis=1) / len2, 0.0, 1.0)
-        proj = a + t[:, None] * d
-        out[i] = np.hypot(*(proj - p).T).min()
-    return out
-
-
-def _tile_axis(axis_nodes, deck, span_lo, span_hi):
-    """Concatenate deck-periodic copies of one axis period to cover a span.
-
-    `axis_nodes` is one period of the closed geodesic's lift (first node not
-    repeated); `deck` its translation (p, q).  Copies k = span_lo..span_hi
-    are chained into a single polyline.
-    """
-    p = np.array(deck, dtype=float)
-    pieces = [axis_nodes + k * p for k in range(span_lo, span_hi + 1)]
-    pieces.append(axis_nodes[:1] + (span_hi + 1) * p)
-    return np.vstack(pieces)
-
-
-@dataclass(frozen=True)
-class AnchoredCrossingResult:
-    """Verdict of the anchored-segments detector, with crossing witnesses."""
-
-    found: bool
-    reason: str
-    witness_plus: tuple | None = None    # point where eta(axis) crosses c1
-    witness_minus: tuple | None = None   # point where eta^-1(axis) crosses c2
-    diagnostics: dict = field(default_factory=dict)
-
-
-def detect_anchored_crossing_pair(c1, c2, axis_nodes, axis_deck, eta):
-    """Detect two arcs anchored on an axis that cross its translates on both sides.
-
-    Parameters
-    ----------
-    c1, c2 : Trajectory segments whose endpoints are expected on the axis
-    axis_nodes : (N, 2) one period of the axis lift
-    axis_deck : (p, q) translation closing the axis
-    eta : (m, n) deck shift; its translate of the axis must be disjoint from
-        the axis itself, otherwise AxesNotDisjoint is raised
-
-    The four arc endpoints must lie within 1e-6 of the axis, and each arc's
-    interior, without the 2% of its samples at either end, must avoid it.
-
-    Returns an AnchoredCrossingResult; `found` is True only when all the
-    geometric requirements hold and both required crossings exist.
-    """
-    axis_nodes = np.asarray(axis_nodes, dtype=float)
-    m, n = eta
-    axis_class = class_rep((int(round(axis_deck[0])), int(round(axis_deck[1]))))
-    if class_rep(eta) == axis_class:
-        # such a translate maps the axis onto itself as a set, with no
-        # transversal crossings to count
-        raise AxesNotDisjoint(
-            f"translate {eta} is parallel to the axis class {axis_class}")
-    arcs = np.vstack([c1.xy, c2.xy])
-    dirvec = np.array(axis_deck, dtype=float)
-    dlen2 = float(dirvec @ dirvec)
-    # project everything on the axis direction to size the tiling
-    offs = ((arcs - axis_nodes[0]) @ dirvec) / dlen2
-    span_lo = int(math.floor(offs.min())) - 2 - max(abs(m), abs(n))
-    span_hi = int(math.ceil(offs.max())) + 2 + max(abs(m), abs(n))
-    tiled = _tile_axis(axis_nodes, axis_deck, span_lo, span_hi)
-
-    t_tiled = np.arange(len(tiled), dtype=float)
-    ev, tang = sg.crossings_by_shift(tiled, t_tiled, tiled, t_tiled,
-                                     [(m, n)])[0]
-    if ev or tang:
-        raise AxesNotDisjoint(
-            f"translate {eta} of the axis meets the axis ({len(ev)} crossings)")
-
-    end_pts = [c1.xy[0], c1.xy[-1], c2.xy[0], c2.xy[-1]]
-    end_d = _point_polyline_distance(end_pts, tiled)
-    if end_d.max() > 1e-6:
-        return AnchoredCrossingResult(
-            found=False, reason="arc endpoints are not on the axis",
-            diagnostics={"endpoint_distances": end_d.tolist()})
-
-    def interior(c):
-        n = len(c.t)
-        k = max(1, int(0.02 * n))
-        return c.xy[k:n - k], c.t[k:n - k]
-
-    for label, c in (("c1", c1), ("c2", c2)):
-        ixy, it = interior(c)
-        iev, _ = sg.crossings(ixy, it, tiled, t_tiled)
-        if iev:
-            return AnchoredCrossingResult(
-                found=False, reason=f"interior of {label} meets the axis",
-                diagnostics={"interior_events": len(iev)})
-
-    ev_plus, _ = sg.crossings_by_shift(c1.xy, c1.t, tiled, t_tiled,
-                                       [(m, n)])[0]
-    ev_minus, _ = sg.crossings_by_shift(c2.xy, c2.t, tiled, t_tiled,
-                                        [(-m, -n)])[0]
-    if not ev_plus or not ev_minus:
-        return AnchoredCrossingResult(
-            found=False,
-            reason="required crossings with the shifted axis are missing",
-            diagnostics={"plus": len(ev_plus), "minus": len(ev_minus)})
-    return AnchoredCrossingResult(
-        found=True, reason="all requirements hold",
-        witness_plus=ev_plus[0].point, witness_minus=ev_minus[0].point,
-        diagnostics={"plus": len(ev_plus), "minus": len(ev_minus)})
 
 
 # ---------------------------------------------------------------------------

@@ -146,41 +146,6 @@ def probe_trajectories(spec, states, t_max, dt_probe, step_h):
     return times, probes
 
 
-def phase_distance(u, v):
-    """Distance between two phase points, base part plus angle part.
-
-    u and v are state rows (x, y, vx, vy).  The base part is the quotient
-    distance of the flat torus (minimum over deck images of the Euclidean
-    one); the angle part is the circle distance between the tangent
-    direction angles; the two add with weight 1:1.  Symmetric, and zero
-    exactly on equal points.
-    """
-    a, b = (np.array([[w[0] % 1.0, w[1] % 1.0, math.atan2(w[3], w[2])]])
-            for w in (u, v))
-    return float(_phase_gap(a, b)[0])
-
-
-def _phase_gap(a, b):
-    """Phase distance of reduced rows (x mod 1, y mod 1, angle), rowwise."""
-    dx = circle_distance(a[..., 0], b[..., 0], 1.0)
-    dy = circle_distance(a[..., 1], b[..., 1], 1.0)
-    return np.hypot(dx, dy) + circle_distance(a[..., 2], b[..., 2], TWO_PI)
-
-
-def dynamical_distance(spec, u, v, t_max):
-    """Largest phase distance of the two orbits over the probe time grid.
-
-    The probe grid and RK4 step are EntropyParams' defaults.  Nondecreasing
-    in t_max by construction.  Probes are stored in float32, so results
-    carry that storage grain.
-    """
-    states = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
-    _, probes = probe_trajectories(spec, states, float(t_max),
-                                   EntropyParams.dt_probe, EntropyParams.step_h)
-    probes = probes.astype(np.float64)
-    return float(_phase_gap(probes[0], probes[1]).max())
-
-
 def _pair_separates(probes, i, j, k_limit, eps):
     """Whether samples i and j get phase distance >= eps within the window.
 

@@ -25,10 +25,6 @@ class NotEscaping(TorusflowError):
     """Asymptotic-direction estimate requested for a trajectory that has not escaped."""
 
 
-class AxesNotDisjoint(TorusflowError):
-    """Configuration detector requires a translate disjoint from the axis."""
-
-
 class DegenerateSpacing(TorusflowError):
     """Node spacing of a discrete curve collapsed outside the admissible band."""
 

@@ -7,7 +7,10 @@ with a list of translates B + shift: A goes into a uniform spatial hash once
 within A's cell range; a segment longer than a cell is hashed in pieces no
 longer than a cell), and each translate is rasterised onto the same grid
 and looked up in it; the zero shift of B = A (one object) is A's
-self-intersection query.  Candidate pairs get an exact closed-form solve, and
+self-intersection query.  `torus_crossings` meets A with every integer
+translate of B without listing shifts: both go into one hash on the unit
+torus's grid, and each candidate pair reads its shift from the lattice
+cells of its pieces.  Candidate pairs get an exact closed-form solve, and
 crossings whose |sin| of intersection angle falls below a margin threshold
 are reported separately as tangential events rather than being counted.
 When node velocities are available the crossing is polished on a local
@@ -20,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .metrics import circle_distance
 
 THETA_MIN = 1e-4    # |sin| threshold separating transversal from tangential
 SELF_T_SEP = 0.1    # parameter separation excluding trivial self-overlap
@@ -77,13 +78,18 @@ def _cell_entries(boxes, shift, cell, origin, top):
     i1 = np.floor((hi + shift - origin) / cell) + pad
     i0 = np.maximum(i0, 0.0).astype(np.int64)
     i1 = np.minimum(i1, top).astype(np.int64)
+    return _spread(i0, i1, seg, int(top[1, 0]) + 1)
+
+
+def _spread(i0, i1, seg, rows):
+    """Entries (cx * rows + cy, segment id) for the cells (cx, cy) in each
+    piece's index range [i0, i1], with 0 <= cx and 0 <= cy < rows."""
     span = i1 - i0
-    # a piece spans a few cells per axis (none when it misses A's range):
+    # a piece spans a few cells per axis (none when it misses the grid):
     # list cell (i0x + dx, i0y + dy) of the pieces spanning that far
     w = int(span.max()) + 1
     reach_x = [span[0] >= d for d in range(w)]
     reach_y = [span[1] >= d for d in range(w)]
-    rows = int(top[1, 0]) + 1
     base = i0[0] * rows + i0[1]
     keys, segs = [base[:0]], [seg[:0]]
     for dx in range(w):
@@ -182,19 +188,16 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0):
     return a, b, 0.5 * (Pa + Qb), da, db, ok
 
 
-def crossings(xyA, tA, xyB, tB, vA=None, vB=None, t_sep=SELF_T_SEP,
-              cyclic_span=None):
+def crossings(xyA, tA, xyB, tB, vA=None, vB=None):
     """All transversal crossings between two polylines: (events, tangential).
 
     The single-shift case of `crossings_by_shift`, which documents the
     arguments and the result.
     """
-    return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB,
-                              t_sep=t_sep, cyclic_span=cyclic_span)[0]
+    return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB)[0]
 
 
-def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
-                       t_sep=SELF_T_SEP, cyclic_span=None):
+def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
     """Crossings of polyline A with each translate B + shift, A hashed once.
 
     Parameters
@@ -203,11 +206,10 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
     shifts : sequence of (dx, dy) translations of B, deck shifts in practice
     vA, vB : optional node velocities; when both are given every crossing
         is polished on the local cubic Hermite model
-    t_sep : a self-intersection query (zero shift with xyB the very object
-        xyA; an equal copy is another curve) skips adjacent segments and
-        pairs with parameter separation up to t_sep
-    cyclic_span : period of the parameter for closed curves; the t_sep
-        filter then uses cyclic parameter distance
+
+    A self-intersection query (zero shift with xyB the very object xyA; an
+    equal copy is another curve) skips adjacent segments and pairs up to
+    SELF_T_SEP apart in parameter.
 
     Returns
     -------
@@ -233,9 +235,7 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
         return out
     if vA is None or vB is None:
         vA = vB = None
-    lensA = np.hypot(*(xyA[1:] - xyA[:-1]).T)
-    lensB = np.hypot(*(xyB[1:] - xyB[:-1]).T)
-    cell = 2.0 * max(np.percentile(lensA, 95), np.percentile(lensB, 95), 1e-9)
+    cell = _cell_size(xyA, xyB)
     boxesA = _pieces(xyA, cell)
     boxesB = boxesA if self_query else _pieces(xyB, cell)
     table = _CellTable(xyA, boxesA, cell)
@@ -244,12 +244,94 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None,
         iA, iB = _candidate_pairs(table, boxesB, shifts[i][:, None],
                                   len(xyB) - 1, same_curve)
         out[i] = _events(xyA, tA, vA, xyB + shifts[i], tB, vB, iA, iB,
-                         same_curve, t_sep, cyclic_span)
+                         same_curve)
     return out
 
 
-def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve, t_sep,
-            cyclic_span):
+def _cell_size(xyA, xyB):
+    """Hash cell size: twice the larger 95th-percentile segment length."""
+    lensA = np.hypot(*(xyA[1:] - xyA[:-1]).T)
+    lensB = np.hypot(*(xyB[1:] - xyB[:-1]).T)
+    return 2.0 * max(np.percentile(lensA, 95), np.percentile(lensB, 95), 1e-9)
+
+
+def torus_crossings(xyA, tA, xyB, tB, vA, vB):
+    """Crossings of polyline A with every integer translate of polyline B.
+
+    Answers `crossings_by_shift` over all deck shifts without listing them:
+    the pieces of A and B go once into a hash on the unit torus's G x G
+    grid (cell 1/G, near the engine's cell size), keyed by wrapped cell and
+    tagged with the lattice cell L of their lift.  Pieces i of A and j of B
+    sharing a wrapped cell are a candidate at shift L_i - L_j; one sort
+    groups the candidates by shift and dedupes them.  With xyB the very
+    object xyA each torus self-crossing shows up once, at a shift > (0, 0)
+    or in the zero shift's self-intersection query.
+
+    Returns {(m, n): (events, tangential)} in ascending shift order over
+    the shifts with candidates, each entry what `crossings_by_shift`
+    returns for that shift, as each shift is solved and refined as its own
+    batch.  vA and vB are both velocities or both None.
+    """
+    self_query = xyB is xyA
+    xyA, xyB, tA, tB = (np.asarray(v, dtype=float)
+                        for v in (xyA, xyB, tA, tB))
+    if len(xyA) < 2 or len(xyB) < 2:
+        return {}
+    G = max(int(1.0 / _cell_size(xyA, xyB)), 1)
+    keyA, segA, latA = _torus_entries(xyA, G)
+    keyB, segB, latB = ((keyA, segA, latA) if self_query
+                        else _torus_entries(xyB, G))
+    # join the entries of A and B that share a wrapped cell
+    order = np.argsort(keyA)
+    keyA = keyA[order]
+    first = np.searchsorted(keyA, keyB)
+    counts = np.searchsorted(keyA, keyB, side="right") - first
+    b = np.repeat(np.arange(len(keyB)), counts)
+    k = np.arange(len(b)) - np.repeat(np.cumsum(counts) - counts, counts)
+    a = order[np.repeat(first, counts) + k]
+    i, j = segA[a], segB[b]
+    sx, sy = latA[:, a] - latB[:, b]
+    if self_query:
+        keep = (sx > 0) | ((sx == 0) & ((sy > 0) | ((sy == 0) & (i < j - 1))))
+        i, j, sx, sy = i[keep], j[keep], sx[keep], sy[keep]
+    if len(i) == 0:
+        return {}
+    # one int64 code per candidate, ordered by shift, then by (i, j) as the
+    # engine orders a shift's pairs; sorting it groups and dedupes
+    nA, nB = np.int64(len(xyA) - 1), np.int64(len(xyB) - 1)
+    x0, y0 = sx.min(), sy.min()
+    rows = np.int64(sy.max() - y0 + 1)
+    code = np.sort(((sx - x0) * rows + (sy - y0)) * (nA * nB) + i * nB + j)
+    code = code[np.diff(code, prepend=-1) != 0]
+    shift, pair = np.divmod(code, nA * nB)
+    cut = np.flatnonzero(np.diff(shift, prepend=-1, append=-1))
+    out = {}
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        m, n = (int(v) for v in divmod(shift[lo], rows))
+        s = (m + int(x0), n + int(y0))
+        iA, iB = np.divmod(pair[lo:hi], nB)
+        out[s] = _events(xyA, tA, vA, xyB + np.array(s, dtype=float), tB, vB,
+                         iA, iB, self_query and s == (0, 0))
+    return out
+
+
+def _torus_entries(xy, G):
+    """Torus hash entries (wrapped cell key, segment id, (2, E) lattice cell)
+    of the cells that a polyline's pieces, no longer than 1/G, cover."""
+    lo, hi, seg, pad = _pieces(xy, 1.0 / G)
+    # the exact test sees B + s rounded, which may cross a cell edge that a
+    # box edge lies within rounding of: widen each range by 1e-6 of a cell
+    i0 = (np.floor(lo * G - 1e-6) - pad).astype(np.int64)
+    i1 = (np.floor(hi * G + 1e-6) + pad).astype(np.int64)
+    c0 = i0.min(axis=1, keepdims=True)
+    rows = int((i1[1] - c0[1]).max()) + 1
+    keys, seg = _spread(i0 - c0, i1 - c0, seg, rows)
+    cell = np.stack(np.divmod(keys, rows)) + c0
+    lattice, wrapped = np.divmod(cell, G)
+    return wrapped[0] * G + wrapped[1], seg, lattice
+
+
+def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve):
     """Exact crossings of the candidate segment pairs, refined when vA is set."""
     a = xyA[iA]
     r = xyA[iA + 1] - a
@@ -262,6 +344,14 @@ def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve, t_sep,
         upar = (diff[:, 0] * r[:, 1] - diff[:, 1] * r[:, 0]) / denom
     hit = ((denom != 0.0) & (tpar >= 0.0) & (tpar < 1.0)
            & (upar >= 0.0) & (upar < 1.0))
+    if not hit.any():
+        return [], []
+    # segments with disjoint boxes do not meet, whatever the rounded solve
+    # says (it is noise for collinear ones); so no hit depends on the hash
+    ends = [xyA[iA[hit]], xyA[iA[hit] + 1], xyB[iB[hit]], xyB[iB[hit] + 1]]
+    lo = np.maximum(np.minimum(*ends[:2]), np.minimum(*ends[2:]))
+    hit[hit] = (lo <= np.minimum(np.maximum(*ends[:2]),
+                                 np.maximum(*ends[2:]))).all(axis=1)
     if not hit.any():
         return [], []
     iA, iB = iA[hit], iB[hit]
@@ -286,9 +376,7 @@ def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve, t_sep,
     margin = np.abs(cross) / (np.hypot(*tanA.T) * np.hypot(*tanB.T))
 
     if same_curve:
-        gap = (np.abs(t1 - t2) if cyclic_span is None
-               else circle_distance(t1, t2, cyclic_span))
-        keep = gap > t_sep
+        keep = np.abs(t1 - t2) > SELF_T_SEP
         t1, t2, pts, cross, margin = (t1[keep], t2[keep], pts[keep],
                                       cross[keep], margin[keep])
 

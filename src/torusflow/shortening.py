@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import segments as sg
-from .cover import box_shifts, class_frame
+from .cover import class_frame
 from .errors import DegenerateSpacing, NumericalBlowup, ValidationError
 from .metrics import accel_from_fields, gauss_curvature_batch, quadratic_form
 
@@ -48,10 +47,6 @@ class ClosedCurve:
         if not np.isfinite(self.nodes).all():
             raise ValidationError("curve nodes must be finite")
         self.deck = (int(self.deck[0]), int(self.deck[1]))
-
-    @property
-    def n_nodes(self):
-        return len(self.nodes)
 
     def closed_polyline(self):
         """Nodes with the closing node appended (one full period)."""
@@ -78,18 +73,6 @@ class ClosedCurve:
         """Copy with n nodes redistributed to uniform metric arclength."""
         nodes = _spline_resample(spec, self.nodes, self.deck, int(n))
         return ClosedCurve(nodes=nodes, deck=self.deck)
-
-    def self_crossing_count(self):
-        """Transversal self-crossings of the torus curve (0 when embedded)."""
-        p = self.closed_polyline()
-        t = np.arange(len(p), dtype=float)
-        # the period against itself (zero shift, nodes 1.5 apart or more
-        # on the closed parameter) and against one of each pair of distinct
-        # translates, so each torus point shows up for exactly one shift
-        shifts = [s for s in box_shifts(p, p) if s >= (0, 0)]
-        found = sg.crossings_by_shift(p, t, p, t, shifts, t_sep=1.5,
-                                      cyclic_span=float(self.n_nodes))
-        return sum(len(ev) for ev, _ in found)
 
 
 def circle_curve(center, radius, n):
@@ -158,6 +141,10 @@ def _solve_cyclic_tridiag(sub, diag, sup, corner_lo, corner_hi, rhs):
     have several columns.  Raises NumericalBlowup when the tridiagonal
     part or the rank-one update is exactly singular.
     """
+    # imported here, not at the top, so that the commands that never solve
+    # (integrate, entropy, report and the rest) start without loading scipy
+    from scipy.linalg.lapack import dgtsv
+
     gamma = -diag[0]
     d2 = diag.copy()
     d2[0] -= gamma
@@ -267,15 +254,6 @@ class FlowResult:
     # the flow is expected to stay in a compact set, and this reports on it
     # instead of assuming it
     containment_drift: float = 0.0
-
-
-def _dissipation_mismatch(records):
-    """Worst relative gap between shrink rate and curvature integral."""
-    worst = 0.0
-    for r in records:
-        scale = max(abs(r.curvature_integral), 1e-12)
-        worst = max(worst, abs(r.shrink_rate - r.curvature_integral) / scale)
-    return worst
 
 
 # evolve's time-step schedule, its two caps and its halving budget, as its
@@ -443,15 +421,15 @@ def torus_crossing_count(curveA, curveB):
     """Transversal crossings of two closed torus curves.
 
     Counts crossings of one period of A against every integer translate of
-    B's period whose box meets A's, which enumerates each torus crossing
-    exactly once.
+    B's period, all of them scanned by one `segments.torus_crossings` pass,
+    which enumerates each torus crossing exactly once.
     """
     pA = curveA.closed_polyline()
     tA = np.arange(len(pA), dtype=float)
     pB = curveB.closed_polyline()
     tB = np.arange(len(pB), dtype=float)
-    found = sg.crossings_by_shift(pA, tA, pB, tB, box_shifts(pA, pB))
-    return sum(len(ev) for ev, _ in found)
+    found = sg.torus_crossings(pA, tA, pB, tB, None, None)
+    return sum(len(ev) for ev, _ in found.values())
 
 
 def intersection_monotonicity_probe(spec, curveA, curveB, probe_times):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from test_segments import box_shift_crossings
 from torusflow import cli, flow, metrics, shortening
 
 
@@ -426,12 +427,34 @@ def test_one_curvature_evaluation_per_command(capsys, monkeypatch, argv):
 
 
 def test_import_leaves_out_scipy_integrate():
-    # integrate steps its own DOP853; scipy.integrate would also pull in
-    # scipy.special, optimize, sparse, fft and spatial at start-up
+    # integrate steps its own DOP853, and the curve-shortening solve imports
+    # LAPACK's dgtsv when it first runs: scipy.integrate would also pull in
+    # scipy.special, optimize, sparse, fft and spatial at start-up, and
+    # scipy.linalg most of the rest of the import time
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = ("import sys, torusflow.cli; "
-             "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_witness_counts_every_torus_self_crossing(capsys):
+    code, out, _ = run(capsys, "intersections", "--metric", "two-frequency",
+                       "--angle", "0.437", "--horizons", "10,20,40",
+                       "--witness")
+    assert code == 0
+    payload = loads(out)
+    # the same ray, scanned against every shift whose box meets its own
+    spec = metrics.gallery("two-frequency")
+    ray = flow.integrate(spec, flow.unit_tangent(spec, (0.0, 0.0), 0.437),
+                         40.0, dt=0.05)
+    found = box_shift_crossings(ray.xy, ray.t, ray.xy, ray.t, ray.v, ray.v)
+    assert payload["torus_crossings"] == sum(len(ev) for ev, _ in
+                                             found.values())
+    assert payload["double_loop"] is not None
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["intersections", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--witness" in help_text and "sup-norm" not in help_text

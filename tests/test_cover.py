@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from torusflow import cover
 from torusflow import segments as sg
 from torusflow.cover import (RotationNumber, asymptotic_direction,
-                             class_frame, class_rep,
-                             detect_anchored_crossing_pair,
-                             detect_double_loop, direction_antisymmetry,
+                             class_frame, class_rep, detect_double_loop, direction_antisymmetry,
                              direction_field, fit_strip, hit_rotation_targets,
                              intersection_census, max_projective_jump,
                              primitive_classes, self_intersections,
                              torus_self_crossings, translate_intersections)
-from torusflow.errors import (AxesNotDisjoint, NotEscaping, PrimitiveRequired,
-                              ValidationError)
+from torusflow.errors import NotEscaping, PrimitiveRequired, ValidationError
 from torusflow.flow import Trajectory
 from torusflow.shortening import straight_class_curve
 
@@ -153,8 +150,7 @@ def test_half_lattice_lists_one_of_each_pair(rx, ry):
 def test_self_intersections_simple_cross():
     traj = synth([(0, 0), (1, 1), (1, 0), (0, 1)])
     # without velocities the polyline solve is reported as is
-    events, tangential = sg.crossings(traj.xy, traj.t, traj.xy, traj.t,
-                                      t_sep=0.5)
+    events, tangential = sg.crossings(traj.xy, traj.t, traj.xy, traj.t)
     assert len(events) == 1 and not tangential
     ev = events[0]
     assert (ev.x, ev.y) == pytest.approx((0.5, 0.5), abs=1e-12)
@@ -278,7 +274,7 @@ def test_hit_rotation_targets_flat(flat):
 
 
 # ---------------------------------------------------------------------------
-# configuration detectors
+# the double-loop detector
 
 def _event(t1, t2):
     from torusflow.segments import IntersectionEvent
@@ -301,46 +297,3 @@ def test_detect_double_loop_picks_earliest_closure():
                             _event(2.5, 3.0)])
     assert (w.t1, w.t2) == (1.0, 2.0)
     assert (w.t3, w.t4) == (2.5, 3.0)
-
-
-def _tent(x0, peak_y, width=0.1, n=201):
-    xs = np.linspace(x0, x0 + width, n)
-    ys = peak_y * (1.0 - np.abs(np.linspace(-1, 1, n)))
-    return synth(np.stack([xs, ys], axis=1), dt=1.0 / (n - 1))
-
-
-def test_anchored_crossing_pair_positive():
-    axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
-    eta = (0, 1)
-    c1 = _tent(0.2, 1.2)     # rises through eta(axis) at y = 1
-    c2 = _tent(0.6, -1.2)    # dips through eta^-1(axis) at y = -1
-    res = detect_anchored_crossing_pair(c1, c2, axis_nodes, (1, 0), eta)
-    assert res.found
-    assert res.witness_plus is not None and res.witness_minus is not None
-    assert res.witness_plus[1] == pytest.approx(1.0, abs=1e-9)
-    assert res.witness_minus[1] == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_anchored_crossing_pair_missing_side():
-    axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
-    res = detect_anchored_crossing_pair(
-        _tent(0.2, 1.2), _tent(0.6, 1.2), axis_nodes, (1, 0),
-        (0, 1))
-    assert not res.found
-    assert "missing" in res.reason
-
-
-def test_anchored_crossing_pair_endpoints_checked():
-    axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
-    c1 = _tent(0.2, 1.2)
-    bad = synth(c1.xy + [0.0, 0.05])      # lifted off the axis
-    res = detect_anchored_crossing_pair(bad, _tent(0.6, -1.2), axis_nodes,
-                                        (1, 0), (0, 1))
-    assert not res.found and "endpoints" in res.reason
-
-
-def test_anchored_crossing_pair_parallel_eta_rejected():
-    axis_nodes = np.stack([np.arange(64) / 64.0, np.zeros(64)], axis=1)
-    with pytest.raises(AxesNotDisjoint):
-        detect_anchored_crossing_pair(_tent(0.2, 1.2), _tent(0.6, -1.2),
-                                      axis_nodes, (1, 0), (2, 0))

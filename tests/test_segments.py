@@ -1,14 +1,18 @@
-"""The crossing engine against brute force and against the per-shift loops.
+"""The crossing engines against brute force and against the shift lists.
 
 `crossings_by_shift` hashes polyline A once and queries every translate of
-B against it.  Two references check it:
+B against it; `torus_crossings` answers the all-shift question from one
+torus-reduced hash.  Three references check them:
 
 * a brute-force O(NM) reference that feeds every segment pair of A and
   B + shift to the exact solve, so any pair the spatial hash drops shows up
   as a missing event;
-* the per-shift loops the four callers used before the engine (one
-  `crossings` call per deck translate), kept here only as the reference
-  for the census, the torus self-crossings and the torus crossing counts.
+* `box_shifts`, the list of every shift whose boxes can meet, which the
+  all-shift torus queries scanned with `crossings_by_shift` before the torus
+  hash; the torus hash must return, shift by shift, exactly its events;
+* the per-shift loops the callers used before the engine (one `crossings`
+  call per deck translate), kept here only as the reference for the census
+  and the torus crossing counts.
 """
 import math
 
@@ -18,9 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import cover, flow, segments as sg
-from torusflow.cover import (ClassCensus, IntersectionCensus, box_shifts,
-                             half_lattice, primitive_classes,
-                             self_intersections, translate_intersections)
+from torusflow.cover import (ClassCensus, IntersectionCensus, half_lattice,
+                             primitive_classes)
 from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, circle_curve,
                                   straight_class_curve, torus_crossing_count)
@@ -30,8 +33,13 @@ def _fields(events):
     return [(e.t1, e.t2, e.x, e.y, e.sign, e.margin) for e in events]
 
 
-def brute_force(xyA, tA, xyB, tB, shift, vA=None, vB=None, same_curve=False,
-                t_sep=sg.SELF_T_SEP, cyclic_span=None):
+def _bits(events):
+    """Events as the int64 bits of their float fields, plus the sign."""
+    return [tuple(np.array([e.t1, e.t2, e.x, e.y, e.margin]).view(np.int64))
+            + (e.sign,) for e in events]
+
+
+def brute_force(xyA, tA, xyB, tB, shift, vA=None, vB=None, same_curve=False):
     """Every segment pair of A and B + shift through the exact solve."""
     xyA = np.asarray(xyA, dtype=float)
     xyB = np.asarray(xyB, dtype=float) + np.asarray(shift, dtype=float)
@@ -42,8 +50,7 @@ def brute_force(xyA, tA, xyB, tB, shift, vA=None, vB=None, same_curve=False,
         keep = iA < iB - 1
         iA, iB = iA[keep], iB[keep]
     return sg._events(xyA, np.asarray(tA, float), vA, xyB,
-                      np.asarray(tB, float), vB, iA, iB, same_curve, t_sep,
-                      cyclic_span)
+                      np.asarray(tB, float), vB, iA, iB, same_curve)
 
 
 def assert_same(got, want):
@@ -104,35 +111,28 @@ def test_engine_matches_brute_force(A, B, shifts, refine, seed):
         assert_same(res, brute_force(A, tA, B, tB, shift, vA, vB))
 
 
-@given(A=polylines(max_nodes=40), cyclic=st.booleans(),
-       t_sep=st.sampled_from([0.1, 1.5, 4.0]))
+@given(A=polylines(max_nodes=40), dt=st.sampled_from([0.02, 0.05, 1.0]))
 @settings(max_examples=200, deadline=None)
-def test_same_curve_matches_brute_force(A, cyclic, t_sep):
-    t = np.arange(len(A), dtype=float)
-    span = float(len(A)) if cyclic else None
-    got = sg.crossings(A, t, A, t, t_sep=t_sep, cyclic_span=span)
-    assert_same(got, brute_force(A, t, A, t, (0, 0), same_curve=True,
-                                 t_sep=t_sep, cyclic_span=span))
+def test_same_curve_matches_brute_force(A, dt):
+    # node spacings below and above SELF_T_SEP in parameter
+    t = dt * np.arange(len(A), dtype=float)
+    got = sg.crossings(A, t, A, t)
+    assert_same(got, brute_force(A, t, A, t, (0, 0), same_curve=True))
 
 
-@given(A=polylines(max_nodes=40), shifts=shift_sets, cyclic=st.booleans(),
-       t_sep=st.sampled_from([0.1, 1.5, 4.0]))
+@given(A=polylines(max_nodes=40), shifts=shift_sets)
 @settings(max_examples=200, deadline=None)
-def test_self_mode_is_read_from_the_inputs(A, shifts, cyclic, t_sep):
+def test_self_mode_is_read_from_the_inputs(A, shifts):
     # A met with itself: the zero shift is a self-intersection query, every
     # other shift a query against another curve
     shifts = shifts + [(0, 0)]
-    t = np.arange(len(A), dtype=float)
-    span = float(len(A)) if cyclic else None
-    got = sg.crossings_by_shift(A, t, A, t, shifts, t_sep=t_sep,
-                                cyclic_span=span)
+    t = 0.05 * np.arange(len(A), dtype=float)
+    got = sg.crossings_by_shift(A, t, A, t, shifts)
     for shift, res in zip(shifts, got):
         assert_same(res, brute_force(A, t, A, t, shift,
-                                     same_curve=shift == (0, 0),
-                                     t_sep=t_sep, cyclic_span=span))
+                                     same_curve=shift == (0, 0)))
     # an equal copy of A is another curve, at the zero shift too
-    got = sg.crossings_by_shift(A, t, A.copy(), t, shifts, t_sep=t_sep,
-                                cyclic_span=span)
+    got = sg.crossings_by_shift(A, t, A.copy(), t, shifts)
     for shift, res in zip(shifts, got):
         assert_same(res, brute_force(A, t, A, t, shift))
 
@@ -211,6 +211,21 @@ def test_candidates_share_a_cell():
         assert gap.max() <= cell
 
 
+def test_disjoint_collinear_segments_do_not_cross():
+    # B lies on the line through A's first segment, about 3 units beyond
+    # its end, and one hash cell holds both; the solve of two such
+    # segments is rounding noise and used to report a tangential crossing
+    # at A's first node
+    A = np.array([[-0.75, 0.0], [-2.6090624786635574, -1.8590624786635572],
+                  [-4.0, -3.0]])
+    B = np.array([[-3.0, -2.25], [-3.25, -2.5]])
+    cell = sg._cell_size(A, B)
+    iA, _ = sg._candidate_pairs(sg._CellTable(A, sg._pieces(A, cell), cell),
+                                sg._pieces(B, cell), 0.0, len(B) - 1, False)
+    assert 0 in iA
+    assert sg.crossings(A, [0.0, 1.0, 2.0], B, [0.0, 1.0]) == ([], [])
+
+
 # ---------------------------------------------------------------------------
 # the per-shift loops the engine replaced, kept as the reference
 
@@ -234,47 +249,44 @@ def census_reference(traj, class_radius, horizons):
                               classes=classes)
 
 
-def torus_self_crossings_reference(traj, class_radius=2):
+def box_shifts(xyA, xyB):
+    """Integer shifts s, in lexicographic order, whose box(B) + s may meet
+    box(A), rounded outwards (the crossing engine's box test drops the rest).
+
+    For B = A, the s >= (0, 0) are the zero shift and one of each pair +-s.
+    """
+    lo = np.floor(xyA.min(axis=0) - xyB.max(axis=0)).astype(int)
+    hi = np.ceil(xyA.max(axis=0) - xyB.min(axis=0)).astype(int)
+    return [(m, n) for m in range(lo[0], hi[0] + 1)
+            for n in range(lo[1], hi[1] + 1)]
+
+
+def box_shift_crossings(xyA, tA, xyB, tB, vA, vB):
+    """{shift: (events, tangential)} of the engine over the box shifts, the
+    s >= (0, 0) ones when xyB is xyA: the torus query before the torus hash."""
+    shifts = box_shifts(xyA, xyB)
+    if xyB is xyA:
+        shifts = [s for s in shifts if s >= (0, 0)]
+    return dict(zip(shifts, sg.crossings_by_shift(xyA, tA, xyB, tB, shifts,
+                                                  vA, vB)))
+
+
+def torus_self_crossings_reference(traj):
+    """torus_self_crossings as it read over the box shifts."""
+    found = box_shift_crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v,
+                                traj.v)
     out = []
-    events, _ = self_intersections(traj)
-    out.extend((ev, (0, 0)) for ev in events)
-    r = int(class_radius)
-    for m in range(0, r + 1):
-        for n in range(-r, r + 1):
-            if m == 0 and n <= 0:
-                continue
-            events, _ = translate_intersections(traj, (m, n))
-            for ev in events:
-                if ev.t1 > ev.t2:
-                    ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,
-                                              -ev.sign, ev.margin)
-                    loop = (m, n)
-                else:
-                    loop = (-m, -n)
-                out.append((ev, loop))
+    for (m, n), (events, _) in found.items():
+        for ev in events:
+            if ev.t1 > ev.t2:
+                ev = sg.IntersectionEvent(ev.t2, ev.t1, ev.x, ev.y,
+                                          -ev.sign, ev.margin)
+                loop = (m, n)
+            else:
+                loop = (-m, -n)
+            out.append((ev, loop))
     out.sort(key=lambda pair: (pair[0].t1, pair[0].t2))
     return out
-
-
-def self_crossing_count_reference(curve):
-    p = curve.closed_polyline()
-    t = np.arange(len(p), dtype=float)
-    events, _ = sg.crossings(p, t, p, t, t_sep=1.5,
-                             cyclic_span=float(curve.n_nodes))
-    count = len(events)
-    lo = p.min(axis=0)
-    hi = p.max(axis=0)
-    for jj in range(0, int(math.ceil(hi[0] - lo[0])) + 1):
-        kk_lo = -int(math.ceil(hi[1] - lo[1])) - 1
-        for kk in range(kk_lo, -kk_lo + 1):
-            if jj == 0 and kk <= 0:
-                continue
-            shift = np.array([jj, kk], dtype=float)
-            if (lo + shift > hi).any() or (hi + shift < lo).any():
-                continue
-            ev, _ = sg.crossings(p, t, p + shift, t)
-            count += len(ev)
-    return count
 
 
 def torus_crossing_count_reference(curveA, curveB):
@@ -326,14 +338,16 @@ def test_census_equals_per_shift_loop(fans, name):
 @pytest.mark.parametrize("name", ["liouville", "two-frequency"])
 def test_torus_self_crossings_equal_per_shift_loop(fans, name):
     rays, _ = fans[name]
-    total = 0
+    total = far = 0
     for ray in rays:
         got = cover.torus_self_crossings(ray)
-        want = torus_self_crossings_reference(ray, class_radius=2)
-        assert [(_fields([ev]), loop) for ev, loop in got] == \
-            [(_fields([ev]), loop) for ev, loop in want]
+        want = torus_self_crossings_reference(ray)
+        assert [(_bits([ev]), loop) for ev, loop in got] == \
+            [(_bits([ev]), loop) for ev, loop in want]
         total += len(got)
-    assert total > 0
+        far += sum(max(map(abs, loop)) > 2 for _, loop in got)
+    # the scan is complete: loop classes beyond sup-norm 2 are found too
+    assert total > 0 and far > 0
 
 
 SHORTENING_CURVES = [
@@ -359,21 +373,6 @@ def test_torus_crossing_count_equals_per_shift_loop():
     assert total > 0
 
 
-def test_self_crossing_count_equals_per_shift_loop():
-    curves = SHORTENING_CURVES + [
-        # a figure eight and a tightly bent class curve cross themselves
-        ClosedCurve(nodes=np.stack(
-            [0.5 + 0.3 * np.sin(2 * np.linspace(0, 2 * math.pi, 96,
-                                                endpoint=False)),
-             0.5 + 0.3 * np.sin(np.linspace(0, 2 * math.pi, 96,
-                                            endpoint=False))], axis=1)),
-        straight_class_curve((1, 1), n=128, amplitude=0.9),
-    ]
-    counts = [c.self_crossing_count() for c in curves]
-    assert counts == [self_crossing_count_reference(c) for c in curves]
-    assert any(counts)
-
-
 def _live(shifts, pA, pB):
     """The shifts that pass the engine's bounding-box test."""
     loA, hiA = pA.min(axis=0), pA.max(axis=0)
@@ -383,9 +382,9 @@ def _live(shifts, pA, pB):
 
 
 def test_box_shifts_equal_the_old_shift_lists():
-    # torus_crossing_count used to list the box range inline, and
-    # self_crossing_count the zero shift plus a half lattice one row taller
-    # than the box
+    # the reference against the lists it replaced: torus_crossing_count
+    # used to list the box range inline, and the closed-curve self-crossing
+    # count the zero shift plus a half lattice one row taller than the box
     for a in SHORTENING_CURVES:
         pA = a.closed_polyline()
         for b in SHORTENING_CURVES:
@@ -399,3 +398,76 @@ def test_box_shifts_equal_the_old_shift_lists():
         old = [(0, 0)] + half_lattice(span[0], span[1] + 1)
         new = [s for s in box_shifts(pA, pA) if s >= (0, 0)]
         assert _live(new, pA, pA) == _live(old, pA, pA)
+
+
+# ---------------------------------------------------------------------------
+# the torus hash against the engine over the box shifts
+
+def assert_same_by_shift(got, want):
+    """The torus hash's {shift: (events, tangential)} equals the box-shift
+    engine's, shift by shift, compared as float bits."""
+    # padded pieces may give candidates, but no crossing, beyond the box
+    assert not any(got[s][0] or got[s][1] for s in set(got) - set(want))
+    for shift, (events, tangential) in want.items():
+        got_events, got_tangential = got.get(shift, ([], []))
+        assert _bits(got_events) == _bits(events), shift
+        assert _bits(got_tangential) == _bits(tangential), shift
+
+
+@given(A=polylines(), B=polylines(), self_query=st.booleans(),
+       refine=st.booleans(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=200, deadline=None)
+def test_torus_crossings_match_box_shifts(A, B, self_query, refine, seed):
+    rng = np.random.default_rng(seed)
+    tA = 0.05 * np.arange(len(A), dtype=float)
+    tB = tA if self_query else 0.5 * np.arange(len(B), dtype=float)
+    B = A if self_query else B
+    vA = A + rng.normal(size=A.shape) if refine else None
+    vB = vA if self_query else (B + rng.normal(size=B.shape) if refine
+                                else None)
+    assert_same_by_shift(sg.torus_crossings(A, tA, B, tB, vA, vB),
+                         box_shift_crossings(A, tA, B, tB, vA, vB))
+
+
+@st.composite
+def closed_curves(draw):
+    """Class curves bent by a sine, circles for the zero class, each with a
+    periodic wiggle that can make it cross itself."""
+    klass = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    n = draw(st.integers(8, 96))
+    base = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    bend = draw(st.floats(0.0, 0.6))
+    if klass == (0, 0):
+        curve = circle_curve(base, 0.02 + bend, n)
+    else:
+        curve = straight_class_curve(klass, base=base, n=n, amplitude=bend)
+    k = draw(st.integers(1, 3))
+    wiggle = draw(st.floats(0.0, 0.4))
+    u = 2.0 * math.pi * np.arange(n) / n
+    nodes = curve.nodes + wiggle * np.stack([np.sin(k * u),
+                                             np.cos((k + 1) * u)], axis=1)
+    return ClosedCurve(nodes=nodes, deck=curve.deck)
+
+
+@given(a=closed_curves(), b=closed_curves())
+@settings(max_examples=100, deadline=None)
+def test_torus_crossings_match_box_shifts_on_closed_curves(a, b):
+    pA, pB = a.closed_polyline(), b.closed_polyline()
+    tA = np.arange(len(pA), dtype=float)
+    tB = np.arange(len(pB), dtype=float)
+    assert_same_by_shift(sg.torus_crossings(pA, tA, pB, tB, None, None),
+                         box_shift_crossings(pA, tA, pB, tB, None, None))
+    assert_same_by_shift(sg.torus_crossings(pA, tA, pA, tA, None, None),
+                         box_shift_crossings(pA, tA, pA, tA, None, None))
+
+
+def test_torus_crossings_match_box_shifts_on_criterion_07_ray():
+    spec = gallery("two-frequency")
+    v0 = flow.unit_tangent(spec, (0.173, 0.319), 0.437)
+    ray = flow.integrate(spec, v0, 40.0, dt=0.05)
+    got = sg.torus_crossings(ray.xy, ray.t, ray.xy, ray.t, ray.v, ray.v)
+    want = box_shift_crossings(ray.xy, ray.t, ray.xy, ray.t, ray.v, ray.v)
+    assert_same_by_shift(got, want)
+    # 1,405 shifts to list, of which 26 hold candidates
+    assert len(want) > 50 * len(got)
+    assert sum(len(ev) for ev, _ in got.values()) == 395
