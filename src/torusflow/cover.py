@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -179,29 +180,34 @@ def intersection_census(traj, class_radius, horizons):
     transversal crossings of the lift with its translate by (k m, k n) at
     each horizon rung; classes are keyed "m/n".  Events are computed once at
     the deepest horizon and re-thresholded, so a rung counts exactly the
-    crossings both of whose parameters lie within it.
+    crossings both of whose parameters lie within it.  One shift of each
+    +-pair is scanned, k = 1..class_radius; the counts of -k are copied
+    from those of k.
     """
     if class_radius < 1:
         raise ValidationError(
             f"census class radius must be at least 1, got {class_radius}")
-    if not all(map(math.isfinite, horizons)):
-        raise ValidationError(f"census horizons must be finite, got {horizons}")
+    if not horizons or not all(map(math.isfinite, horizons)):
+        raise ValidationError(
+            f"census horizons must be finite and nonempty, got {horizons}")
     horizons = tuple(sorted(horizons))
     if horizons[-1] > traj.horizon + 1e-9:
         raise ValidationError(
             f"census horizon {horizons[-1]} exceeds trajectory horizon {traj.horizon}")
     reps = primitive_classes(class_radius)
-    powers = [k for k in range(-class_radius, class_radius + 1) if k != 0]
     found = iter(sg.crossings_by_shift(
         traj.xy, traj.t, traj.xy, traj.t,
-        [(k * m, k * n) for m, n in reps for k in powers]))
+        [(k * m, k * n) for m, n in reps for k in range(1, class_radius + 1)]))
     classes = {}
     for m, n in reps:
-        counts = {}
-        for k in powers:
-            events, _ = next(found)
-            counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
-                         for h in horizons]
+        rungs = [[sum(1 for e in events if e.t1 <= h and e.t2 <= h)
+                  for h in horizons]
+                 for events, _ in islice(found, class_radius)]
+        # lift(t1) = lift(t2) + s exactly when lift(t2) = lift(t1) - s: the
+        # crossings with -s are those with s, t1 and t2 swapped, and a rung
+        # bounds both parameters, so power -k counts what power k counts
+        counts = {k: list(rungs[abs(k) - 1])
+                  for k in range(-class_radius, class_radius + 1) if k != 0}
         key = f"{m}/{n}"
         classes[key] = ClassCensus(class_key=key, counts=counts,
                                    growing=_growing(counts))

@@ -76,8 +76,8 @@ def _check_unit(spec, v0):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled geodesic on the cover; speeds and arclength are
-    computed from the samples on demand, given the metric.
+    """Uniformly sampled geodesic on the cover; its speeds are computed
+    from the samples on demand, given the metric (`arclength_of` sums them).
 
     Attributes
     ----------
@@ -107,10 +107,6 @@ class Trajectory:
     def speed_drift(self, spec):
         """Max deviation of the g-speed from 1 over all samples."""
         return speed_drift_of(self.speeds(spec))
-
-    def arclength(self, spec):
-        """(N,) Riemannian arclength: trapezoid rule on the sampled speeds."""
-        return arclength_of(self.t, self.speeds(spec))
 
 
 def speed_drift_of(speeds):

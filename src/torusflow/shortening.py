@@ -69,11 +69,6 @@ class ClosedCurve:
         acc, _, _, k = _covariant_acceleration(spec, self.nodes, self.deck)
         return acc, k
 
-    def resampled(self, spec, n):
-        """Copy with n nodes redistributed to uniform metric arclength."""
-        nodes = _spline_resample(spec, self.nodes, self.deck, int(n))
-        return ClosedCurve(nodes=nodes, deck=self.deck)
-
 
 def circle_curve(center, radius, n):
     """Round circle, a contractible seed for the flow."""

@@ -195,6 +195,31 @@ def test_census_horizon_validation():
     with pytest.raises(ValidationError):
         intersection_census(traj, class_radius=2,
                             horizons=(10.0, traj.horizon * 2))
+    with pytest.raises(ValidationError, match="nonempty"):
+        intersection_census(traj, class_radius=2, horizons=())
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_census_scans_one_shift_of_each_pair(monkeypatch, radius):
+    calls, engine = [], sg.crossings_by_shift
+
+    def spy(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
+        calls.append(list(shifts))
+        return engine(xyA, tA, xyB, tB, shifts, vA, vB)
+
+    monkeypatch.setattr(sg, "crossings_by_shift", spy)
+    traj = spiral()
+    census = intersection_census(traj, class_radius=radius,
+                                 horizons=(traj.horizon,))
+    reps = primitive_classes(radius)
+    # one engine call, with the powers k = 1..radius of each class
+    assert calls == [[(k * m, k * n) for m, n in reps
+                      for k in range(1, radius + 1)]]
+    assert all(s > (0, 0) for s in calls[0])
+    powers = [k for k in range(-radius, radius + 1) if k != 0]
+    for c in census.classes.values():
+        assert list(c.counts) == powers
+        assert all(c.counts[-k] == c.counts[k] for k in powers)
 
 
 def test_torus_self_crossings_unique_and_ordered():

@@ -15,6 +15,7 @@ torus-reduced hash.  Three references check them:
   and the torus crossing counts.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,11 +63,11 @@ def assert_same(got, want):
 # random polylines
 
 @st.composite
-def polylines(draw, max_nodes=24):
+def polylines(draw, max_nodes=24, kinds=("axis", "dyadic", "float")):
     """Random walks: quarter-unit axis steps (nodes on cell edges), dyadic
     diagonal steps, or float steps, at times with one long step."""
     n = draw(st.integers(2, max_nodes))
-    kind = draw(st.sampled_from(["axis", "dyadic", "float"]))
+    kind = draw(st.sampled_from(kinds))
     x0 = draw(st.integers(-8, 8)) / 4.0
     y0 = draw(st.integers(-8, 8)) / 4.0
     if kind == "axis":
@@ -153,6 +154,32 @@ def test_engine_equals_one_crossings_call_per_shift():
         else:
             want = sg.crossings(A, t, A + np.array([m, n], float), t, v, v)
         assert_same(res, want)
+
+
+nonzero_shifts = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda p: p != (0, 0))
+
+
+@given(A=polylines(max_nodes=40, kinds=("axis", "dyadic")), s=nonzero_shifts,
+       dt=st.sampled_from([0.05, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_minus_shift_mirrors_the_shift(A, s, dt):
+    # lift(t1) = lift(t2) + s exactly when lift(t2) = lift(t1) - s: on exact
+    # input the solve for -s is the solve for s with the two segments
+    # swapped, so times, margins and negated signs agree bit for bit (what a
+    # census reads); the point is interpolated on the other strand, so it
+    # agrees with the s point, moved by -s, up to rounding
+    t = dt * np.arange(len(A), dtype=float)
+    (plus,), (minus,) = (sg.crossings_by_shift(A, t, A, t, [shift])
+                         for shift in (s, (-s[0], -s[1])))
+    for got, want in zip(minus, plus):
+        mirrored = sorted((sg.IntersectionEvent(e.t2, e.t1, e.x - s[0],
+                                                e.y - s[1], -e.sign, e.margin)
+                           for e in want), key=lambda e: (e.t1, e.t2))
+        assert (_bits([replace(e, x=0.0, y=0.0) for e in got])
+                == _bits([replace(e, x=0.0, y=0.0) for e in mirrored]))
+        assert np.allclose([e.point for e in got],
+                           [e.point for e in mirrored], rtol=0.0, atol=1e-12)
 
 
 def test_short_polylines_give_no_events():

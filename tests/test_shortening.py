@@ -79,9 +79,15 @@ def test_cyclic_tridiag_singular_raises():
         _solve_cyclic_tridiag(-ones, 2.0 * ones, -ones, -1.0, -1.0, rhs)
 
 
+def resampled(spec, curve, n):
+    """Copy of a curve with n nodes at uniform metric arclength."""
+    return ClosedCurve(nodes=_spline_resample(spec, curve.nodes, curve.deck, n),
+                       deck=curve.deck)
+
+
 def test_resample_uniform_and_closed(flat):
     c = straight_class_curve((1, 1), n=97, amplitude=0.08)
-    r = c.resampled(flat, n=128)
+    r = resampled(flat, c, 128)
     assert len(r.nodes) == 128 and r.deck == (1, 1)
     h = r.g_edge_lengths(flat)
     assert h.max() / h.min() < 1.001
