@@ -181,8 +181,8 @@ def intersection_census(traj, class_radius, horizons):
     each horizon rung; classes are keyed "m/n".  Events are computed once at
     the deepest horizon and re-thresholded, so a rung counts exactly the
     crossings both of whose parameters lie within it.  One shift of each
-    +-pair is scanned, k = 1..class_radius; the counts of -k are copied
-    from those of k.
+    +-pair is scanned, k = 1..class_radius; -k copies the counts of k, so
+    on float input a rounding edge case is counted as the +k solve counts it.
     """
     if class_radius < 1:
         raise ValidationError(
@@ -205,7 +205,9 @@ def intersection_census(traj, class_radius, horizons):
                  for events, _ in islice(found, class_radius)]
         # lift(t1) = lift(t2) + s exactly when lift(t2) = lift(t1) - s: the
         # crossings with -s are those with s, t1 and t2 swapped, and a rung
-        # bounds both parameters, so power -k counts what power k counts
+        # bounds both parameters, so power -k counts what power k counts; on
+        # float input an event within rounding of a segment end, of THETA_MIN
+        # or of a rung edge is counted for -k as the +k solve counts it
         counts = {k: list(rungs[abs(k) - 1])
                   for k in range(-class_radius, class_radius + 1) if k != 0}
         key = f"{m}/{n}"

@@ -1,15 +1,6 @@
-import os
-
 import pytest
-from hypothesis import settings
 
 from torusflow.metrics import gallery
-
-# CI runs the same examples every time and prints the blob that replays a
-# failure; a local run keeps hypothesis' random search
-settings.register_profile("ci", derandomize=True, print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture(scope="session")
