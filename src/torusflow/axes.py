@@ -143,9 +143,9 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
     """Minimal closed geodesic of a class: flow to candidates, shoot, pick.
 
     Straight representatives at n_offsets transverse offsets across one
-    transverse period are relaxed by curve shortening until their
-    curvature falls below _BASIN_K_TOL, their length plateaus or 40,000
-    steps have run.  Every flow result is a candidate, whatever its
+    transverse period are relaxed by curve shortening, as one evolve stack,
+    until their curvature falls below _BASIN_K_TOL, their length plateaus or
+    40,000 steps have run.  Every flow result is a candidate, whatever its
     verdict: the candidates are sorted by length, lengths within
     _TWIN_RTOL of each other keeping their seed order, and the three shortest
     are shot in that order; the first that closes is the axis, and
@@ -156,13 +156,13 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
     p, q, norm, e_s, e_w = class_frame(klass)
     period_w = 1.0 / norm
 
-    candidates = []
+    seeds = []
     for i in range(n_offsets):
         w0 = (i + 0.5) / n_offsets * period_w
         base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
-        seed = sh.straight_class_curve((p, q), base=base, n=n)
-        res = sh.evolve(spec, seed, max_steps=40000, k_tol=_BASIN_K_TOL)
-        candidates.append((res.length, res.curve))
+        seeds.append(sh.straight_class_curve((p, q), base=base, n=n))
+    candidates = [(res.length, res.curve) for res in
+                  sh.evolve(spec, seeds, max_steps=40000, k_tol=_BASIN_K_TOL)]
     lengths = [c[0] for c in candidates]
     tol = _TWIN_RTOL * min(lengths)
     # rank by the number of clearly shorter candidates; the sort is stable
@@ -227,22 +227,12 @@ def grid_shortest_class_length(spec, klass, n=512):
     f = spec.fields(P[..., 0].ravel(), P[..., 1].ravel(), order=0)
     g = {k: f[k].reshape(Ns + 1, W) for k in ("E", "F", "G")}
 
-    def seg_weights(delta, di, dj):
-        q = quadratic_form(g, delta[0], delta[1])
-        src = q[:Ns + 1 - di] if di else q
-        dst = q[di:]
-        if dj > 0:
-            return 0.5 * (np.sqrt(src[:, :-dj]) + np.sqrt(dst[:, dj:]))
-        if dj < 0:
-            return 0.5 * (np.sqrt(src[:, -dj:]) + np.sqrt(dst[:, :dj]))
-        return 0.5 * (np.sqrt(src) + np.sqrt(dst))
-
     moves = [s for s in primitive_classes(_ORACLE_STENCIL_RADIUS) if s[0] > 0]
     wgt = {}
     for di, dj in moves:
         delta = di * ds * e_s + dj * dw * e_w
-        wgt[(di, dj)] = seg_weights(delta, di, dj)
-    vert = seg_weights(dw * e_w, 0, 1)          # (Ns+1, W-1)
+        wgt[(di, dj)] = _edge_weights(g, delta, di, dj)
+    vert = _edge_weights(g, dw * e_w, 0, 1)          # (Ns+1, W-1)
 
     def run(start_rows):
         S = len(start_rows)
@@ -289,6 +279,22 @@ def grid_shortest_class_length(spec, klass, n=512):
             "n": n, "stencil_radius": _ORACLE_STENCIL_RADIUS}
 
 
+def _edge_weights(g, delta, di, dj):
+    """Trapezoid lengths of the chart edges of one move (di, dj).
+
+    g holds the metric components at every chart node; delta is the move's
+    step in the torus.  Edge (i, j) -> (i + di, j + dj) weighs the mean of
+    the metric norms of delta at its two ends.
+    """
+    norm = np.sqrt(quadratic_form(g, delta[0], delta[1]))
+    src, dst = norm[:len(norm) - di], norm[di:]
+    if dj > 0:
+        return 0.5 * (src[:, :-dj] + dst[:, dj:])
+    if dj < 0:
+        return 0.5 * (src[:, -dj:] + dst[:, :dj])
+    return 0.5 * (src + dst)
+
+
 def _vertical_relax(d, vw):
     """Exact within-section relaxation along the vertical chain.
 
@@ -317,10 +323,10 @@ def line_deviation(axis):
 class FoliationReport:
     """How the flow limits of a fan of seeds fill the transverse period.
 
-    foliated means the limit curves pass near every seed offset (their
-    intercepts leave no gap above 2/n_seeds transverse periods) and no two
-    distinct limits cross; isolated means the seeds collapse onto a few
-    distinct axes.
+    foliated means some seed converged, the limit curves pass near every
+    seed offset (their intercepts leave no gap above 2/n_seeds transverse
+    periods) and no two distinct limits cross; isolated means the seeds
+    collapse onto a few distinct axes.
     """
 
     klass: tuple
@@ -336,30 +342,26 @@ class FoliationReport:
 def check_foliation(spec, klass, n_seeds, n=192):
     """Flow a fan of straight seeds and classify the limit family.
 
-    Each of the n_seeds (at least 1) seeds flows for at most 30,000 steps.
-    For a flat metric every seed stays put, the intercept fan stays dense
-    and the report says foliated; a metric with isolated minimal axes
-    funnels the seeds onto a few curves instead.
+    The n_seeds (at least 1) seeds flow as one evolve stack, each for at
+    most 30,000 steps.  For a flat metric every seed stays put, the
+    intercept fan stays dense and the report says foliated; a metric with
+    isolated minimal axes funnels the seeds onto a few curves instead.
     """
     if n_seeds < 1:
         raise ValidationError(f"a foliation check needs at least 1 seed, got {n_seeds}")
     p, q, norm, e_s, e_w = class_frame(klass)
     period_w = 1.0 / norm
 
-    intercepts = []
-    verdicts = []
-    curves = []
+    seeds = []
     for i in range(n_seeds):
         w0 = i / n_seeds * period_w
         base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
-        res = sh.evolve(spec, sh.straight_class_curve((p, q), base=base, n=n),
-                        max_steps=30000)
-        verdicts.append(res.verdict)
-        if res.verdict != "converged_to_geodesic":
-            continue
-        w = (res.curve.nodes @ e_w) % period_w
-        intercepts.append(float(np.median(w)))
-        curves.append(res.curve)
+        seeds.append(sh.straight_class_curve((p, q), base=base, n=n))
+    results = sh.evolve(spec, seeds, max_steps=30000)
+    verdicts = [res.verdict for res in results]
+    curves = [res.curve for res in results
+              if res.verdict == "converged_to_geodesic"]
+    intercepts = [float(np.median((c.nodes @ e_w) % period_w)) for c in curves]
 
     order = np.argsort(intercepts)
     icpt = np.asarray(intercepts, dtype=float)[order]
@@ -372,8 +374,9 @@ def check_foliation(spec, klass, n_seeds, n=192):
     crossing_free = not any(sh.torus_crossing_count(a, b) > 0
                             for a, b in itertools.combinations(reps, 2))
     max_gap = float(gaps.max()) / period_w if len(gaps) else 1.0
-    foliated = (len(reps) >= n_seeds // 2 and max_gap < 2.0 / n_seeds
-                and crossing_free)
+    # without a limit curve there is no family to call foliated
+    foliated = (bool(curves) and len(reps) >= n_seeds // 2
+                and max_gap < 2.0 / n_seeds and crossing_free)
     return FoliationReport(klass=(p, q), n_seeds=n_seeds,
                            n_distinct=len(reps), max_gap_fraction=max_gap,
                            crossing_free=crossing_free, foliated=foliated,

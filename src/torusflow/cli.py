@@ -225,8 +225,8 @@ def cmd_csf(args, spec):
         curve = shortening.straight_class_curve(args.klass, base=args.base,
                                                 n=args.n,
                                                 amplitude=args.amplitude)
-    result = shortening.evolve(spec, curve, max_steps=args.max_steps,
-                               snapshot_times=args.snapshots or ())
+    (result,) = shortening.evolve(spec, [curve], max_steps=args.max_steps,
+                                  snapshot_times=args.snapshots or ())
     _write_csv(args, args.records,
                "step,t,dt,length,max_curvature,shrink_rate,curvature_integral",
                [[r.step, r.t, r.dt, r.length, r.max_curvature, r.shrink_rate,

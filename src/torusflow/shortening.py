@@ -13,6 +13,14 @@ metric's quadratic velocity term explicitly.  Nodes are redistributed to
 uniform arclength after every step through a periodic cubic spline on the
 drift-subtracted lift; linear interpolation would cut corners and bias
 shrinking curves' extinction times by percents.
+
+`evolve` flows a stack of curves with equal node counts at once, since a
+step on a few hundred nodes costs mostly fixed overhead.  Every array
+operation of a step is elementwise or acts within one member's rows, the
+metric evaluation is batch-independent, and the members' tridiagonal
+systems are solved as one block-diagonal system, so stacking changes no
+member's numbers: each member's result is bit for bit the one it gets
+flowing alone.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ class ClosedCurve:
 
     def g_edge_lengths(self, spec):
         """Metric length of each edge, evaluated at edge midpoints."""
-        return _edge_data(spec, self.nodes, self.deck)[1]
+        return _edge_data(spec, self.nodes[None], [self.deck])[1][0]
 
     def g_length(self, spec):
         return float(self.g_edge_lengths(spec).sum())
@@ -66,8 +74,8 @@ class ClosedCurve:
         the acceleration approximates the geodesic-curvature normal and its
         norm the unsigned geodesic curvature.
         """
-        acc, _, _, k = _covariant_acceleration(spec, self.nodes, self.deck)
-        return acc, k
+        acc, _, _, k = _covariant_acceleration(spec, self.nodes[None], [self.deck])
+        return acc[0], k[0]
 
 
 def circle_curve(center, radius, n):
@@ -94,14 +102,34 @@ def straight_class_curve(klass, base=(0.0, 0.0), n=256, amplitude=0.0):
 
 # ---------------------------------------------------------------------------
 # discrete geometry
+#
+# Everything below works on stacks: S curves with n nodes each as (S, n, 2)
+# nodes, (S, 2) decks and (S, n) per-node or per-edge values.  Every
+# operation is elementwise or acts within one member's row, so a member's
+# numbers do not depend on the stack it is in.
+
+def _prev(a):
+    """Each member's values moved one node on, cyclically: out[:, i] = a[:, i - 1]."""
+    return np.concatenate([a[:, -1:], a[:, :-1]], axis=1)
+
+
+def _next(a):
+    """Each member's values moved one node back, cyclically: out[:, i] = a[:, i + 1]."""
+    return np.concatenate([a[:, 1:], a[:, :1]], axis=1)
+
+
+def _xy(a):
+    """The x and y columns of a stack of points, as flat views."""
+    return a.reshape(-1, 2).T
+
 
 def _edge_data(spec, nodes, deck):
-    e = np.empty_like(nodes)
-    e[:-1] = nodes[1:] - nodes[:-1]
-    e[-1] = nodes[0] + np.asarray(deck, float) - nodes[-1]
-    mid = nodes + 0.5 * e
-    f = spec.fields(mid[:, 0], mid[:, 1], order=0)
-    return e, np.sqrt(quadratic_form(f, e[:, 0], e[:, 1]))
+    """Edge vectors of each lifted polygon, the last one closing it by its
+    deck, and their metric lengths at the edge midpoints."""
+    e = np.concatenate([nodes[:, 1:], nodes[:, :1] + np.asarray(deck, float)[:, None]],
+                       axis=1) - nodes
+    f = spec.fields(*_xy(nodes + 0.5 * e), order=0)
+    return e, np.sqrt(quadratic_form(f, *_xy(e))).reshape(e.shape[:-1])
 
 
 def _covariant_acceleration(spec, nodes, deck):
@@ -114,92 +142,115 @@ def _covariant_acceleration(spec, nodes, deck):
     e, h = _edge_data(spec, nodes, deck)
     if h.min() <= 1e-13:
         raise DegenerateSpacing(f"shortest edge has length {h.min():.3g}")
-    e_prev = np.roll(e, 1, axis=0)
-    h_next = h[:, None]
-    h_prev = np.roll(h, 1)[:, None]
+    e_prev = _prev(e)
+    h_next = h[..., None]
+    h_prev = _prev(h)[..., None]
+    h_sum = h_prev + h_next
     # weighted central difference, exact for quadratics in arclength
-    x_s = (h_prev * e / h_next + h_next * e_prev / h_prev) / (h_prev + h_next)
-    x_ss = 2.0 * (e / h_next - e_prev / h_prev) / (h_prev + h_next)
-    f = spec.fields(nodes[:, 0], nodes[:, 1], order=1)
-    ax, ay = accel_from_fields(spec, f, x_s[:, 0], x_s[:, 1])
+    x_s = (h_prev * e / h_next + h_next * e_prev / h_prev) / h_sum
+    x_ss = 2.0 * (e / h_next - e_prev / h_prev) / h_sum
+    f = spec.fields(*_xy(nodes), order=1)
+    ax, ay = accel_from_fields(spec, f, *_xy(x_s))
     # the geodesic acceleration is minus the quadratic form of the connection
-    acc = x_ss - np.stack([ax, ay], axis=1)
-    k = np.sqrt(np.maximum(quadratic_form(f, acc[:, 0], acc[:, 1]), 0.0))
+    acc = x_ss - np.stack([ax, ay], axis=-1).reshape(x_ss.shape)
+    k = np.sqrt(np.maximum(quadratic_form(f, *_xy(acc)), 0.0)).reshape(h.shape)
     return acc, x_ss, h, k
 
 
-def _solve_cyclic_tridiag(sub, diag, sup, corner_lo, corner_hi, rhs):
-    """Solve the cyclic tridiagonal system, Sherman-Morrison over LAPACK gtsv.
+def _solve_cyclic_tridiag(sub, diag, sup, rhs):
+    """Solve S cyclic tridiagonal systems: Sherman-Morrison over one LAPACK gtsv.
 
-    sub[i] multiplies x[i-1] (i >= 1), sup[i] multiplies x[i+1] (i <= N-2),
-    corner_lo is the (0, N-1) entry, corner_hi the (N-1, 0) one.  rhs may
-    have several columns.  Raises NumericalBlowup when the tridiagonal
-    part or the rank-one update is exactly singular.
+    Row i of the (S, n) arrays holds system i, cyclically: sub[i, j]
+    multiplies x[j - 1] and sup[i, j] multiplies x[j + 1], indices mod n, so
+    sub[i, 0] and sup[i, -1] are its corners; rhs is (S, n, columns).  The
+    systems are solved as one block-diagonal system with zero coupling
+    entries, which gives each block's own solution bit for bit.  Raises
+    NumericalBlowup when a tridiagonal part or a rank-one update is exactly
+    singular.
     """
     # imported here, not at the top, so that the commands that never solve
     # (integrate, entropy, report and the rest) start without loading scipy
     from scipy.linalg.lapack import dgtsv
 
-    gamma = -diag[0]
-    d2 = diag.copy()
-    d2[0] -= gamma
-    d2[-1] -= corner_lo * corner_hi / gamma
-    # the rank-one correction's u rides along as one more right-hand side
-    b = np.zeros((len(diag), rhs.shape[1] + 1), order="F")
-    b[:, :-1] = rhs
-    b[0, -1] = gamma
-    b[-1, -1] = corner_hi
-    _, _, _, sol, info = dgtsv(sub[1:], d2, sup[:-1], b,
-                               overwrite_d=1, overwrite_b=1)
+    S, n = diag.shape
+    gamma = -diag[:, 0]
+    shift = np.zeros_like(diag)
+    shift[:, 0] = gamma
+    shift[:, -1] = sub[:, 0] * sup[:, -1] / gamma
+    d2 = diag - shift
+    # the corners leave the tridiagonal part, and the blocks do not couple
+    lo = sub.ravel()[1:].copy()
+    lo[n - 1::n] = 0.0
+    hi = sup.ravel()[:-1].copy()
+    hi[n - 1::n] = 0.0
+    # the rank-one corrections' u vectors ride along as one more right-hand
+    # side, each in its own block's rows
+    b = np.zeros((S * n, rhs.shape[-1] + 1), order="F")
+    blocks = b.reshape(S, n, -1)
+    blocks[..., :-1] = rhs
+    blocks[:, 0, -1] = gamma
+    blocks[:, -1, -1] = sup[:, -1]
+    _, _, _, sol, info = dgtsv(lo, d2.ravel(), hi, b, overwrite_dl=1,
+                               overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NumericalBlowup(f"singular tridiagonal system (LAPACK info {info})")
-    y, z = sol[:, :-1], sol[:, -1]
-    vy = y[0] + (corner_lo / gamma) * y[-1]
-    vz = z[0] + (corner_lo / gamma) * z[-1]
-    if 1.0 + vz == 0.0:
+    sol = sol.reshape(S, n, -1)
+    if S > 1 and not np.isfinite(sol).all():
+        # a zero coupling entry times a non-finite neighbour is nan, so a
+        # block that overflowed would spoil the others: solve each alone
+        return np.concatenate([
+            _solve_cyclic_tridiag(sub[i:i + 1], diag[i:i + 1], sup[i:i + 1],
+                                  rhs[i:i + 1]) for i in range(S)])
+    # v . y for the right-hand sides and v . z for u, v = (1, 0, .., corner_lo / gamma)
+    vsol = sol[:, 0] + (sub[:, 0] / gamma)[:, None] * sol[:, -1]
+    scale = 1.0 + vsol[:, -1:]
+    if not scale.all():
         raise NumericalBlowup("singular cyclic system")
-    return y - np.outer(z, vy / (1.0 + vz))
+    return sol[..., :-1] - sol[..., -1:] * (vsol[:, None, :-1] / scale[:, None])
 
 
 def _spline_resample(spec, nodes, deck, n_new):
-    """Redistribute nodes to uniform metric arclength.
+    """Redistribute each member's nodes to uniform metric arclength.
 
     Fits a periodic cubic spline to the drift-subtracted lift, so the
     closing constraint is exact and the sampled curve is C^2.
     """
     _, h = _edge_data(spec, nodes, deck)
-    u = np.concatenate([[0.0], np.cumsum(h)])
-    if h.min() <= 0.0 or u[-1] <= 0.0:
+    u = np.concatenate([np.zeros((len(h), 1)), np.cumsum(h, axis=1)], axis=1)
+    if h.min() <= 0.0 or u[:, -1].min() <= 0.0:
         raise DegenerateSpacing("cannot redistribute a collapsed polygon")
-    u /= u[-1]
-    d = np.asarray(deck, dtype=float)
+    u = u / u[:, -1:]
+    d = np.asarray(deck, dtype=float)[:, None]
     u_new = np.arange(n_new, dtype=float) / n_new
-    return _periodic_spline(u, nodes - np.outer(u[:-1], d), u_new) + np.outer(u_new, d)
+    return (_periodic_spline(u, nodes - u[:, :-1, None] * d, u_new)
+            + u_new[:, None] * d)
 
 
 def _periodic_spline(u, y, t):
-    """Periodic cubic spline through (u[i], y[i]), evaluated at t.
+    """Periodic cubic splines through (u[i, j], y[i, j]), evaluated at t.
 
-    u holds n + 1 increasing knots spanning one period, y the n values at
-    the first n of them (the last knot repeats y[0]); t lies in
-    [u[0], u[-1]).  The node slopes solve the cyclic tridiagonal system of
-    C^2 continuity, and each interval is the cubic Hermite piece through
-    its end values and slopes.
+    Row i of u holds n + 1 increasing knots spanning one period, y[i] the n
+    values at the first n of them (the last knot repeats y[i, 0]); t lies in
+    [u[i, 0], u[i, -1]) for every row.  The node slopes solve the cyclic
+    tridiagonal system of C^2 continuity, and each interval is the cubic
+    Hermite piece through its end values and slopes.
     """
-    dx = np.diff(u)
-    dx_prev = np.concatenate([dx[-1:], dx[:-1]])
-    slope = (np.concatenate([y[1:], y[:1]]) - y) / dx[:, None]
-    slope_prev = np.concatenate([slope[-1:], slope[:-1]])
-    rhs = 3.0 * (dx[:, None] * slope_prev + dx_prev[:, None] * slope)
-    s = _solve_cyclic_tridiag(dx, 2.0 * (dx_prev + dx), dx_prev, dx[0], dx_prev[-1], rhs)
-    s = np.concatenate([s, s[:1]])
-    i = np.searchsorted(u, t, side="right") - 1
-    w = (t - u[i])[:, None]
-    h = dx[i][:, None]
-    s0, m = s[i], slope[i]
-    c2 = (s0 + s[i + 1] - 2.0 * m) / h
+    S, n = y.shape[:2]
+    dx = np.diff(u, axis=1)
+    dx_prev = _prev(dx)
+    slope = (_next(y) - y) / dx[..., None]
+    rhs = 3.0 * (dx[..., None] * _prev(slope) + dx_prev[..., None] * slope)
+    s = _solve_cyclic_tridiag(dx, 2.0 * (dx_prev + dx), dx_prev, rhs)
+    # each t's interval, as a row-major index into the (S, n) arrays
+    i = np.array([np.searchsorted(row, t, side="right") for row in u]) - 1
+    row = np.arange(S)[:, None]
+    w = (t - u.take(i + (n + 1) * row))[..., None]
+    i += n * row
+    h = dx.take(i)[..., None]
+    s0, s1, m = (a.reshape(-1, 2).take(i, axis=0) for a in (s, _next(s), slope))
+    c2 = (s0 + s1 - 2.0 * m) / h
     c1 = (m - s0) / h - c2
-    return ((c2 / h * w + c1) * w + s0) * w + y[i]
+    return ((c2 / h * w + c1) * w + s0) * w + y.reshape(-1, 2).take(i, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +302,14 @@ class FlowResult:
     containment_drift: float = 0.0
 
 
+class FlowResults(tuple):
+    """evolve's FlowResults in the order of its curves; `steps` and
+    `halvings` are their totals."""
+
+    steps = property(lambda self: sum(r.steps for r in self))
+    halvings = property(lambda self: sum(r.halvings for r in self))
+
+
 # evolve's time-step schedule, its two caps and its halving budget, as its
 # docstring describes them
 _DT_SAFETY = 0.2
@@ -260,8 +319,23 @@ _DT_JACOBI_FRAC = 0.25
 _MAX_HALVINGS = 40
 
 
-def evolve(spec, curve, max_steps=20000, k_tol=1e-5, snapshot_times=()):
-    """Run curve shortening until extinction, convergence, or budget.
+def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
+    """Run curve shortening on each curve until extinction, convergence, or budget.
+
+    `curves` is a sequence of one or more closed curves with equal node
+    counts and any decks; they advance as one (S, n, 2) stack.  Each step
+    makes one metric evaluation per stage for all S * n nodes, one
+    block-diagonal LAPACK tridiagonal solve whose Sherman-Morrison column
+    holds every member's corner entries, and one spline resample.
+    Everything else belongs to the member: its time step, halvings,
+    snapshot queue, plateau window, curvature and Jacobi caps, records,
+    verdict and containment drift.  A member that finishes leaves the
+    stack; a member whose step fails retries alone at half its step while
+    the others keep theirs.  Each member's FlowResult is therefore the one
+    it gets flowing alone, bit for bit.  Returns FlowResults, a tuple of
+    one FlowResult per curve in input order whose `steps` and `halvings`
+    are the totals over the members.  ValidationError is raised for an
+    empty sequence or unequal node counts.
 
     The time step starts at _DT_SAFETY * (shortest edge)^2 and grows by
     _DT_GROWTH per accepted step, capped twice: by _DT_CURVATURE_CAP / k^2
@@ -277,136 +351,196 @@ def evolve(spec, curve, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     snapshot_times: the step lands exactly on each requested time and the
     curve is copied into result.snapshots as (t, ClosedCurve).
     """
-    nodes = curve.nodes.copy()
-    deck = curve.deck
-    d = np.asarray(deck, dtype=float)
-
-    def jacobi_cap_at(pts):
-        kb = float(np.abs(gauss_curvature_batch(spec, pts[:, 0], pts[:, 1])).max())
-        return _DT_JACOBI_FRAC / kb if kb > 1e-12 else math.inf
-
-    jacobi_cap = jacobi_cap_at(nodes)
-
-    _, h0 = _edge_data(spec, nodes, deck)
-    dt = _DT_SAFETY * float(h0.min()) ** 2
-    t = 0.0
-    halvings = 0
-    records = []
-    snapshots = []
-    snap_queue = sorted(float(s) for s in snapshot_times)
-    lengths_window = []
-
-    verdict = "budget_exhausted"
-    extinction = None
-    plateaued = False
-    step = 0
-
-    # geometry of the current curve; carried across iterations so each
-    # accepted step evaluates the metric only on its own result
-    acc, x_ss, h, k = _covariant_acceleration(spec, nodes, deck)
-    maxk = float(k.max())
-    L = float(h.sum())
-    centroid0 = nodes.mean(axis=0)
-    containment_drift = 0.0
-
-    while step < max_steps:
-        maxk = float(k.max())
-
-        if L < 1e-3:
-            verdict = "shrank_to_point"
-            extinction = t + (L / (2.0 * math.pi)) ** 2 / 2.0
-            break
-        if maxk < k_tol:
-            verdict = "converged_to_geodesic"
-            break
-        lengths_window.append(L)
-        if len(lengths_window) > 100:
-            lengths_window.pop(0)
-            if lengths_window[0] - lengths_window[-1] < 1e-8:
-                plateaued = True
-                k_floor = 100.0 * (L / len(nodes)) ** 2
-                verdict = ("converged_to_geodesic" if maxk < k_floor
-                           else "budget_exhausted")
+    curves = list(curves)
+    counts = [len(c.nodes) for c in curves]
+    if not counts or len(set(counts)) > 1:
+        raise ValidationError(
+            f"evolve needs one or more curves with equal node counts, got {counts}")
+    nodes = np.stack([c.nodes for c in curves])
+    decks = np.array([c.deck for c in curves], dtype=float)
+    caps = _jacobi_caps(spec, nodes)
+    _, h0 = _edge_data(spec, nodes, decks)
+    # the geometry of the members still flowing, stacked in member order;
+    # each accepted step evaluates the metric only on its own result
+    acc, x_ss, h, k = _covariant_acceleration(spec, nodes, decks)
+    members = [_Member(c.deck, rows, cap, _DT_SAFETY * float(h0_row.min()) ** 2,
+                       snapshot_times)
+               for c, rows, cap, h0_row in zip(curves, zip(nodes, k, h), caps, h0)]
+    active = members
+    while True:
+        going = [i for i, m in enumerate(active)
+                 if not m.finished(k[i], h[i], max_steps, k_tol)]
+        if len(going) < len(active):
+            if not going:
                 break
-
-        if step % 10 == 0 and step > 0:
-            # the curve drifts between curvature regions; refresh its cap
-            jacobi_cap = jacobi_cap_at(nodes)
-        cap = _DT_CURVATURE_CAP / maxk ** 2 if maxk > 0 else math.inf
-        dt = min(dt * _DT_GROWTH, cap, jacobi_cap)
-        hit_snap = None
-        if snap_queue and t + dt >= snap_queue[0] - 1e-15:
-            dt = max(snap_queue[0] - t, 1e-15)
-            hit_snap = snap_queue[0]
-
+            active = [active[i] for i in going]
+            nodes, decks, acc, x_ss, h, k = (a[going] for a in
+                                             (nodes, decks, acc, x_ss, h, k))
+        refresh = [i for i, m in enumerate(active)
+                   if m.res.steps % 10 == 0 and m.res.steps > 0]
+        if refresh:
+            # the curves drift between curvature regions; refresh their caps
+            for i, cap in zip(refresh, _jacobi_caps(spec, nodes[refresh])):
+                active[i].jacobi_cap = cap
+        dt = np.array([m.plan_step() for m in active])
         gamma_term = acc - x_ss
+        held, after = _try_step(spec, nodes, decks, h, gamma_term, dt)
+        for i in np.flatnonzero(~held):
+            # this member retries alone at half its step, the others keep theirs
+            m, alone = active[i], slice(i, i + 1)
+            while not held[i]:
+                m.halve()
+                (held[i],), retry = _try_step(spec, nodes[alone], decks[alone], h[alone],
+                                              gamma_term[alone], np.array([m.dt]))
+            for a, r in zip(after, retry):
+                a[i] = r[0]
+        for m, new_nodes, new_h in zip(active, after[0], after[3]):
+            m.accept(new_nodes, new_h)
+        nodes, acc, x_ss, h, k = after
+    return FlowResults(m.result() for m in members)
 
-        while True:
-            new_nodes = _implicit_step(nodes, d, h, gamma_term, dt)
-            ok = np.isfinite(new_nodes).all()
-            if ok:
-                try:
-                    resampled = _spline_resample(spec, new_nodes, deck, len(nodes))
-                    acc2, xss2, h2, k2 = _covariant_acceleration(spec, resampled, deck)
-                    k2max = float(k2.max())
-                    ok = np.isfinite(k2max) and k2max <= 1.0 / (10.0 * dt)
-                except DegenerateSpacing:
-                    ok = False
-            if ok:
-                break
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
-                raise NumericalBlowup(
-                    f"flow step kept failing after {_MAX_HALVINGS} halvings at t={t:.6g}")
-            dt *= 0.5
-            if hit_snap is not None:
-                hit_snap = None   # no longer landing on the snapshot time
 
-        L_after = float(h2.sum())
-        t += dt
-        step += 1
-        if hit_snap is not None:
-            snapshots.append((hit_snap, ClosedCurve(nodes=resampled.copy(), deck=deck)))
-            snap_queue.pop(0)
-        records.append(FlowRecord(
-            step=step, t=t, dt=dt, length=L_after, max_curvature=maxk,
-            shrink_rate=(L - L_after) / dt,
-            curvature_integral=float((k * k * h).sum())))
-        nodes, acc, x_ss, h, k, L = resampled, acc2, xss2, h2, k2, L_after
-        containment_drift = max(containment_drift,
-                                float(np.hypot(*(nodes.mean(axis=0) - centroid0))))
+def _jacobi_caps(spec, nodes):
+    """_DT_JACOBI_FRAC / max|K| over each member's nodes (inf where flat)."""
+    K = gauss_curvature_batch(spec, *_xy(nodes))
+    return [_DT_JACOBI_FRAC / kb if kb > 1e-12 else math.inf
+            for kb in np.abs(K).reshape(len(nodes), -1).max(axis=1).tolist()]
 
-    return FlowResult(verdict=verdict, curve=ClosedCurve(nodes=nodes, deck=deck),
-                      t_final=t, length=L, max_curvature=maxk, steps=step,
-                      halvings=halvings, extinction_time=extinction,
-                      plateaued=plateaued, records=records, snapshots=snapshots,
-                      containment_drift=containment_drift)
+
+class _Member:
+    """One curve of an evolve stack: its FlowResult, filled in as it flows,
+    and the state that steers its steps.  Its geometry lives in the stack,
+    whose rows are laid out as one curve's arrays are."""
+
+    def __init__(self, deck, rows, jacobi_cap, dt, snapshot_times):
+        nodes, k, h = rows
+        self.res = FlowResult(verdict="budget_exhausted", curve=None, t_final=0.0,
+                              length=float(h.sum()), max_curvature=float(k.max()),
+                              steps=0, halvings=0)
+        self.nodes, self.deck = nodes, deck
+        self.centroid0 = nodes.mean(axis=0)
+        self.jacobi_cap, self.dt, self.hit_snap = jacobi_cap, dt, None
+        self.snap_queue = sorted(float(s) for s in snapshot_times)
+        self.lengths_window = []
+
+    def finished(self, k, h, max_steps, k_tol):
+        """The checks that open a step, on the member's curvature k and edge
+        lengths h; True once its flow has stopped."""
+        res = self.res
+        if res.steps >= max_steps:
+            return True
+        res.max_curvature = maxk = float(k.max())
+        L = res.length
+        if L < 1e-3:
+            res.verdict = "shrank_to_point"
+            res.extinction_time = res.t_final + (L / (2.0 * math.pi)) ** 2 / 2.0
+            return True
+        if maxk < k_tol:
+            res.verdict = "converged_to_geodesic"
+            return True
+        window = self.lengths_window
+        window.append(L)
+        if len(window) > 100:
+            window.pop(0)
+            if window[0] - window[-1] < 1e-8:
+                res.plateaued = True
+                k_floor = 100.0 * (L / len(self.nodes)) ** 2
+                res.verdict = ("converged_to_geodesic" if maxk < k_floor
+                               else "budget_exhausted")
+                return True
+        # the step goes ahead; its record needs this of the curve it starts from
+        self.curvature_integral = float((k * k * h).sum())
+        return False
+
+    def plan_step(self):
+        """This step's dt, which lands on the next snapshot time if it is near."""
+        maxk, t = self.res.max_curvature, self.res.t_final
+        cap = _DT_CURVATURE_CAP / maxk ** 2 if maxk > 0 else math.inf
+        self.dt = min(self.dt * _DT_GROWTH, cap, self.jacobi_cap)
+        self.hit_snap = None
+        queue = self.snap_queue
+        if queue and t + self.dt >= queue[0] - 1e-15:
+            self.dt = max(queue[0] - t, 1e-15)
+            self.hit_snap = queue[0]
+        return self.dt
+
+    def halve(self):
+        self.res.halvings += 1
+        if self.res.halvings > _MAX_HALVINGS:
+            raise NumericalBlowup(f"flow step kept failing after {_MAX_HALVINGS} "
+                                  f"halvings at t={self.res.t_final:.6g}")
+        self.dt *= 0.5
+        self.hit_snap = None   # no longer landing on the snapshot time
+
+    def accept(self, nodes, h):
+        """Record the step to the curve with these nodes and edge lengths."""
+        res = self.res
+        L_after = float(h.sum())
+        res.t_final += self.dt
+        res.steps += 1
+        if self.hit_snap is not None:
+            res.snapshots.append((self.hit_snap,
+                                  ClosedCurve(nodes=nodes.copy(), deck=self.deck)))
+            self.snap_queue.pop(0)
+        res.records.append(FlowRecord(
+            step=res.steps, t=res.t_final, dt=self.dt, length=L_after,
+            max_curvature=res.max_curvature, shrink_rate=(res.length - L_after) / self.dt,
+            curvature_integral=self.curvature_integral))
+        self.nodes = nodes
+        res.length = L_after
+        res.containment_drift = max(res.containment_drift, float(
+            np.hypot(*(nodes.mean(axis=0) - self.centroid0))))
+
+    def result(self):
+        self.res.curve = ClosedCurve(nodes=self.nodes, deck=self.deck)
+        return self.res
+
+
+def _try_step(spec, nodes, decks, h, gamma_term, dt):
+    """One trial step of every member of a stack, each at its own dt.
+
+    Returns (held, after): held[i] says whether member i's step held, and
+    after = (nodes, acc, x_ss, h, k) is the stack's geometry after the step,
+    valid in the rows that held.  A step fails on non-finite nodes, a
+    collapsed polygon, or a curvature that exploded past 1 / (10 dt).
+    """
+    new = _implicit_step(nodes, decks, h, gamma_term, dt)
+    if np.isfinite(new).all():
+        try:
+            resampled = _spline_resample(spec, new, decks, new.shape[1])
+            after = (resampled, *_covariant_acceleration(spec, resampled, decks))
+        except DegenerateSpacing:
+            pass
+        else:
+            kmax = after[-1].max(axis=1)
+            return np.isfinite(kmax) & (kmax <= 1.0 / (10.0 * dt)), after
+    if len(new) == 1:
+        return np.zeros(1, dtype=bool), tuple(np.full_like(a, np.nan)
+                                             for a in (nodes, nodes, nodes, h, h))
+    # a member's step broke down: find it by trying each member alone
+    held, after = zip(*(_try_step(spec, nodes[i:i + 1], decks[i:i + 1], h[i:i + 1],
+                                  gamma_term[i:i + 1], dt[i:i + 1])
+                        for i in range(len(new))))
+    return np.concatenate(held), tuple(map(np.concatenate, zip(*after)))
 
 
 def _implicit_step(nodes, d, h, gamma_term, dt):
     """One backward step of the diffusion part, explicit metric term.
 
-    Solves (I - dt * D2) X_new = X_old + dt * gamma_term where D2 is the
-    arclength second difference with the deck offset folded into the seam
-    rows of the right-hand side.
+    For each member of the stack, solves (I - dt * D2) X_new = X_old +
+    dt * gamma_term where D2 is the arclength second difference with the
+    deck offset d folded into the seam rows of the right-hand side.
     """
-    n = len(nodes)
-    h_next = h
-    h_prev = np.roll(h, 1)
-    alpha = 2.0 / (h_prev * (h_prev + h_next))
-    gammac = 2.0 / (h_next * (h_prev + h_next))
-    beta = -(alpha + gammac)
-
-    sub = -dt * alpha
-    diag = 1.0 - dt * beta
-    sup = -dt * gammac
-    corner_lo = -dt * alpha[0]
-    corner_hi = -dt * gammac[-1]
-
-    rhs = nodes + dt * gamma_term
-    rhs[0] -= dt * alpha[0] * d
-    rhs[-1] += dt * gammac[-1] * d
-    return _solve_cyclic_tridiag(sub, diag, sup, corner_lo, corner_hi, rhs)
+    h_prev = _prev(h)
+    h_sum = h_prev + h
+    alpha = 2.0 / (h_prev * h_sum)
+    gammac = 2.0 / (h * h_sum)
+    dt_rows = dt[:, None]
+    rhs = nodes + dt_rows[..., None] * gamma_term
+    rhs[:, 0] -= (dt * alpha[:, 0])[:, None] * d
+    rhs[:, -1] += (dt * gammac[:, -1])[:, None] * d
+    return _solve_cyclic_tridiag(-dt_rows * alpha, 1.0 + dt_rows * (alpha + gammac),
+                                 -dt_rows * gammac, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +564,14 @@ def torus_crossing_count(curveA, curveB):
 def intersection_monotonicity_probe(spec, curveA, curveB, probe_times):
     """Crossing counts of two flowing curves on a shared clock.
 
-    Both curves evolve independently; the step lands exactly on each probe
-    time, so counts at index i compare the curves at the same flow time.
-    Returns a dict with times, counts, the two verdicts, and whether the
-    count sequence is nonincreasing.
+    The two curves, with equal node counts, flow as one evolve stack, each
+    as it would alone; the step lands exactly on each probe time, so counts
+    at index i compare the curves at the same flow time.  Returns a dict
+    with times, counts, the two verdicts, and whether the count sequence is
+    nonincreasing.
     """
     probe_times = sorted(float(s) for s in probe_times)
-    resA = evolve(spec, curveA, snapshot_times=probe_times)
-    resB = evolve(spec, curveB, snapshot_times=probe_times)
+    resA, resB = evolve(spec, (curveA, curveB), snapshot_times=probe_times)
     snapsA = dict(resA.snapshots)
     snapsB = dict(resB.snapshots)
     times = [0.0]

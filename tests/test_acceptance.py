@@ -151,8 +151,9 @@ def test_criterion_03_shortening_exact_solutions():
     """Flat circles die at r^2/2; a flat class seed lands on length 1."""
     flat = gallery("flat")
     parts = []
-    for r in (0.1, 0.2, 0.3):
-        res = evolve(flat, circle_curve((0.5, 0.5), r, n=256))
+    radii = (0.1, 0.2, 0.3)
+    circles = [circle_curve((0.5, 0.5), r, n=256) for r in radii]
+    for r, res in zip(radii, evolve(flat, circles)):
         assert res.verdict == "shrank_to_point", f"r={r}: {res.verdict}"
         exact = r * r / 2.0
         rel = abs(res.extinction_time - exact) / exact
@@ -161,7 +162,7 @@ def test_criterion_03_shortening_exact_solutions():
 
     seed = straight_class_curve((1, 0), base=(0.0, 0.517), n=256,
                                 amplitude=0.08)
-    res = evolve(flat, seed)
+    (res,) = evolve(flat, [seed])
     assert res.verdict == "converged_to_geodesic", res.verdict
     gap = abs(res.length - 1.0)
     assert gap < 1e-3, f"class-(1,0) length off by {gap:.2e}"

@@ -13,7 +13,7 @@ from torusflow.axes import (check_foliation, find_minimal_axis, flatness_test,
                             shoot_closed_geodesic)
 from torusflow.cover import class_frame
 from torusflow.errors import ValidationError
-from torusflow.metrics import quadratic_form
+from torusflow.metrics import gallery, quadratic_form
 from torusflow.shortening import evolve
 
 # closed-form lengths of the two short liouville axes, from one-dimensional
@@ -74,8 +74,8 @@ def test_basin_stop_matches_full_flow(bump, klass, monkeypatch):
 def test_twin_candidates_keep_seed_order(flat, monkeypatch):
     # lengths that differ by rounding keep their seed order; a real gap wins
     lengths = iter([1.0 + 4e-15, 1.0 - 3e-15, 1.0 + 1e-9, 1.0, 0.999])
-    monkeypatch.setattr(axes.sh, "evolve", lambda spec, seed, **kw: SimpleNamespace(
-        length=next(lengths), curve=seed))
+    monkeypatch.setattr(axes.sh, "evolve", lambda spec, seeds, **kw: tuple(
+        SimpleNamespace(length=next(lengths), curve=seed) for seed in seeds))
     shot = []
 
     def shoot(spec, klass, start, theta, length, n_samples):
@@ -132,6 +132,28 @@ def test_oracle_moves_equal_stencil_loop(flat, radius, monkeypatch):
     monkeypatch.setattr(axes, "quadratic_form", spy)
     grid_shortest_class_length(flat, (1, 0), n=n)
     assert seen == _stencil_reference(radius) + [(0, 1)]
+
+
+def _edge_weights_two_sqrt(g, delta, di, dj):
+    # the oracle's edge weights as first written: one square root per end
+    q = quadratic_form(g, delta[0], delta[1])
+    src, dst = q[:len(q) - di], q[di:]
+    if dj > 0:
+        return 0.5 * (np.sqrt(src[:, :-dj]) + np.sqrt(dst[:, dj:]))
+    if dj < 0:
+        return 0.5 * (np.sqrt(src[:, -dj:]) + np.sqrt(dst[:, :dj]))
+    return 0.5 * (np.sqrt(src) + np.sqrt(dst))
+
+
+@pytest.mark.parametrize("name", ["flat", "liouville"])
+@pytest.mark.parametrize("klass", [(1, 0), (1, 1)])
+def test_oracle_takes_each_square_root_once(name, klass, monkeypatch):
+    spec = gallery(name)
+    got = grid_shortest_class_length(spec, klass, n=64)
+    monkeypatch.setattr(axes, "_edge_weights", _edge_weights_two_sqrt)
+    want = grid_shortest_class_length(spec, klass, n=64)
+    exact = {k: v.hex() if isinstance(v, float) else v for k, v in got.items()}
+    assert exact == {k: v.hex() if isinstance(v, float) else v for k, v in want.items()}
 
 
 def test_certified_axis_carries_oracle_gap(flat):
@@ -197,8 +219,10 @@ def test_foliation_limit_curves_match_pairwise_clustering(case):
     limit_curves = []
     pairs = []
 
-    def fake_evolve(spec, curve, max_steps):
-        w = next(limits)
+    def fake_evolve(spec, curves, max_steps):
+        return tuple(fake_member(next(limits)) for _ in curves)
+
+    def fake_member(w):
         if w is None:
             return SimpleNamespace(verdict="budget_exhausted", curve=None)
         limit_curves.append(SimpleNamespace(nodes=np.tile(w * e_w, (4, 1))))
@@ -221,6 +245,19 @@ def test_foliation_limit_curves_match_pairwise_clustering(case):
         # the representatives are the curves the crossing check pairs up
         index = {id(c): k for k, c in enumerate(limit_curves)}
         assert {index[id(c)] for pair in pairs for c in pair} == reps
+
+
+def test_foliation_without_limit_curve_is_not_foliated(monkeypatch):
+    # one seed that ends without converging leaves no limit curve, so no
+    # family to call foliated, though the empty gap list and 0 >= 1 // 2
+    # would pass the other two tests
+    monkeypatch.setattr(shortening, "evolve", lambda spec, curves, max_steps: tuple(
+        SimpleNamespace(verdict="budget_exhausted", curve=None) for _ in curves))
+    report = check_foliation(None, (1, 0), n_seeds=1)
+    assert report.verdicts == ["budget_exhausted"]
+    assert report.n_distinct == 0 and report.max_gap_fraction == 1.0
+    assert report.crossing_free
+    assert not report.foliated
 
 
 def test_flatness_verdicts(flat, bump):
