@@ -153,14 +153,8 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
     compared against the independent grid oracle and the comparison stored
     in diagnostics.
     """
-    p, q, norm, e_s, e_w = class_frame(klass)
-    period_w = 1.0 / norm
-
-    seeds = []
-    for i in range(n_offsets):
-        w0 = (i + 0.5) / n_offsets * period_w
-        base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
-        seeds.append(sh.straight_class_curve((p, q), base=base, n=n))
+    p, q = class_frame(klass)[:2]
+    seeds = _straight_seeds(klass, [(i + 0.5) / n_offsets for i in range(n_offsets)], n)
     candidates = [(res.length, res.curve) for res in
                   sh.evolve(spec, seeds, max_steps=40000, k_tol=_BASIN_K_TOL)]
     lengths = [c[0] for c in candidates]
@@ -189,6 +183,18 @@ def find_minimal_axis(spec, klass, n=256, n_offsets=5, certify=False):
         axis.diagnostics["grid_oracle"] = oracle
         axis.diagnostics["oracle_gap"] = (oracle["length"] - axis.length) / axis.length
     return axis
+
+
+def _straight_seeds(klass, fractions, n):
+    """Straight n-node seeds of a class at these fractions of its transverse period."""
+    p, q, norm, _, e_w = class_frame(klass)
+    period_w = 1.0 / norm
+    seeds = []
+    for f in fractions:
+        w0 = f * period_w
+        base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
+        seeds.append(sh.straight_class_curve((p, q), base=base, n=n))
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +355,9 @@ def check_foliation(spec, klass, n_seeds, n=192):
     """
     if n_seeds < 1:
         raise ValidationError(f"a foliation check needs at least 1 seed, got {n_seeds}")
-    p, q, norm, e_s, e_w = class_frame(klass)
+    p, q, norm, _, e_w = class_frame(klass)
     period_w = 1.0 / norm
-
-    seeds = []
-    for i in range(n_seeds):
-        w0 = i / n_seeds * period_w
-        base = (float(w0 * e_w[0]), float(w0 * e_w[1]))
-        seeds.append(sh.straight_class_curve((p, q), base=base, n=n))
+    seeds = _straight_seeds(klass, [i / n_seeds for i in range(n_seeds)], n)
     results = sh.evolve(spec, seeds, max_steps=30000)
     verdicts = [res.verdict for res in results]
     curves = [res.curve for res in results

@@ -67,16 +67,6 @@ class ClosedCurve:
     def g_length(self, spec):
         return float(self.g_edge_lengths(spec).sum())
 
-    def curvature(self, spec):
-        """Covariant acceleration at the nodes and its pointwise metric norm.
-
-        Finite differences are taken with respect to metric arclength, so
-        the acceleration approximates the geodesic-curvature normal and its
-        norm the unsigned geodesic curvature.
-        """
-        acc, _, _, k = _covariant_acceleration(spec, self.nodes[None], [self.deck])
-        return acc[0], k[0]
-
 
 def circle_curve(center, radius, n):
     """Round circle, a contractible seed for the flow."""
@@ -164,9 +154,9 @@ def _solve_cyclic_tridiag(sub, diag, sup, rhs):
     multiplies x[j - 1] and sup[i, j] multiplies x[j + 1], indices mod n, so
     sub[i, 0] and sup[i, -1] are its corners; rhs is (S, n, columns).  The
     systems are solved as one block-diagonal system with zero coupling
-    entries, which gives each block's own solution bit for bit.  Raises
-    NumericalBlowup when a tridiagonal part or a rank-one update is exactly
-    singular.
+    entries, which gives each block's own solution bit for bit if all are
+    finite.  Raises NumericalBlowup when a tridiagonal part or a rank-one
+    update is exactly singular.
     """
     # imported here, not at the top, so that the commands that never solve
     # (integrate, entropy, report and the rest) start without loading scipy
@@ -195,12 +185,6 @@ def _solve_cyclic_tridiag(sub, diag, sup, rhs):
     if info != 0:
         raise NumericalBlowup(f"singular tridiagonal system (LAPACK info {info})")
     sol = sol.reshape(S, n, -1)
-    if S > 1 and not np.isfinite(sol).all():
-        # a zero coupling entry times a non-finite neighbour is nan, so a
-        # block that overflowed would spoil the others: solve each alone
-        return np.concatenate([
-            _solve_cyclic_tridiag(sub[i:i + 1], diag[i:i + 1], sup[i:i + 1],
-                                  rhs[i:i + 1]) for i in range(S)])
     # v . y for the right-hand sides and v . z for u, v = (1, 0, .., corner_lo / gamma)
     vsol = sol[:, 0] + (sub[:, 0] / gamma)[:, None] * sol[:, -1]
     scale = 1.0 + vsol[:, -1:]
@@ -217,7 +201,7 @@ def _spline_resample(spec, nodes, deck, n_new):
     """
     _, h = _edge_data(spec, nodes, deck)
     u = np.concatenate([np.zeros((len(h), 1)), np.cumsum(h, axis=1)], axis=1)
-    if h.min() <= 0.0 or u[:, -1].min() <= 0.0:
+    if h.min() <= 0.0:
         raise DegenerateSpacing("cannot redistribute a collapsed polygon")
     u = u / u[:, -1:]
     d = np.asarray(deck, dtype=float)[:, None]
@@ -296,10 +280,6 @@ class FlowResult:
     plateaued: bool = False
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    # escape monitor: how far the lift's centroid wandered from the seed's;
-    # the flow is expected to stay in a compact set, and this reports on it
-    # instead of assuming it
-    containment_drift: float = 0.0
 
 
 class FlowResults(tuple):
@@ -328,14 +308,15 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     block-diagonal LAPACK tridiagonal solve whose Sherman-Morrison column
     holds every member's corner entries, and one spline resample.
     Everything else belongs to the member: its time step, halvings,
-    snapshot queue, plateau window, curvature and Jacobi caps, records,
-    verdict and containment drift.  A member that finishes leaves the
-    stack; a member whose step fails retries alone at half its step while
-    the others keep theirs.  Each member's FlowResult is therefore the one
-    it gets flowing alone, bit for bit.  Returns FlowResults, a tuple of
-    one FlowResult per curve in input order whose `steps` and `halvings`
-    are the totals over the members.  ValidationError is raised for an
-    empty sequence or unequal node counts.
+    snapshot queue, plateau window, curvature and Jacobi caps, records and
+    verdict.  A member that finishes leaves the stack; the members whose
+    step fails halve their steps and retry as a smaller stack while the
+    others keep theirs.  Each member's FlowResult is therefore the one it
+    gets flowing alone, bit for bit.  Returns FlowResults, a tuple of one
+    FlowResult per curve in input order whose `steps` and `halvings` are
+    the totals over the members.  ValidationError is raised for an empty
+    sequence, unequal node counts, max_steps < 0 or a snapshot time that
+    is not finite and positive.
 
     The time step starts at _DT_SAFETY * (shortest edge)^2 and grows by
     _DT_GROWTH per accepted step, capped twice: by _DT_CURVATURE_CAP / k^2
@@ -356,16 +337,17 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     if not counts or len(set(counts)) > 1:
         raise ValidationError(
             f"evolve needs one or more curves with equal node counts, got {counts}")
+    snapshot_times = [float(s) for s in snapshot_times]
+    if max_steps < 0 or not all(math.isfinite(s) and s > 0.0 for s in snapshot_times):
+        raise ValidationError("evolve needs max_steps >= 0 and finite, positive snapshot "
+                              f"times, got {max_steps} and {snapshot_times}")
     nodes = np.stack([c.nodes for c in curves])
     decks = np.array([c.deck for c in curves], dtype=float)
-    caps = _jacobi_caps(spec, nodes)
-    _, h0 = _edge_data(spec, nodes, decks)
     # the geometry of the members still flowing, stacked in member order;
     # each accepted step evaluates the metric only on its own result
     acc, x_ss, h, k = _covariant_acceleration(spec, nodes, decks)
-    members = [_Member(c.deck, rows, cap, _DT_SAFETY * float(h0_row.min()) ** 2,
-                       snapshot_times)
-               for c, rows, cap, h0_row in zip(curves, zip(nodes, k, h), caps, h0)]
+    members = [_Member(c.deck, rows, cap, snapshot_times) for c, rows, cap
+               in zip(curves, zip(nodes, k, h), _jacobi_caps(spec, nodes))]
     active = members
     while True:
         going = [i for i, m in enumerate(active)
@@ -385,15 +367,15 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
         dt = np.array([m.plan_step() for m in active])
         gamma_term = acc - x_ss
         held, after = _try_step(spec, nodes, decks, h, gamma_term, dt)
-        for i in np.flatnonzero(~held):
-            # this member retries alone at half its step, the others keep theirs
-            m, alone = active[i], slice(i, i + 1)
-            while not held[i]:
-                m.halve()
-                (held[i],), retry = _try_step(spec, nodes[alone], decks[alone], h[alone],
-                                              gamma_term[alone], np.array([m.dt]))
+        failed = np.flatnonzero(~held)
+        while len(failed):
+            # these members retry at half their steps, the others keep theirs
+            dt = np.array([active[i].halve() for i in failed])
+            held, retry = _try_step(spec, nodes[failed], decks[failed], h[failed],
+                                    gamma_term[failed], dt)
             for a, r in zip(after, retry):
-                a[i] = r[0]
+                a[failed] = r
+            failed = failed[~held]
         for m, new_nodes, new_h in zip(active, after[0], after[3]):
             m.accept(new_nodes, new_h)
         nodes, acc, x_ss, h, k = after
@@ -412,15 +394,14 @@ class _Member:
     and the state that steers its steps.  Its geometry lives in the stack,
     whose rows are laid out as one curve's arrays are."""
 
-    def __init__(self, deck, rows, jacobi_cap, dt, snapshot_times):
+    def __init__(self, deck, rows, jacobi_cap, snapshot_times):
         nodes, k, h = rows
         self.res = FlowResult(verdict="budget_exhausted", curve=None, t_final=0.0,
                               length=float(h.sum()), max_curvature=float(k.max()),
                               steps=0, halvings=0)
-        self.nodes, self.deck = nodes, deck
-        self.centroid0 = nodes.mean(axis=0)
-        self.jacobi_cap, self.dt, self.hit_snap = jacobi_cap, dt, None
-        self.snap_queue = sorted(float(s) for s in snapshot_times)
+        self.nodes, self.deck, self.jacobi_cap = nodes, deck, jacobi_cap
+        self.dt, self.hit_snap = _DT_SAFETY * float(h.min()) ** 2, None
+        self.snap_queue = sorted(snapshot_times)
         self.lengths_window = []
 
     def finished(self, k, h, max_steps, k_tol):
@@ -471,6 +452,7 @@ class _Member:
                                   f"halvings at t={self.res.t_final:.6g}")
         self.dt *= 0.5
         self.hit_snap = None   # no longer landing on the snapshot time
+        return self.dt
 
     def accept(self, nodes, h):
         """Record the step to the curve with these nodes and edge lengths."""
@@ -488,8 +470,6 @@ class _Member:
             curvature_integral=self.curvature_integral))
         self.nodes = nodes
         res.length = L_after
-        res.containment_drift = max(res.containment_drift, float(
-            np.hypot(*(nodes.mean(axis=0) - self.centroid0))))
 
     def result(self):
         self.res.curve = ClosedCurve(nodes=self.nodes, deck=self.deck)
@@ -501,8 +481,10 @@ def _try_step(spec, nodes, decks, h, gamma_term, dt):
 
     Returns (held, after): held[i] says whether member i's step held, and
     after = (nodes, acc, x_ss, h, k) is the stack's geometry after the step,
-    valid in the rows that held.  A step fails on non-finite nodes, a
-    collapsed polygon, or a curvature that exploded past 1 / (10 dt).
+    valid in the rows that held.  A step fails on non-finite nodes or
+    curvature, a collapsed polygon, or a curvature past 1 / (10 dt).  The
+    first two send the trial one member at a time, since a non-finite
+    value in either block-diagonal solve leaks into every block.
     """
     new = _implicit_step(nodes, decks, h, gamma_term, dt)
     if np.isfinite(new).all():
@@ -513,7 +495,8 @@ def _try_step(spec, nodes, decks, h, gamma_term, dt):
             pass
         else:
             kmax = after[-1].max(axis=1)
-            return np.isfinite(kmax) & (kmax <= 1.0 / (10.0 * dt)), after
+            if np.isfinite(kmax).all():
+                return kmax <= 1.0 / (10.0 * dt), after
     if len(new) == 1:
         return np.zeros(1, dtype=bool), tuple(np.full_like(a, np.nan)
                                              for a in (nodes, nodes, nodes, h, h))

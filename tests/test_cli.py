@@ -326,6 +326,16 @@ def test_entropy_nonpositive_epsilon_exits_2(capsys, eps):
     assert not out and "epsilon must be positive" in err
 
 
+@pytest.mark.parametrize("extra", [("--snapshots", "nan"), ("--snapshots", "inf"),
+                                   ("--snapshots", "-1"), ("--snapshots", "0"),
+                                   ("--max-steps", "-5")])
+def test_csf_bad_snapshot_or_step_budget_exits_2(capsys, extra):
+    code, out, err = run(capsys, "csf", "--metric", "flat",
+                         "--circle", "0.5,0.5,0.2", "--n", "64", *extra)
+    assert code == 2
+    assert not out and "evolve needs max_steps >= 0" in err
+
+
 def test_config_hash_tracks_inputs(capsys):
     _, out1, _ = run(capsys, "gallery")
     _, out2, _ = run(capsys, "gallery")
@@ -374,7 +384,8 @@ def test_csf_without_steps_reports_the_seed_curvature(capsys):
     assert code == 0
     payload = loads(out)
     seed = shortening.circle_curve((0.5, 0.5), 0.15, n=64)
-    _, k = seed.curvature(metrics.gallery("flat"))
+    k = shortening._covariant_acceleration(metrics.gallery("flat"), seed.nodes[None],
+                                           [seed.deck])[3]
     assert payload["steps"] == 0
     assert payload["max_curvature"] == float(k.max())
 
