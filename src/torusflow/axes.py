@@ -12,9 +12,10 @@ not the flow's verdict, decides: every flow result is a candidate, and a
 candidate counts only once the shooting closes it.
 
 A deliberately independent check lives alongside: a shortest-path length
-over a dense grid graph in a chart aligned with the class.  It shares no
-machinery with the flow or the shooting and serves as an upper bound,
-tight to a fraction of a percent for mildly curved metrics.
+over a dense grid graph in a chart aligned with the class, whose metric is
+a product of two small phase tables in that frame.  It shares only the
+Fourier coefficient lists with the flow and the shooting, and serves as an
+upper bound, tight to a fraction of a percent for mildly curved metrics.
 """
 
 from __future__ import annotations
@@ -209,8 +210,9 @@ def grid_shortest_class_length(spec, klass, n=512):
     sweeps.  A loop must return to its starting transverse offset after
     advancing one period in s, so the answer is minimised over a coarse
     fan of start offsets covering one transverse period, then over a fine
-    window around the best one.  Pure dynamic programming; nothing is
-    shared with the flow pipeline.
+    window around the best one, whose centre the coarse pass already ran.
+    Pure dynamic programming on a chart built from the coefficient lists
+    alone (_class_chart); nothing else is shared with the flow pipeline.
     """
     p, q, norm, e_s, e_w = class_frame(klass)
     Ns = int(round(norm * n))
@@ -221,68 +223,89 @@ def grid_shortest_class_length(spec, klass, n=512):
     w_hi = period_w + _ORACLE_MARGIN
     W = int(round((w_hi - w_lo) / dw)) + 1
 
-    i_grid = np.arange(Ns + 1) * ds
     j_grid = w_lo + np.arange(W) * dw
-    # positions of every chart node, (Ns+1, W, 2)
-    P = (i_grid[:, None, None] * e_s[None, None, :]
-         + j_grid[None, :, None] * e_w[None, None, :])
+    # one chart for the whole graph; edge weights take the trapezoid of the
+    # endpoint quadratic forms, free of per-move series evaluations
+    g = _class_chart(spec, (p, q), Ns, j_grid)
 
-    # one metric evaluation for the whole chart; edge weights use the
-    # trapezoid of the endpoint quadratic forms, same order as midpoints
-    # but free of per-move series evaluations
-    f = spec.fields(P[..., 0].ravel(), P[..., 1].ravel(), order=0)
-    g = {k: f[k].reshape(Ns + 1, W) for k in ("E", "F", "G")}
-
-    moves = [s for s in primitive_classes(_ORACLE_STENCIL_RADIUS) if s[0] > 0]
-    wgt = {}
-    for di, dj in moves:
-        delta = di * ds * e_s + dj * dw * e_w
-        wgt[(di, dj)] = _edge_weights(g, delta, di, dj)
+    wgt = {(di, dj): _edge_weights(g, di * ds * e_s + dj * dw * e_w, di, dj)
+           for di, dj in primitive_classes(_ORACLE_STENCIL_RADIUS) if di > 0}
     vert = _edge_weights(g, dw * e_w, 0, 1)          # (Ns+1, W-1)
-
-    def run(start_rows):
-        S = len(start_rows)
-        INF = np.inf
-        hist = []
-        d0 = np.full((S, W), INF)
-        d0[np.arange(S), start_rows] = 0.0
-        d0 = _vertical_relax(d0, vert[0])
-        hist.append(d0)
-        for i in range(1, Ns + 1):
-            d = np.full((S, W), INF)
-            for (di, dj), wmat in wgt.items():
-                if di > i:
-                    continue
-                src = hist[i - di]
-                wrow = wmat[i - di]
-                if dj == 0:
-                    np.minimum(d, src + wrow, out=d)
-                elif dj > 0:
-                    np.minimum(d[:, dj:], src[:, :-dj] + wrow, out=d[:, dj:])
-                else:
-                    np.minimum(d[:, :dj], src[:, -dj:] + wrow, out=d[:, :dj])
-            d = _vertical_relax(d, vert[i])
-            hist.append(d)
-            if len(hist) > _ORACLE_STENCIL_RADIUS + 1:
-                hist[i - _ORACLE_STENCIL_RADIUS - 1] = None
-        return hist[Ns][np.arange(S), start_rows]
 
     coarse_rows = np.round((np.arange(_ORACLE_COARSE_STARTS)
                             / _ORACLE_COARSE_STARTS * period_w - w_lo)
                            / dw).astype(int)
     coarse_rows = np.clip(coarse_rows, 0, W - 1)
-    coarse = run(coarse_rows)
+    coarse = _loop_lengths(wgt, vert, coarse_rows)
     best = int(np.argmin(coarse))
     center = coarse_rows[best]
     fine_rows = np.unique(np.clip(
         center + np.arange(-_ORACLE_REFINE_WINDOW, _ORACLE_REFINE_WINDOW + 1),
         0, W - 1))
-    fine = run(fine_rows)
+    # a start's loop does not depend on its batch: the centre's is coarse[best]
+    fine = np.full(len(fine_rows), coarse[best])
+    rest = fine_rows != center
+    fine[rest] = _loop_lengths(wgt, vert, fine_rows[rest])
     k = int(np.argmin(fine))
     return {"length": float(fine[k]),
             "offset": float(j_grid[fine_rows[k]]),
             "coarse_best": float(coarse[best]),
             "n": n, "stencil_radius": _ORACLE_STENCIL_RADIUS}
+
+
+def _class_chart(spec, klass, Ns, w):
+    """E, F and G at the chart nodes i |(p, q)|/Ns e_s + w[j] e_w, i = 0..Ns.
+
+    Term (mx, my) has phase 2 pi (i a / Ns + w[j] b / |(p, q)|) there, with
+    integers a = mx p + my q and b = my p - mx q, so a component is Re(S A W^T):
+    S[i, a] = exp(2 pi i ((i a) mod Ns) / Ns), A[a, b] sums the terms' c - i s
+    and W[j, b] = exp(2 pi i w[j] b / |(p, q)|).  An empty component is 0.0.
+    """
+    p, q, norm = class_frame(klass)[:3]
+
+    def chart(terms):
+        if not terms:
+            return 0.0
+        mx, my, c, s = map(np.array, zip(*terms))
+        a, ia = np.unique(mx * p + my * q, return_inverse=True)
+        b, ib = np.unique(my * p - mx * q, return_inverse=True)
+        A = np.zeros((len(a), len(b)), dtype=complex)
+        np.add.at(A, (ia, ib), c - 1j * s)
+        S = np.exp(2j * math.pi / Ns * (np.arange(Ns + 1)[:, None] * a % Ns))
+        # Re(z w) is the dot product of z and conj(w) viewed as float pairs
+        Wc = np.exp(-2j * math.pi / norm * np.outer(w, b))
+        return (S @ A).view(float) @ Wc.view(float).T
+
+    E = chart(spec.g11)
+    return {"E": E, "F": chart(spec.g12),
+            "G": E if spec.g22 == spec.g11 else chart(spec.g22)}
+
+
+def _loop_lengths(wgt, vert, start_rows):
+    """Shortest chart loop from each start row back to it, one section period on.
+
+    Elementwise over the starts: a start's length does not depend on its batch.
+    """
+    rows = np.arange(len(start_rows))
+    d = np.full((len(rows), vert.shape[1] + 1), np.inf)
+    d[rows, start_rows] = 0.0
+    hist = [_vertical_relax(d, vert[0])]
+    for i in range(1, len(vert)):
+        d = np.full(d.shape, np.inf)
+        for (di, dj), wmat in wgt.items():
+            if di > i:
+                continue
+            src, wrow = hist[i - di], wmat[i - di]
+            if dj == 0:
+                np.minimum(d, src + wrow, out=d)
+            elif dj > 0:
+                np.minimum(d[:, dj:], src[:, :-dj] + wrow, out=d[:, dj:])
+            else:
+                np.minimum(d[:, :dj], src[:, -dj:] + wrow, out=d[:, :dj])
+        hist.append(_vertical_relax(d, vert[i]))
+        if len(hist) > _ORACLE_STENCIL_RADIUS + 1:
+            hist[i - _ORACLE_STENCIL_RADIUS - 1] = None
+    return hist[-1][rows, start_rows]
 
 
 def _edge_weights(g, delta, di, dj):

@@ -150,6 +150,8 @@ def cmd_integrate(args, spec):
 
 
 def cmd_rotation_field(args, spec):
+    if args.n_angles < 2:
+        raise ValidationError(f"--n-angles {args.n_angles} gives fewer than two estimates")
     angles = np.linspace(0.0, 2.0 * math.pi, args.n_angles, endpoint=False)
     ests = cover.direction_field(spec, args.base, angles, horizon=args.horizon,
                                  dt=args.dt, h=args.h)

@@ -187,9 +187,9 @@ def intersection_census(traj, class_radius, horizons):
     if class_radius < 1:
         raise ValidationError(
             f"census class radius must be at least 1, got {class_radius}")
-    if not horizons or not all(map(math.isfinite, horizons)):
+    if not horizons or not all(0.0 < h < math.inf for h in horizons):
         raise ValidationError(
-            f"census horizons must be finite and nonempty, got {horizons}")
+            f"census horizons must be positive, finite and nonempty, got {horizons}")
     horizons = tuple(sorted(horizons))
     if horizons[-1] > traj.horizon + 1e-9:
         raise ValidationError(

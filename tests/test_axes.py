@@ -13,7 +13,7 @@ from torusflow.axes import (check_foliation, find_minimal_axis, flatness_test,
                             shoot_closed_geodesic)
 from torusflow.cover import class_frame
 from torusflow.errors import ValidationError
-from torusflow.metrics import gallery, quadratic_form
+from torusflow.metrics import MetricSpec, gallery, quadratic_form
 from torusflow.shortening import evolve
 
 # closed-form lengths of the two short liouville axes, from one-dimensional
@@ -154,6 +154,75 @@ def test_oracle_takes_each_square_root_once(name, klass, monkeypatch):
     want = grid_shortest_class_length(spec, klass, n=64)
     exact = {k: v.hex() if isinstance(v, float) else v for k, v in got.items()}
     assert exact == {k: v.hex() if isinstance(v, float) else v for k, v in want.items()}
+
+
+_chart_coef = st.floats(-0.1, 0.1)
+_chart_term = st.tuples(st.integers(-4, 4), st.integers(-4, 4), _chart_coef, _chart_coef)
+
+
+@st.composite
+def _chart_cases(draw):
+    """A positive-definite metric with g12 and negative modes, a class and n.
+
+    The oscillatory parts stay below 6 * 0.15 in l1 norm, so E and G stay
+    above 1.1 and |F| below 0.6.
+    """
+    g11 = [(0, 0, 2.0, 0.0)] + draw(st.lists(_chart_term, max_size=6))
+    g22 = (g11 if draw(st.booleans())
+           else [(0, 0, 2.5, 0.0)] + draw(st.lists(_chart_term, max_size=6)))
+    spec = MetricSpec("chart", g11=g11, g12=draw(st.lists(_chart_term, max_size=4)),
+                      g22=g22)
+    klass = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                 .filter(lambda k: k != (0, 0)))
+    return spec, klass, draw(st.sampled_from([8, 16, 32, 64]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart_cases())
+def test_class_chart_equals_fields_at_the_chart_nodes(case):
+    # the slow path: each chart node's position i ds e_s + w_j e_w, laid out
+    # as the oracle lays out its graph, evaluated through fields()
+    spec, klass, n = case
+    p, q, norm, e_s, e_w = class_frame(klass)
+    Ns, dw, margin = int(round(norm * n)), 1.0 / n, axes._ORACLE_MARGIN
+    W = int(round((1.0 / norm + margin + margin) / dw)) + 1
+    j_grid = -margin + np.arange(W) * dw
+    P = ((np.arange(Ns + 1) * (norm / Ns))[:, None, None] * e_s
+         + j_grid[None, :, None] * e_w)
+    f = spec.fields(P[..., 0].ravel(), P[..., 1].ravel(), order=0)
+    g = axes._class_chart(spec, klass, Ns, j_grid)
+    for key in "EFG":
+        want = f[key].reshape(Ns + 1, W)
+        assert np.abs(g[key] - want).max() <= 1e-13, key
+    if not spec.g12:
+        assert g["F"] == 0.0 and np.ndim(g["F"]) == 0
+    assert (g["G"] is g["E"]) == (spec.g22 == spec.g11)
+
+
+@pytest.mark.parametrize("name", ["liouville", "conformal-bump"])
+def test_oracle_start_loop_alone_equals_it_in_a_batch(name, monkeypatch):
+    calls, loops = [], axes._loop_lengths
+
+    def spy(wgt, vert, start_rows):
+        calls.append((wgt, vert, start_rows))
+        return loops(wgt, vert, start_rows)
+    monkeypatch.setattr(axes, "_loop_lengths", spy)
+    out = grid_shortest_class_length(gallery(name), (1, 1), n=64)
+    (wgt, vert, coarse_rows), (_, _, fine_rows) = calls
+    rows = np.concatenate([coarse_rows, fine_rows])
+    batch = loops(wgt, vert, rows)
+    alone = np.concatenate([loops(wgt, vert, rows[k:k + 1]) for k in range(len(rows))])
+    assert batch.tobytes() == alone.tobytes()
+    # the fine pass skips the window centre, whose loop the coarse pass ran:
+    # 16 + 12 starts, and the answer is the minimum over the whole window
+    radius = axes._ORACLE_REFINE_WINDOW
+    assert (len(coarse_rows), len(fine_rows)) == (axes._ORACLE_COARSE_STARTS, 2 * radius)
+    centre = coarse_rows[np.argmin(batch[:len(coarse_rows)])]
+    window = np.arange(centre - radius, centre + radius + 1)
+    assert np.array_equal(np.setdiff1d(window, fine_rows), [centre])
+    full = loops(wgt, vert, window)
+    assert out["length"].hex() == float(full.min()).hex()
+    assert out["offset"] == -axes._ORACLE_MARGIN + window[np.argmin(full)] * (1.0 / 64)
 
 
 def test_certified_axis_carries_oracle_gap(flat):

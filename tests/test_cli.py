@@ -188,6 +188,9 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     # a NaN rung would be counted as an empty census
     ("intersections", "--metric", "flat", "--angle", "0.4",
      "--horizons", "10,nan"),
+    # a rung at or below zero would be reported with its counts
+    ("intersections", "--metric", "flat", "--angle", "0.4", "--horizons=-5,10"),
+    ("intersections", "--metric", "flat", "--angle", "0.4", "--horizons=0,10"),
     ("rotation-targets", "--metric", "flat", "--targets", "nan",
      "--horizon", "20", "--grid", "8"),
     # an infinite epsilon makes every pair inseparable
@@ -276,6 +279,19 @@ def test_rotation_field_single_angle_exits_2(capsys):
                          "--n-angles", "1", "--horizon", "20.0", "--dt", "0.5")
     assert code == 2
     assert "two estimates" in err
+
+
+@pytest.mark.parametrize("n_angles", ["-3", "0", "1"])
+def test_rotation_field_below_two_angles_exits_2_before_any_ray(
+        capsys, monkeypatch, n_angles):
+    # max_projective_jump needs two estimates: no ray is worth integrating
+    def no_rays(*args, **kwargs):
+        raise AssertionError("a ray was integrated")
+    monkeypatch.setattr(cli.cover, "direction_field", no_rays)
+    code, out, err = run(capsys, "rotation-field", "--metric", "flat",
+                         f"--n-angles={n_angles}", "--horizon", "20.0", "--dt", "0.5")
+    assert code == 2
+    assert not out and "fewer than two estimates" in err
 
 
 @pytest.mark.parametrize("grid", ["0", "-2"])

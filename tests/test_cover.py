@@ -197,6 +197,9 @@ def test_census_horizon_validation():
                             horizons=(10.0, traj.horizon * 2))
     with pytest.raises(ValidationError, match="nonempty"):
         intersection_census(traj, class_radius=2, horizons=())
+    for horizons in ((-5.0, 10.0), (0.0, 10.0), (10.0, math.nan)):
+        with pytest.raises(ValidationError, match="positive, finite"):
+            intersection_census(traj, class_radius=2, horizons=horizons)
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
