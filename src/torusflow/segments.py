@@ -1,21 +1,24 @@
 """Transversal crossing detection between sampled plane curves.
 
 Curves arrive as polylines with a parameter value per node (trajectory time
-or curve parameter).  The engine, `crossings_by_shift`, meets polyline A
-with a list of translates B + shift: A goes into a uniform spatial hash once
-(cells twice the 95th-percentile segment length, keyed by column and row
-within A's cell range; a segment longer than a cell is hashed in pieces no
-longer than a cell), and each translate is rasterised onto the same grid
-and looked up in it; the zero shift of B = A (one object) is A's
-self-intersection query.  `torus_crossings` meets A with every integer
-translate of B without listing shifts: both go into one hash on the unit
-torus's grid, and each candidate pair reads its shift from the lattice
-cells of its pieces.  Candidate pairs get an exact closed-form solve, and
-crossings whose |sin| of intersection angle falls below a margin threshold
-are reported separately as tangential events rather than being counted.
-When node velocities are available the crossing is polished on a local
-cubic Hermite model of each curve, which recovers the intersection of the
-underlying smooth curves to about 1e-8 for sampling steps near 0.01.
+or curve parameter).  Both engines hash polylines on the unit lattice's 1/G
+grid, G = max(floor(1/cell), 1) for a cell twice the 95th-percentile
+segment length; a segment longer than 1/G is hashed in pieces no longer than
+1/G.  The engine, `crossings_by_shift`, meets polyline A with a list of
+integer translates B + s: A and B are hashed once, s moves every cell of B
+by exactly s * G, so the keys of B + s are B's keys plus one offset, and a
+shift whose offset keys meet none of A's costs no candidate listing; the
+zero shift of B = A (one object) is A's self-intersection query.
+`torus_crossings` meets A with every integer translate of B without listing
+shifts: the entries, wrapped onto the torus, go into one hash, and each
+candidate pair reads its shift from the lattice cells of its pieces.  Both
+list candidates with one sorted-key join.  Candidate pairs get an exact
+closed-form solve, and crossings whose |sin| of intersection angle falls
+below a margin threshold are reported separately as tangential events
+rather than being counted.  When node velocities are available the crossing
+is polished on a local cubic Hermite model of each curve, which recovers the
+intersection of the underlying smooth curves to about 1e-8 for sampling
+steps near 0.01.
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 THETA_MIN = 1e-4    # |sin| threshold separating transversal from tangential
 SELF_T_SEP = 0.1    # parameter separation excluding trivial self-overlap
+MAX_PIECES = 2 ** 24  # hash pieces per polyline; int64 cell keys stay exact
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,17 @@ def _pieces(xy, cell):
     (x row, y row), (P,) segment ids, and the number of cells by which to
     widen each piece's cell range, 1 for cut pieces so that rounding of the
     cut points never drops the cell of a point on the parent segment.
+    Raises ValidationError, before allocating any, when the pieces would
+    number more than MAX_PIECES.
     """
     a = xy[:-1].T
     b = xy[1:].T
-    n = np.maximum(np.ceil(np.hypot(*(b - a)) / cell), 1.0).astype(np.int64)
+    n = np.maximum(np.ceil(np.hypot(*(b - a)) / cell), 1.0)
+    if not n.sum() <= MAX_PIECES:
+        raise ValidationError(f"a polyline of {len(n)} segments needs "
+                              f"{n.sum():.3g} hash pieces of length {cell:.3g}, "
+                              f"more than {MAX_PIECES}")
+    n = n.astype(np.int64)
     seg = np.repeat(np.arange(len(n)), n)
     k = np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)
     nr = n[seg]
@@ -66,72 +79,51 @@ def _pieces(xy, cell):
     return np.minimum(p, q), np.maximum(p, q), seg, (nr > 1).astype(float)
 
 
-def _cell_entries(boxes, shift, cell, origin, top):
-    """Hash entries (cell key, segment id) for the cells each piece of B +
-    shift covers.
-
-    Cell (cx, cy) counts from `origin` in steps of `cell`; only cells in
-    [0, top] are listed, so the key cx * (top_y + 1) + cy names one cell.
-    """
-    lo, hi, seg, pad = boxes
-    i0 = np.floor((lo + shift - origin) / cell) - pad
-    i1 = np.floor((hi + shift - origin) / cell) + pad
-    i0 = np.maximum(i0, 0.0).astype(np.int64)
-    i1 = np.minimum(i1, top).astype(np.int64)
-    return _spread(i0, i1, seg, int(top[1, 0]) + 1)
-
-
-def _spread(i0, i1, seg, rows):
-    """Entries (cx * rows + cy, segment id) for the cells (cx, cy) in each
-    piece's index range [i0, i1], with 0 <= cx and 0 <= cy < rows."""
-    span = i1 - i0
-    # a piece spans a few cells per axis (none when it misses the grid):
-    # list cell (i0x + dx, i0y + dy) of the pieces spanning that far
+def _grid_entries(xy, G):
+    """Hash entries ((2, E) cell, segment id) of the cells of the unit
+    lattice's 1/G grid that a polyline's pieces, no longer than 1/G, cover."""
+    lo, hi, seg, pad = _pieces(xy, 1.0 / G)
+    # the exact test sees B + s rounded, which may cross a cell edge that a
+    # box edge lies within rounding of: widen each range by 1e-6 of a cell
+    i0 = (np.floor(lo * G - 1e-6) - pad).astype(np.int64)
+    span = (np.floor(hi * G + 1e-6) + pad).astype(np.int64) - i0
+    # a piece spans a few cells per axis: list cell i0 + (dx, dy) of the
+    # pieces spanning that far
     w = int(span.max()) + 1
-    reach_x = [span[0] >= d for d in range(w)]
-    reach_y = [span[1] >= d for d in range(w)]
-    base = i0[0] * rows + i0[1]
-    keys, segs = [base[:0]], [seg[:0]]
+    cells, segs = [i0[:, :0]], [seg[:0]]
     for dx in range(w):
         for dy in range(w):
-            hit = reach_x[dx] & reach_y[dy]
-            keys.append(base[hit] + (dx * rows + dy))
+            hit = (span[0] >= dx) & (span[1] >= dy)
+            cells.append(i0[:, hit] + [[dx], [dy]])
             segs.append(seg[hit])
-    return np.concatenate(keys), np.concatenate(segs)
+    return np.concatenate(cells, axis=1), np.concatenate(segs)
 
 
-class _CellTable:
-    """Polyline A's spatial hash on a grid from A's lower corner (`origin`)
-    to its largest cell indices (`top`): the occupied cell keys, ascending,
-    and for keys[i] the segments segs[start[i]:start[i] + count[i]]."""
-
-    def __init__(self, xyA, boxesA, cell):
-        self.cell = cell
-        self.origin = xyA.min(axis=0)[:, None]
-        self.top = np.floor((xyA.max(axis=0)[:, None] - self.origin) / cell)
-        keys, segs = _cell_entries(boxesA, 0.0, cell, self.origin, self.top)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        self.start = np.flatnonzero(np.diff(keys, prepend=-1))
-        self.count = np.diff(np.append(self.start, len(keys)))
-        self.keys, self.segs = keys[self.start], segs[order]
+def _join(keys, probe):
+    """Index pairs (i, j), grouped by j, with keys[i] == probe[j]; keys
+    ascending."""
+    first = np.searchsorted(keys, probe)
+    counts = np.searchsorted(keys, probe, side="right") - first
+    j = np.repeat(np.arange(len(probe)), counts)
+    i = np.arange(len(j)) + np.repeat(first + counts - np.cumsum(counts), counts)
+    return i, j
 
 
-def _candidate_pairs(table, boxesB, shift, n_segB, same_curve):
-    """Segment index pairs (A, B + shift), ordered by (A, B), sharing a cell."""
-    keys, segB = _cell_entries(boxesB, shift, table.cell, table.origin,
-                               table.top)
-    at = np.minimum(np.searchsorted(table.keys, keys), len(table.keys) - 1)
-    counts = np.where(table.keys[at] == keys, table.count[at], 0)
-    segB_rep = np.repeat(segB, counts)
-    k = np.arange(len(segB_rep)) - np.repeat(np.cumsum(counts) - counts, counts)
-    segA_rep = table.segs[np.repeat(table.start[at], counts) + k]
+def _distinct(keys):
+    """The distinct values of an int64 array of keys >= 0, ascending."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _candidate_pairs(keyA, segA, keyB, segB, n_segB, same_curve):
+    """Segment index pairs (A, B), ordered by (A, B), sharing a cell key;
+    keyA ascending."""
+    a, b = _join(keyA, keyB)
+    segA, segB = segA[a], segB[b]
     if same_curve:
-        keep = segA_rep < segB_rep - 1
-        segA_rep, segB_rep = segA_rep[keep], segB_rep[keep]
-    pair = np.sort(segA_rep * np.int64(n_segB) + segB_rep)
-    pair = pair[np.diff(pair, prepend=-1) != 0]
-    return pair // n_segB, pair % n_segB
+        keep = segA < segB - 1
+        segA, segB = segA[keep], segB[keep]
+    return np.divmod(_distinct(segA * np.int64(n_segB) + segB), n_segB)
 
 
 def _hermite(p0, p1, m0, m1, u):
@@ -203,13 +195,17 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
     Parameters
     ----------
     xyA, xyB : (N, 2) node positions; tA, tB: (N,) node parameters
-    shifts : sequence of (dx, dy) translations of B, deck shifts in practice
+    shifts : sequence of integer (m, n) deck shifts of B; a non-finite or
+        non-integer entry raises ValidationError
     vA, vB : optional node velocities; when both are given every crossing
         is polished on the local cubic Hermite model
 
-    A self-intersection query (zero shift with xyB the very object xyA; an
-    equal copy is another curve) skips adjacent segments and pairs up to
-    SELF_T_SEP apart in parameter.
+    A and B are hashed once on the unit lattice's 1/G grid.  A shift s moves
+    every cell of B by exactly s * G, so the cell keys of B + s are B's keys
+    plus one offset; a shift whose offset keys meet none of A's is skipped
+    before any candidate pair is listed.  A self-intersection query (zero
+    shift with xyB the very object xyA; an equal copy is another curve)
+    skips adjacent segments and pairs up to SELF_T_SEP apart in parameter.
 
     Returns
     -------
@@ -223,26 +219,37 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
     xyA, xyB, tA, tB, shifts = (np.asarray(v, dtype=float)
                                 for v in (xyA, xyB, tA, tB, shifts))
     shifts = shifts.reshape(-1, 2)
+    if not (np.isfinite(shifts) & (shifts == np.round(shifts))).all():
+        raise ValidationError(
+            f"deck shifts must be integer pairs, got {shifts.tolist()}")
     out = [([], []) for _ in shifts]
     if len(xyA) < 2 or len(xyB) < 2:
         return out
-    # cheap reject: disjoint bounding boxes
-    loA, hiA = xyA.min(axis=0), xyA.max(axis=0)
-    loB, hiB = xyB.min(axis=0), xyB.max(axis=0)
-    live = np.flatnonzero(
-        ~((loB + shifts > hiA) | (hiB + shifts < loA)).any(axis=1))
-    if len(live) == 0:
-        return out
     if vA is None or vB is None:
         vA = vB = None
-    cell = _cell_size(xyA, xyB)
-    boxesA = _pieces(xyA, cell)
-    boxesB = boxesA if self_query else _pieces(xyB, cell)
-    table = _CellTable(xyA, boxesA, cell)
-    for i in live:
+    G = max(int(1.0 / _cell_size(xyA, xyB)), 1)
+    cellA, segA = _grid_entries(xyA, G)
+    cellB, segB = (cellA, segA) if self_query else _grid_entries(xyB, G)
+    # cells count from each curve's lower corner, keyed cx * rows + cy; rows
+    # exceeds both curves' heights together, so while the rows of B + s
+    # meet A's no two cells share a key
+    loA, loB = cellA.min(axis=1), cellB.min(axis=1)
+    topA, topB = cellA.max(axis=1) - loA, cellB.max(axis=1) - loB
+    rows = int(topA[1] + topB[1]) + 1
+    keyA = (cellA[0] - loA[0]) * rows + (cellA[1] - loA[1])
+    keyB = (cellB[0] - loB[0]) * rows + (cellB[1] - loB[1])
+    order = np.argsort(keyA)
+    keyA, segA = keyA[order], segA[order]
+    liveA, liveB = _distinct(keyA), _distinct(keyB)
+    d = loB - loA + G * shifts  # lower corner of each B + s from A's, in cells
+    for i in np.flatnonzero(((d >= -topB) & (d <= topA)).all(axis=1)):
+        off = int(d[i, 0]) * rows + int(d[i, 1])
+        at = np.searchsorted(liveA, liveB + off)
+        if not (liveA[np.minimum(at, len(liveA) - 1)] == liveB + off).any():
+            continue
         same_curve = self_query and not shifts[i].any()
-        iA, iB = _candidate_pairs(table, boxesB, shifts[i][:, None],
-                                  len(xyB) - 1, same_curve)
+        iA, iB = _candidate_pairs(keyA, segA, keyB + off, segB, len(xyB) - 1,
+                                  same_curve)
         out[i] = _events(xyA, tA, vA, xyB + shifts[i], tB, vB, iA, iB,
                          same_curve)
     return out
@@ -283,12 +290,8 @@ def torus_crossings(xyA, tA, xyB, tB, vA, vB):
                         else _torus_entries(xyB, G))
     # join the entries of A and B that share a wrapped cell
     order = np.argsort(keyA)
-    keyA = keyA[order]
-    first = np.searchsorted(keyA, keyB)
-    counts = np.searchsorted(keyA, keyB, side="right") - first
-    b = np.repeat(np.arange(len(keyB)), counts)
-    k = np.arange(len(b)) - np.repeat(np.cumsum(counts) - counts, counts)
-    a = order[np.repeat(first, counts) + k]
+    a, b = _join(keyA[order], keyB)
+    a = order[a]
     i, j = segA[a], segB[b]
     sx, sy = latA[:, a] - latB[:, b]
     if self_query:
@@ -301,8 +304,7 @@ def torus_crossings(xyA, tA, xyB, tB, vA, vB):
     nA, nB = np.int64(len(xyA) - 1), np.int64(len(xyB) - 1)
     x0, y0 = sx.min(), sy.min()
     rows = np.int64(sy.max() - y0 + 1)
-    code = np.sort(((sx - x0) * rows + (sy - y0)) * (nA * nB) + i * nB + j)
-    code = code[np.diff(code, prepend=-1) != 0]
+    code = _distinct(((sx - x0) * rows + (sy - y0)) * (nA * nB) + i * nB + j)
     shift, pair = np.divmod(code, nA * nB)
     cut = np.flatnonzero(np.diff(shift, prepend=-1, append=-1))
     out = {}
@@ -317,16 +319,8 @@ def torus_crossings(xyA, tA, xyB, tB, vA, vB):
 
 def _torus_entries(xy, G):
     """Torus hash entries (wrapped cell key, segment id, (2, E) lattice cell)
-    of the cells that a polyline's pieces, no longer than 1/G, cover."""
-    lo, hi, seg, pad = _pieces(xy, 1.0 / G)
-    # the exact test sees B + s rounded, which may cross a cell edge that a
-    # box edge lies within rounding of: widen each range by 1e-6 of a cell
-    i0 = (np.floor(lo * G - 1e-6) - pad).astype(np.int64)
-    i1 = (np.floor(hi * G + 1e-6) + pad).astype(np.int64)
-    c0 = i0.min(axis=1, keepdims=True)
-    rows = int((i1[1] - c0[1]).max()) + 1
-    keys, seg = _spread(i0 - c0, i1 - c0, seg, rows)
-    cell = np.stack(np.divmod(keys, rows)) + c0
+    of the 1/G grid cells that a polyline's pieces cover."""
+    cell, seg = _grid_entries(xy, G)
     lattice, wrapped = np.divmod(cell, G)
     return wrapped[0] * G + wrapped[1], seg, lattice
 

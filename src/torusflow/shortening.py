@@ -70,6 +70,9 @@ class ClosedCurve:
 
 def circle_curve(center, radius, n):
     """Round circle, a contractible seed for the flow."""
+    if not 0.0 < radius < math.inf:
+        raise ValidationError(
+            f"circle radius must be positive and finite, got {radius}")
     a = 2.0 * math.pi * np.arange(n) / n
     nodes = np.stack([center[0] + radius * np.cos(a),
                       center[1] + radius * np.sin(a)], axis=1)

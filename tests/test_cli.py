@@ -214,6 +214,11 @@ INTEGRATE = ("integrate", "--metric", "liouville")
      "--epsilons", "1.25", "--csv", "/nonexistent/c.csv"),
     ("gallery", "--save", "flat", "/nonexistent/flat.metric"),
     ("integrate", "--metric", ".", "--angle", "0.5", "--horizon", "1"),
+    # a zero circle radius ended in a DegenerateSpacing failure manifest
+    # (exit 1), and a negative one ran as a circle of radius |r| (exit 0)
+    ("csf", "--metric", "flat", "--circle", "0,0,0"),
+    ("csf", "--metric", "flat", "--circle", "0,0,-1"),
+    ("csf", "--metric", "flat", "--circle", "0.5,0.5,inf"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,8 +1,8 @@
 """The crossing engines against brute force and against the shift lists.
 
-`crossings_by_shift` hashes polyline A once and queries every translate of
-B against it; `torus_crossings` answers the all-shift question from one
-torus-reduced hash.  Three references check them:
+`crossings_by_shift` hashes polylines A and B once and meets A with each
+integer translate of B as a key offset; `torus_crossings` answers the
+all-shift question from one torus-reduced hash.  Three references check them:
 
 * a brute-force O(NM) reference that feeds every segment pair of A and
   B + shift to the exact solve, so any pair the spatial hash drops shows up
@@ -15,6 +15,7 @@ torus-reduced hash.  Three references check them:
   and the torus crossing counts.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from torusflow import cover, flow, segments as sg
 from torusflow.cover import (ClassCensus, IntersectionCensus, half_lattice,
                              primitive_classes)
+from torusflow.errors import ValidationError
 from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, circle_curve,
                                   straight_class_curve, torus_crossing_count)
@@ -93,9 +95,14 @@ def polylines(draw, max_nodes=24, kinds=("axis", "dyadic", "float")):
 
 shift_sets = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                       min_size=1, max_size=8)
+# shifts out to +-40 mostly move B's cells clear of A's, so the engine skips
+# them before listing candidates; brute force still solves every pair
+far_shift_sets = st.lists(st.tuples(st.integers(-40, 40),
+                                    st.integers(-40, 40)),
+                          min_size=1, max_size=8)
 
 
-@given(A=polylines(), B=polylines(), shifts=shift_sets,
+@given(A=polylines(), B=polylines(), shifts=shift_sets | far_shift_sets,
        refine=st.booleans(), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=300, deadline=None)
 def test_engine_matches_brute_force(A, B, shifts, refine, seed):
@@ -189,20 +196,39 @@ def test_short_polylines_give_no_events():
     assert got == [([], []), ([], [])]
 
 
+def _grid(xyA, xyB):
+    """The engines' G: the unit lattice's hash grid has cells 1/G."""
+    return max(int(1.0 / sg._cell_size(xyA, xyB)), 1)
+
+
+def _spy_candidates(monkeypatch):
+    """Record the (A, B) segment pairs of each `_candidate_pairs` call."""
+    calls, real = [], sg._candidate_pairs
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(sg, "_candidate_pairs", spy)
+    return calls
+
+
 def test_long_segment_rasterises_in_linear_entries():
     # 400 steps of 0.01 along a zigzag, then one segment 1000x longer
     k = np.arange(401)
     zig = np.stack([0.01 * k, 0.005 * (k % 2)], axis=1)
     A = np.vstack([zig, zig[-1] + [10.0, 7.0]])
     lens = np.hypot(*np.diff(A, axis=0).T)
-    cell = 2.0 * np.percentile(lens, 95)
+    G = _grid(A, A)
     long = float(lens[-1])
-    assert long > 900 * lens[0]
-    table = sg._CellTable(A, sg._pieces(A, cell), cell)
-    # each cut piece covers at most 4 x 4 cells (its box widened by one
-    # cell), while the segment's bounding box has about 140k cells
-    assert len(table.segs) <= 4 * len(zig) + 16 * (math.ceil(long / cell) + 1)
-    assert len(table.segs) < (10.0 / cell) * (7.0 / cell) / 10
+    assert long > 900 * lens[0] and lens[0] < 1.0 / G
+    cells, segs = sg._grid_entries(A, G)
+    assert cells.shape == (2, len(segs))
+    # an uncut segment covers at most 3 x 3 cells (its box widened by 1e-6
+    # of a cell) and each cut piece at most 5 x 5 (widened by one cell
+    # more), while the long segment's bounding box has about 135k cells
+    assert len(segs) <= 9 * len(zig) + 25 * (math.ceil(long * G) + 1)
+    assert len(segs) < (10.0 * G) * (7.0 * G) / 10
     # a comb crossing the long segment many times, at many shifts
     y = np.linspace(-1.0, 9.0, 41)
     comb = np.stack([np.where(np.arange(41) % 2, 3.0, 9.0), y], axis=1)
@@ -215,7 +241,7 @@ def test_long_segment_rasterises_in_linear_entries():
         assert_same(res, brute_force(A, t, comb, tc, shift))
 
 
-def test_candidates_share_a_cell():
+def test_candidates_share_a_cell(monkeypatch):
     # a near-vertical polyline a few cells wide and a thousand cells tall,
     # against its translates one unit up and down (which poke out of A's
     # cell range): cell keys must never alias, so every candidate pair of
@@ -223,22 +249,26 @@ def test_candidates_share_a_cell():
     # is cut here, so piece boxes are segment boxes)
     y = np.linspace(0.0, 50.0, 2001)
     A = np.stack([0.1 * np.sin(y), y], axis=1)
-    lens = np.hypot(*np.diff(A, axis=0).T)
-    cell = 2.0 * np.percentile(lens, 95)
-    boxes = sg._pieces(A, cell)
-    table = sg._CellTable(A, boxes, cell)
-    assert table.top[0, 0] >= 3 and table.top[1, 0] > 900
-    lo, hi = boxes[0], boxes[1]
-    for dy in (1.0, -1.0):
-        shift = np.array([[0.0], [dy]])
-        iA, iB = sg._candidate_pairs(table, boxes, shift, len(A) - 1, False)
+    t = np.arange(len(A), dtype=float)
+    G = _grid(A, A)
+    cells, _ = sg._grid_entries(A, G)
+    span = cells.max(axis=1) - cells.min(axis=1)
+    assert span[0] >= 3 and span[1] > 900
+    assert np.hypot(*np.diff(A, axis=0).T).max() < 1.0 / G
+    lo, hi = np.minimum(A[:-1], A[1:]).T, np.maximum(A[:-1], A[1:]).T
+    calls = _spy_candidates(monkeypatch)
+    shifts = [(0, 1), (0, -1)]
+    sg.crossings_by_shift(A, t, A.copy(), t, shifts)
+    assert len(calls) == len(shifts)
+    for (iA, iB), s in zip(calls, shifts):
         assert len(iA) > 0
+        shift = np.array(s, dtype=float)[:, None]
         gap = np.maximum(lo[:, iA] - (hi[:, iB] + shift),
                          (lo[:, iB] + shift) - hi[:, iA])
-        assert gap.max() <= cell
+        assert gap.max() <= 1.0 / G
 
 
-def test_disjoint_collinear_segments_do_not_cross():
+def test_disjoint_collinear_segments_do_not_cross(monkeypatch):
     # B lies on the line through A's first segment, about 3 units beyond
     # its end, and one hash cell holds both; the solve of two such
     # segments is rounding noise and used to report a tangential crossing
@@ -246,17 +276,52 @@ def test_disjoint_collinear_segments_do_not_cross():
     A = np.array([[-0.75, 0.0], [-2.6090624786635574, -1.8590624786635572],
                   [-4.0, -3.0]])
     B = np.array([[-3.0, -2.25], [-3.25, -2.5]])
-    cell = sg._cell_size(A, B)
-    iA, _ = sg._candidate_pairs(sg._CellTable(A, sg._pieces(A, cell), cell),
-                                sg._pieces(B, cell), 0.0, len(B) - 1, False)
-    assert 0 in iA
+    calls = _spy_candidates(monkeypatch)
     assert sg.crossings(A, [0.0, 1.0, 2.0], B, [0.0, 1.0]) == ([], [])
+    ((iA, _),) = calls
+    assert 0 in iA
+
+
+def test_shifts_must_be_integer_pairs():
+    A = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    t = np.arange(3, dtype=float)
+    for bad in ([(0.5, 0)], [(0, 0), (1, 1e-9)], [(math.nan, 0)],
+                [(0, math.inf)]):
+        with pytest.raises(ValidationError, match="integer pairs"):
+            sg.crossings_by_shift(A, t, A, t, bad)
+    # integer-valued floats are integer shifts
+    assert sg.crossings_by_shift(A, t, A, t, [(1.0, -2.0)]) == [([], [])]
+    spec = gallery("flat")
+    traj = flow.integrate(spec, flow.unit_tangent(spec, (0.1, 0.2), 0.6), 2.0,
+                          dt=0.1)
+    with pytest.raises(ValidationError, match="integer pairs"):
+        cover.translate_intersections(traj, (0.5, 0))
+
+
+def test_long_segment_fails_before_any_allocation():
+    # 100 steps of 0.01 and one of 1e12: about 5e13 hash pieces; the piece
+    # count is checked before a piece array is made
+    P = np.vstack([np.stack([0.01 * np.arange(101), np.zeros(101)], axis=1),
+                   [[1e12, 1.0]]])
+    t = np.arange(len(P), dtype=float)
+    tracemalloc.start()
+    try:
+        for engine in (lambda: sg.crossings(P, t, P, t),
+                       lambda: sg.torus_crossings(P, t, P, t, None, None)):
+            with pytest.raises(ValidationError, match="hash pieces"):
+                engine()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------
 # the per-shift loops the engine replaced, kept as the reference
 
-def census_reference(traj, class_radius, horizons):
+def census_reference(traj, class_radius, horizons, solve=None):
+    """The census from one crossing solve per nonzero power k, by default a
+    `crossings` call; `solve(traj, shift)` replaces it."""
     horizons = tuple(sorted(horizons))
     classes = {}
     for m, n in primitive_classes(class_radius):
@@ -265,8 +330,11 @@ def census_reference(traj, class_radius, horizons):
             if k == 0:
                 continue
             # the census counts polyline crossings: no velocities, no polish
-            events, _ = sg.crossings(traj.xy, traj.t,
-                                     traj.xy + [k * m, k * n], traj.t)
+            if solve is None:
+                events, _ = sg.crossings(traj.xy, traj.t,
+                                         traj.xy + [k * m, k * n], traj.t)
+            else:
+                events, _ = solve(traj, (k * m, k * n))
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
         classes[f"{m}/{n}"] = ClassCensus(
@@ -360,6 +428,28 @@ def test_census_equals_per_shift_loop(fans, name):
                                         horizons=horizons)
         want = census_reference(ray, radius, horizons)
         assert got == want
+
+
+def test_census_equals_brute_force_census():
+    # every segment pair of the lift and each translate through the exact
+    # solve, no hash: an oracle independent of the engine's grid and of the
+    # shifts it skips
+    horizons = (5.0, 12.5, 25.0)
+    found = {}
+    for name in ("liouville", "two-frequency"):
+        found[name] = 0
+        for ray in _fan(name, 4, 25.0):
+            got = cover.intersection_census(ray, class_radius=3,
+                                            horizons=horizons)
+            want = census_reference(
+                ray, 3, horizons, lambda traj, s: brute_force(
+                    traj.xy, traj.t, traj.xy, traj.t, s))
+            assert got == want
+            found[name] += sum(counts[-1] for c in got.classes.values()
+                               for counts in c.counts.values())
+    # liouville's lifts stay near straight lines and miss their translates
+    # up to T = 25; two-frequency's cross several translate families
+    assert found["liouville"] == 0 and found["two-frequency"] > 100
 
 
 @pytest.mark.parametrize("name", ["liouville", "two-frequency"])
