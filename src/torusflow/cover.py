@@ -1,10 +1,9 @@
 """Analysis of lifted geodesics on the universal cover.
 
 The deck group of the square torus acts by integer translations, so a deck
-shift and a translation class are both integer pairs (m, n): `class_rep`
-normalises a class to its primitive representative, `class_frame` gives a
-class's direction and normal, and `half_lattice` and `primitive_classes`
-list the shifts a census scans.
+shift and a translation class are both integer pairs (m, n): `class_frame`
+gives a class's direction and normal, and `half_lattice` and
+`primitive_classes` list the shifts a census scans.
 
 This module tracks how a lifted geodesic meets its own deck translates
 (self-intersections, per-class intersection censuses, and every
@@ -27,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from . import segments as sg
-from .errors import NotEscaping, PrimitiveRequired, ValidationError
+from .errors import NotEscaping, ValidationError
 from .flow import integrate_rays, unit_tangent
 from .metrics import circle_distance
 
@@ -40,21 +39,6 @@ _MIN_ESCAPE_NORM = 10.0
 
 # ---------------------------------------------------------------------------
 # deck group: shifts and classes as integer pairs
-
-def class_rep(shift):
-    """Primitive representative of the class of a nonzero shift (m, n).
-
-    Two nonzero shifts are equivalent when they have equal nonzero powers;
-    each class is tagged by the primitive vector along the same line that
-    half_lattice lists, the one with rep > (0, 0).
-    """
-    m, n = shift
-    if m == 0 and n == 0:
-        raise PrimitiveRequired("the identity translation has no class")
-    d = math.gcd(m, n)
-    rep = (m // d, n // d)
-    return rep if rep > (0, 0) else (-rep[0], -rep[1])
-
 
 def class_frame(klass):
     """(p, q, |(p, q)|, e_s, e_w) of a nonzero class (p, q): e_s is the unit
@@ -81,8 +65,9 @@ def half_lattice(rx, ry):
 
 
 def primitive_classes(radius):
-    """Class representatives (class_rep's) with sup-norm at most `radius`,
-    in half_lattice order."""
+    """Primitive shifts with sup-norm at most `radius`, in half_lattice order:
+    one representative of each class, the primitive vector > (0, 0) on its
+    line."""
     return [s for s in half_lattice(radius, radius) if math.gcd(*s) == 1]
 
 
@@ -245,9 +230,6 @@ class RotationNumber:
             return math.pi / 2.0
         return math.atan(self.slope) % math.pi
 
-    def __str__(self):
-        return "inf" if self.infinite else f"{self.slope:.12g}"
-
 
 @dataclass(frozen=True)
 class DirectionEstimate:
@@ -262,8 +244,6 @@ class DirectionEstimate:
     direction: tuple
     rotation: RotationNumber
     tail_oscillation: float
-    horizon: float
-    final_norm: float
 
 
 def asymptotic_direction(traj):
@@ -293,9 +273,7 @@ def asymptotic_direction(traj):
     osc = float(np.arccos(cosang).max()) if good.any() else math.inf
     return DirectionEstimate(direction=d,
                              rotation=RotationNumber.of_direction(*d),
-                             tail_oscillation=osc,
-                             horizon=traj.horizon,
-                             final_norm=norm)
+                             tail_oscillation=osc)
 
 
 def direction_antisymmetry(fwd_traj, bwd_traj):
@@ -389,69 +367,61 @@ def max_projective_jump(estimates):
 def hit_rotation_targets(spec, base, targets, horizon, grid=256, tol=1e-3):
     """Find launch angles whose rotation number hits each target slope.
 
-    Scans a fan of `grid` angles (at least 2) for a bracket around each
-    finite target, then bisects all targets in lockstep, for at most 40
-    rounds, so every round costs one batched integration (RK4 step 0.01,
-    sampled every 1.0).  Returns a list of dicts (target, angle, slope,
-    achieved, iterations), in the order of `targets`.
+    Scans a fan of `grid` angles (at least 2).  A neighbour pair of the
+    scan, the last angle paired with the first included, can bracket a
+    target when both slopes are finite and differ by less than 1 (a wider
+    gap straddles a vertical direction); each finite target takes the first
+    such pair whose slopes enclose it.  All bracketed targets are then
+    bisected in lockstep, for at most 40 rounds, so every round costs one
+    batched integration (RK4 step 0.01, sampled every 1.0); a target is
+    done when a midpoint slope is within `tol` (positive and finite) of it,
+    or given up when a midpoint is vertical.  Returns a list of dicts
+    (target, achieved, angle, slope, iterations), in the order of `targets`.
     """
     if grid < 2:
         raise ValidationError(f"the scan grid needs at least 2 angles, got {grid}")
     if not all(map(math.isfinite, targets)):
         raise ValidationError(f"rotation targets must be finite, got {targets}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"the slope tolerance must be positive and finite, got {tol}")
 
     def fan(angles):
         return direction_field(spec, base, angles, horizon=horizon, dt=1.0, h=0.01)
 
-    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    estimates = fan(angles)
-    slopes = [e.rotation.slope for e in estimates]
-    state = []
-    for target in targets:
-        bracket = None
-        for i in range(len(angles)):
-            j = (i + 1) % len(angles)
-            si, sj = slopes[i], slopes[j]
-            if si is None or sj is None:
-                continue
-            lo, hi = min(si, sj), max(si, sj)
-            # a wide slope gap means the pair straddles a vertical direction
-            if lo <= target <= hi and hi - lo < 1.0:
-                step = (angles[j] - angles[i]) % (2.0 * math.pi)
-                bracket = [angles[i], angles[i] + step, si, sj]
-                break
-        state.append({"target": target, "bracket": bracket, "achieved": False,
-                      "angle": None, "slope": None, "iterations": 0})
+    two_pi = 2.0 * math.pi
+    angles = np.linspace(0.0, two_pi, grid, endpoint=False)
+    slopes = [e.rotation.slope for e in fan(angles)]
+    pairs = [(a, a + (b - a) % two_pi, sa, sb)
+             for a, b, sa, sb in zip(angles, np.roll(angles, -1),
+                                     slopes, slopes[1:] + slopes[:1])
+             if sa is not None and sb is not None and abs(sb - sa) < 1.0]
+    brackets = [next((p for p in pairs if min(p[2:]) <= t <= max(p[2:])), None)
+                for t in targets]
+    results = [{"target": t, "achieved": False, "angle": None, "slope": None,
+                "iterations": 0} for t in targets]
+    for r, bracket in zip(results, brackets):
+        if bracket is None:
+            r["reason"] = "no bracket on the scan grid"
 
     for _ in range(40):
-        pending = [s for s in state if s["bracket"] is not None and not s["achieved"]]
-        if not pending:
+        live = [i for i, b in enumerate(brackets) if b is not None]
+        if not live:
             break
-        mids = [0.5 * (s["bracket"][0] + s["bracket"][1]) for s in pending]
-        ests = fan(mids)
-        for s, angle, est in zip(pending, mids, ests):
-            s["iterations"] += 1
+        mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in live]
+        for i, angle, est in zip(live, mids, fan(mids)):
+            r, (a_lo, a_hi, s_lo, s_hi) = results[i], brackets[i]
+            r["iterations"] += 1
+            r["angle"] = angle
             s_mid = est.rotation.slope
-            s["angle"] = angle
             if s_mid is None:
-                s["bracket"] = None
+                brackets[i] = None
                 continue
-            s["slope"] = s_mid
-            if abs(s_mid - s["target"]) <= tol:
-                s["achieved"] = True
-                continue
-            a_lo, a_hi, s_lo, s_hi = s["bracket"]
-            if (s_lo <= s["target"]) == (s_mid <= s["target"]):
-                s["bracket"] = [angle, a_hi, s_mid, s_hi]
+            r["slope"] = s_mid
+            if abs(s_mid - r["target"]) <= tol:
+                r["achieved"] = True
+                brackets[i] = None
+            elif (s_lo <= r["target"]) == (s_mid <= r["target"]):
+                brackets[i] = (angle, a_hi, s_mid, s_hi)
             else:
-                s["bracket"] = [a_lo, angle, s_lo, s_mid]
-
-    results = []
-    for s in state:
-        r = {"target": s["target"], "achieved": s["achieved"],
-             "angle": s["angle"], "slope": s["slope"],
-             "iterations": s["iterations"]}
-        if not s["achieved"] and s["angle"] is None:
-            r["reason"] = "no bracket on the scan grid"
-        results.append(r)
+                brackets[i] = (a_lo, angle, s_lo, s_mid)
     return results

@@ -54,6 +54,11 @@ TWO_PI = 2.0 * math.pi
 # probes per time chunk of the pair scans
 _CHUNK = 512
 
+# counts above this fraction of the sample budget are crowding-limited: well
+# before formal exhaustion they bend the growth curve down, visible as a
+# slope inversion across the eps ladder, so they are not trusted
+SATURATION_FRACTION = 0.4
+
 
 @dataclass(frozen=True)
 class EntropyParams:
@@ -69,10 +74,6 @@ class EntropyParams:
     epsilons: tuple = (0.5, 0.25, 0.125)
     dt_probe: float = 0.05
     step_h: float = 0.0125
-    # counts above this fraction of the budget are crowding-limited: well
-    # before formal exhaustion they bend the growth curve down, visible as
-    # a slope inversion across the eps ladder, so they are not trusted
-    saturation_fraction: float = 0.4
     # smallest growth rate the ladder can tell apart from transient
     # exploration of the phase box; calibrated on the integrable gallery
     slope_floor: float = 0.04
@@ -80,6 +81,8 @@ class EntropyParams:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValidationError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not all(0 < eps < math.inf for eps in self.epsilons):
             raise ValidationError("every epsilon must be positive and finite")
         if not all(map(math.isfinite, (*self.horizons, self.dt_probe, self.step_h))):
@@ -255,8 +258,8 @@ class EntropyEstimate:
     counts[i][j] is the monotone-composed separated count at horizons[i],
     epsilons[j].  slopes[j] is the least-squares growth rate of log counts
     over the upper half of the horizon ladder at epsilons[j].  headline is
-    the slope at the smallest epsilon whose counts stay below the
-    saturation fraction of the sample budget; sample_limited reports that
+    the slope at the smallest epsilon whose counts stay below
+    SATURATION_FRACTION of the sample budget; sample_limited reports that
     every epsilon saturated, in which case the headline underestimates.
     """
 
@@ -305,7 +308,7 @@ def estimate_entropy(spec, params, probes=None):
 
     counts = np.maximum.accumulate(raw, axis=0)          # longer horizon
     counts = np.maximum.accumulate(counts, axis=1)       # finer resolution
-    sat_cut = params.saturation_fraction * m
+    sat_cut = SATURATION_FRACTION * m
     saturated = [bool(counts[-1, j] >= sat_cut)
                  for j in range(len(params.epsilons))]
     slopes = [_slope_of_counts(params.horizons, counts[:, j])

@@ -13,10 +13,6 @@ class MetricFormatError(ValidationError):
     """Metric description file does not follow the documented grammar."""
 
 
-class PrimitiveRequired(ValidationError):
-    """A primitive deck transform was required but a power (or identity) was given."""
-
-
 class StepFailure(TorusflowError):
     """Adaptive integrator could not reach the requested horizon."""
 

@@ -219,6 +219,9 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     ("csf", "--metric", "flat", "--circle", "0,0,0"),
     ("csf", "--metric", "flat", "--circle", "0,0,-1"),
     ("csf", "--metric", "flat", "--circle", "0.5,0.5,inf"),
+    # numpy's generator rejected a negative seed with a raw ValueError (exit 1)
+    ("entropy", "--metric", "flat", "--seed=-1", "--samples", "4",
+     "--horizons", "0.1", "--epsilons", "1"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -324,12 +327,25 @@ def test_intersections_class_radius_below_one_exits_2(capsys, radius):
     assert not out and "census class radius must be at least 1" in err
 
 
-@pytest.mark.parametrize("grid", ["0", "1"])
-def test_rotation_targets_grid_below_two_exits_2(capsys, grid):
+@pytest.mark.parametrize("flag,message", [
+    pytest.param("--grid=0", "at least 2 angles", id="0"),
+    pytest.param("--grid=1", "at least 2 angles", id="1"),
+    # a NaN tolerance ran all 40 rounds and then failed to write its JSON
+    # (exit 1), and a negative one ran 40 rounds to report a miss (exit 0)
+    pytest.param("--tol=nan", "positive and finite", id="tol-nan"),
+    pytest.param("--tol=inf", "positive and finite", id="tol-inf"),
+    pytest.param("--tol=-1", "positive and finite", id="tol--1"),
+    pytest.param("--tol=0", "positive and finite", id="tol-0"),
+])
+def test_rotation_targets_grid_below_two_exits_2(capsys, monkeypatch, flag,
+                                                 message):
+    def no_rays(*args, **kwargs):
+        raise AssertionError("a ray was integrated")
+    monkeypatch.setattr(cli.cover, "direction_field", no_rays)
     code, out, err = run(capsys, "rotation-targets", "--metric", "flat",
-                         "--targets", "0.5", "--horizon", "20", "--grid", grid)
+                         "--targets", "0.5", "--horizon", "20", flag)
     assert code == 2
-    assert not out and "at least 2 angles" in err
+    assert not out and err.startswith("error: ") and message in err
 
 
 def test_entropy_zero_samples_exits_2(capsys):

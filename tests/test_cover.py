@@ -1,20 +1,22 @@
 import math
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusflow import cover
 from torusflow import segments as sg
 from torusflow.cover import (RotationNumber, asymptotic_direction,
-                             class_frame, class_rep, detect_double_loop, direction_antisymmetry,
+                             class_frame, detect_double_loop, direction_antisymmetry,
                              direction_field, fit_strip, hit_rotation_targets,
                              intersection_census, max_projective_jump,
                              primitive_classes, self_intersections,
                              torus_self_crossings, translate_intersections)
-from torusflow.errors import NotEscaping, PrimitiveRequired, ValidationError
+from torusflow.errors import NotEscaping, ValidationError
 from torusflow.flow import Trajectory
 from torusflow.shortening import straight_class_curve
 
@@ -42,7 +44,8 @@ nonzero_pairs = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
 
 
 def class_rep_reference(m, n):
-    # the class normalisation of the retired deck-transform class
+    # the class normalisation of the retired deck-transform class: the
+    # primitive vector > (0, 0) on the line of (m, n)
     d = math.gcd(abs(m), abs(n))
     m, n = m // d, n // d
     if m < 0 or (m == 0 and n < 0):
@@ -71,36 +74,13 @@ def straight_class_curve_reference(klass, base, n, amplitude):
     return nodes
 
 
-@given(a=nonzero_pairs, b=nonzero_pairs, k=st.integers(-4, 4).filter(bool))
+@given(a=nonzero_pairs, b=nonzero_pairs)
 @settings(max_examples=80, deadline=None)
-def test_deck_compose_inverse(a, b, k):
-    # deck shifts compose by pair addition; a shift, its inverse and its
-    # nonzero powers name one class
+def test_deck_compose_inverse(a, b):
+    # deck shifts compose by pair addition, and -a undoes a
     xy = np.array([[0.25, -0.5]])
     assert np.array_equal(xy + a + (-a[0], -a[1]), xy)
     assert np.array_equal(xy + a + b, xy + (a[0] + b[0], a[1] + b[1]))
-    rep = class_rep(a)
-    assert class_rep((-a[0], -a[1])) == rep
-    assert class_rep((k * a[0], k * a[1])) == rep
-
-
-@given(a=nonzero_pairs)
-@settings(max_examples=80, deadline=None)
-def test_class_rep_normalisation(a):
-    rep = class_rep(a)
-    assert rep == class_rep_reference(*a)
-    assert type(rep) is tuple and math.gcd(*rep) == 1
-    # first nonzero coordinate of the representative is positive
-    assert rep > (0, 0)
-    assert class_rep(rep) == rep
-
-
-def test_primitive_rules():
-    assert class_rep((2, 3)) == (2, 3)
-    assert class_rep((2, 4)) == (1, 2)
-    assert class_rep((0, -3)) == (0, 1)
-    with pytest.raises(PrimitiveRequired):
-        class_rep((0, 0))
 
 
 def test_primitive_classes_radius():
@@ -293,9 +273,143 @@ def test_direction_field_flat_slopes(flat):
     assert max_projective_jump(ests) > 0
 
 
+def hit_rotation_targets_reference(spec, base, targets, horizon, grid=256,
+                                   tol=1e-3):
+    # the sequential search with one state dict per target that
+    # cover.hit_rotation_targets replaced, copied unchanged except that it
+    # calls cover.direction_field, so a test can patch the fan of both
+    if grid < 2:
+        raise ValidationError(f"the scan grid needs at least 2 angles, got {grid}")
+    if not all(map(math.isfinite, targets)):
+        raise ValidationError(f"rotation targets must be finite, got {targets}")
+
+    def fan(angles):
+        return cover.direction_field(spec, base, angles, horizon=horizon, dt=1.0, h=0.01)
+
+    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    estimates = fan(angles)
+    slopes = [e.rotation.slope for e in estimates]
+    state = []
+    for target in targets:
+        bracket = None
+        for i in range(len(angles)):
+            j = (i + 1) % len(angles)
+            si, sj = slopes[i], slopes[j]
+            if si is None or sj is None:
+                continue
+            lo, hi = min(si, sj), max(si, sj)
+            # a wide slope gap means the pair straddles a vertical direction
+            if lo <= target <= hi and hi - lo < 1.0:
+                step = (angles[j] - angles[i]) % (2.0 * math.pi)
+                bracket = [angles[i], angles[i] + step, si, sj]
+                break
+        state.append({"target": target, "bracket": bracket, "achieved": False,
+                      "angle": None, "slope": None, "iterations": 0})
+
+    for _ in range(40):
+        pending = [s for s in state if s["bracket"] is not None and not s["achieved"]]
+        if not pending:
+            break
+        mids = [0.5 * (s["bracket"][0] + s["bracket"][1]) for s in pending]
+        ests = fan(mids)
+        for s, angle, est in zip(pending, mids, ests):
+            s["iterations"] += 1
+            s_mid = est.rotation.slope
+            s["angle"] = angle
+            if s_mid is None:
+                s["bracket"] = None
+                continue
+            s["slope"] = s_mid
+            if abs(s_mid - s["target"]) <= tol:
+                s["achieved"] = True
+                continue
+            a_lo, a_hi, s_lo, s_hi = s["bracket"]
+            if (s_lo <= s["target"]) == (s_mid <= s["target"]):
+                s["bracket"] = [angle, a_hi, s_mid, s_hi]
+            else:
+                s["bracket"] = [a_lo, angle, s_lo, s_mid]
+
+    results = []
+    for s in state:
+        r = {"target": s["target"], "achieved": s["achieved"],
+             "angle": s["angle"], "slope": s["slope"],
+             "iterations": s["iterations"]}
+        if not s["achieved"] and s["angle"] is None:
+            r["reason"] = "no bracket on the scan grid"
+        results.append(r)
+    return results
+
+
+def spied_targets(mp, search, field, *args, **kwargs):
+    """Run a target search with cover.direction_field replaced by `field`;
+    returns the results and the angle list of every fan call."""
+    calls = []
+
+    def spy(spec, base, angles, horizon, dt, h):
+        calls.append(np.asarray(angles, dtype=float).tolist())
+        return field(spec, base, angles, horizon, dt, h)
+
+    mp.setattr(cover, "direction_field", spy)
+    return search(*args, **kwargs), calls
+
+
+def synthetic_field(c, phi, delta):
+    """Slopes c tan(theta + phi) of launch angles theta, vertical (None)
+    within `delta` of a vertical direction."""
+    def field(spec, base, angles, horizon, dt, h):
+        out = []
+        for a in angles:
+            u = float(a) + phi
+            vertical = abs(u % math.pi - 0.5 * math.pi) < delta
+            slope = None if vertical else c * math.tan(u)
+            out.append(SimpleNamespace(rotation=RotationNumber(slope)))
+        return out
+    return field
+
+
+def assert_search_matches_reference(field, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        got, got_calls = spied_targets(mp, hit_rotation_targets, field,
+                                       *args, **kwargs)
+        want, want_calls = spied_targets(mp, hit_rotation_targets_reference,
+                                         field, *args, **kwargs)
+    assert pickle.dumps(got) == pickle.dumps(want)
+    assert got_calls == want_calls
+    return got
+
+
+# at small c the scan's first pair straddles the vertical with slopes 0.047
+# and -0.053, so it brackets 0 and 0.03, and its midpoint is vertical
+@example(grid=8, c=0.02, phi=1.168, delta=0.1, tol=1e-6, targets=[0.0, 0.03, -0.5])
+@example(grid=2, c=1.0, phi=0.0, delta=0.0, tol=1e-3, targets=[0.5, 1e6])
+@given(grid=st.integers(2, 64),
+       c=st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       delta=st.floats(0.0, 0.4),
+       tol=st.floats(1e-9, 0.5),
+       targets=st.lists(st.floats(-5.0, 5.0) | st.sampled_from([-1e6, 1e6]),
+                        max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_target_search_matches_sequential_reference(grid, c, phi, delta, tol,
+                                                    targets):
+    # targets outside every bracket, vertical scan angles and vertical
+    # midpoints all leave the results and every fan call as the reference's
+    assert_search_matches_reference(synthetic_field(c, phi, delta), None,
+                                    (0.0, 0.0), targets, 1.0, grid=grid,
+                                    tol=tol)
+
+
+def test_target_search_matches_reference_on_liouville(liouville):
+    res = assert_search_matches_reference(
+        direction_field, liouville, (0.0, 0.0),
+        [0.25, 0.5, 1.0, -1.5, 2.0, -0.75, 7.0], 60.0, grid=64, tol=1e-3)
+    assert any(r["achieved"] for r in res)
+    assert any("reason" in r for r in res)
+
+
 def test_hit_rotation_targets_flat(flat):
-    res = hit_rotation_targets(flat, (0.0, 0.0), [0.5, 2.0], horizon=40.0,
-                               grid=64, tol=1e-3)
+    res = assert_search_matches_reference(direction_field, flat, (0.0, 0.0),
+                                          [0.5, 2.0], 40.0, grid=64, tol=1e-3)
     for r in res:
         assert r["achieved"]
         assert abs(r["slope"] - r["target"]) <= 1e-3
