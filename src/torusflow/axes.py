@@ -332,9 +332,9 @@ def _vertical_relax(d, vw):
     monotone vertical run.
     """
     c = np.concatenate([[0.0], np.cumsum(vw)])
-    up = np.minimum.accumulate(d - c[None, :], axis=1) + c[None, :]
-    down = (np.flip(np.minimum.accumulate(np.flip(d + c[None, :], axis=1),
-                                          axis=1), axis=1) - c[None, :])
+    up = np.fmin.accumulate(d - c[None, :], axis=1) + c[None, :]
+    down = (np.flip(np.fmin.accumulate(np.flip(d + c[None, :], axis=1),
+                                       axis=1), axis=1) - c[None, :])
     return np.minimum(np.minimum(d, up), down)
 
 

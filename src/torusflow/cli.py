@@ -284,12 +284,16 @@ def cmd_flatness(args, spec):
 
 
 def cmd_entropy(args, spec):
+    params = entropy.EntropyParams(
+        n_samples=args.samples, horizons=args.horizons,
+        epsilons=args.epsilons, dt_probe=args.dt_probe, seed=args.seed)
     if args.preset:
+        # a sample flag off its default would be hashed but never used
+        if params != entropy.EntropyParams():
+            raise ValidationError(
+                "--preset fixes the sampling plan; drop --samples, --horizons, "
+                "--epsilons, --dt-probe and --seed")
         params = entropy.PRESETS[args.preset]
-    else:
-        params = entropy.EntropyParams(
-            n_samples=args.samples, horizons=args.horizons,
-            epsilons=args.epsilons, dt_probe=args.dt_probe, seed=args.seed)
     est = entropy.estimate_entropy(spec, params)
     _write_csv(args, args.csv, "horizon,epsilon,count",
                [[T, e, est.counts[i][j]]

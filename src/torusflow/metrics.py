@@ -24,8 +24,9 @@ never across points, so a point's value does not depend on the batch or
 block it was evaluated in.  A constant series, whose only mode is (0, 0),
 skips the phases: its value is the constant and every derivative is an
 exact zero.  Next to this blocked batch path, Python floats take a
-one-point path (`geodesic_accel`, `MetricSpec.point_fields`): the same tables,
-one dot product and none of the batch path's fixed per-call cost.
+one-point path (`geodesic_accel`, `MetricSpec.point_fields`): the same tables
+summed as Python complex numbers up to `_POINT_SUM_TERMS` terms, by one dot
+product beyond, and none of the batch path's fixed per-call cost.
 
 Metric description files use a line-oriented key-value grammar::
 
@@ -71,6 +72,10 @@ _TWO_PI_J = 1j * TWO_PI
 # conformal-bump at 256 points).  Few-term metrics get blocks of over a
 # thousand points.
 _BLOCK_TERMS = 1 << 12
+
+# eval_point sums series of at most this many terms in Python, where numpy's
+# fixed cost per call outweighs its cheaper terms (crossover 12-16 terms)
+_POINT_SUM_TERMS = 12
 
 # fields() keys per order: E, F and G with derivative suffixes in
 # _Series.eval's output order
@@ -140,7 +145,10 @@ class _Series:
         # of z viewed as float pairs with conj(a) viewed the same way
         coef = np.conj(rows).view(float)
         self._coef = tuple(coef[:r] for r in (1, 3, 6))
-        self._coef_point = coef[:3]
+        # eval_point's Python sum: each term's table rows and v, vx, vy coefficients
+        self._point_terms = (tuple(zip(*(v.tolist() for v in (
+            row(self.mx), row(self.my), a, a * wx, a * wy))))
+            if len(terms) <= _POINT_SUM_TERMS else None)
         self._block_points = max(1, _BLOCK_TERMS // len(terms))
         # the value of a series with only the (0, 0) mode, else None; eval
         # returns it and +0.0 derivatives, which is what the contraction gives
@@ -200,16 +208,29 @@ class _Series:
         return (g[:, :k] * g[:, k:]).view(float)
 
     def eval_point(self, xr, yr):
-        """(v, vx, vy) at one reduced point as floats: `eval`'s tables and
-        coefficients summed by one dot product (equal to rounding, not bitwise)."""
-        row = []
-        for r in (xr, yr):
-            # e**1..e**pos by repeated multiplication, as in `_terms`
-            powers = [1.0, *accumulate(repeat(cmath.exp(_TWO_PI_J * r), self._pos), mul)]
-            row += powers
-            row += map(complex.conjugate, powers[1:self._neg + 1])
-        g = np.array(row, dtype=complex).take(self._take).reshape(2, -1)
-        return self._coef_point.dot((g[0] * g[1]).view(float)).tolist()
+        """(v, vx, vy) at one reduced point as floats, equal to `eval` to
+        rounding: a few-term series sums its terms in Python, others dot them."""
+        if self._point_terms is None:
+            return self._dot_point(xr, yr)
+        px, py = self._point_powers(xr), self._point_powers(yr)
+        v = vx = vy = 0.0
+        for i, j, a, ax, ay in self._point_terms:
+            z = px[i] * py[j]
+            v += (z * a).real
+            vx += (z * ax).real
+            vy += (z * ay).real
+        return [v, vx, vy]
+
+    def _dot_point(self, xr, yr):
+        """eval_point's terms gathered as in `_terms` and summed by one dot."""
+        g = np.array(self._point_powers(xr) + self._point_powers(yr),
+                     dtype=complex).take(self._take).reshape(2, -1)
+        return self._coef[1].dot((g[0] * g[1]).view(float)).tolist()
+
+    def _point_powers(self, r):
+        """`_terms`' rows of one axis: e**0..e**pos, then e**-1..e**-neg as conjugates."""
+        powers = [1.0, *accumulate(repeat(cmath.exp(_TWO_PI_J * r), self._pos), mul)]
+        return powers + list(map(complex.conjugate, powers[1:self._neg + 1]))
 
     def l1_split(self):
         """(constant term, l1 bound of the oscillatory rest)."""

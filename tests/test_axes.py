@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torusflow import axes, shortening
 from torusflow.axes import (check_foliation, find_minimal_axis, flatness_test,
@@ -223,6 +224,30 @@ def test_oracle_start_loop_alone_equals_it_in_a_batch(name, monkeypatch):
     full = loops(wgt, vert, window)
     assert out["length"].hex() == float(full.min()).hex()
     assert out["offset"] == -axes._ORACLE_MARGIN + window[np.argmin(full)] * (1.0 / 64)
+
+
+def _vertical_relax_minimum(d, vw):
+    """_vertical_relax with np.minimum.accumulate, the scan it replaced."""
+    c = np.concatenate([[0.0], np.cumsum(vw)])
+    up = np.minimum.accumulate(d - c[None, :], axis=1) + c[None, :]
+    down = (np.flip(np.minimum.accumulate(np.flip(d + c[None, :], axis=1),
+                                          axis=1), axis=1) - c[None, :])
+    return np.minimum(np.minimum(d, up), down)
+
+
+# the DP's distances: unreached (inf) or a finite length, with one row all
+# unreached; the vertical edge weights are positive lengths
+_distance = st.one_of(st.just(np.inf), st.floats(0.0, 50.0))
+
+
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_vertical_relax_fmin_equals_minimum_scan(data, rows, cols):
+    d = data.draw(hnp.arrays(float, (rows, cols), elements=_distance))
+    d[data.draw(st.integers(0, rows - 1))] = np.inf
+    vw = data.draw(hnp.arrays(float, cols - 1, elements=st.floats(1e-3, 2.0)))
+    got = axes._vertical_relax(d, vw)
+    assert got.tobytes() == _vertical_relax_minimum(d, vw).tobytes()
 
 
 def test_certified_axis_carries_oracle_gap(flat):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,6 +223,12 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     # numpy's generator rejected a negative seed with a raw ValueError (exit 1)
     ("entropy", "--metric", "flat", "--seed=-1", "--samples", "4",
      "--horizons", "0.1", "--epsilons", "1"),
+    # a preset ignored these flags but hashed them into config_sha256
+    ("entropy", "--metric", "flat", "--preset", "dichotomy", "--seed", "2"),
+    ("entropy", "--metric", "flat", "--preset", "dichotomy", "--samples", "8"),
+    ("entropy", "--metric", "flat", "--preset", "dichotomy", "--horizons", "3,6"),
+    ("entropy", "--metric", "flat", "--preset", "dichotomy", "--epsilons", "1.5"),
+    ("entropy", "--metric", "flat", "--preset", "calibration", "--dt-probe", "0.1"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -393,6 +400,26 @@ def test_config_hash_pinned(argv, digest):
     # recorded results carry these hashes: the parser must keep producing them
     args = cli.build_parser().parse_args(list(argv))
     assert cli._config_echo(args)[1] == digest
+
+
+def test_entropy_preset_allows_sample_flags_at_their_defaults(capsys, monkeypatch):
+    # a flag at its default changes neither the plan nor the hash
+    plans = []
+
+    def estimate(spec, params):
+        plans.append(params)
+        return SimpleNamespace(headline=0.0, headline_epsilon=1.5, sample_limited=False,
+                               saturated=False, slopes=[], counts=[[0, 0]] * 4)
+    monkeypatch.setattr(cli.entropy, "estimate_entropy", estimate)
+    argv = ("entropy", "--metric", "two-frequency", "--preset", "dichotomy")
+    plan = cli.entropy.EntropyParams
+    defaults = ("--samples", str(plan.n_samples), "--horizons", "20,40,80,160",
+                "--epsilons", "0.5,0.25,0.125", "--dt-probe", "0.05",
+                "--seed", str(plan.seed))
+    docs = [loads(run(capsys, *argv, *extra)[1]) for extra in ((), defaults)]
+    assert plans == [cli.entropy.PRESETS["dichotomy"]] * 2
+    assert docs[0]["config_sha256"] == docs[1]["config_sha256"] == (
+        "a36c6b0445004643c6e3e15a4615781bc83ed4c96a027f29ae87e5fb94ed2bb4")
 
 
 def test_config_hash_ignores_output_paths(capsys, tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
-from torusflow.metrics import (MetricSpec, _canonical_terms, _lower_symbols,
-                               _Series, gallery, gallery_names,
+from torusflow.metrics import (_POINT_SUM_TERMS, MetricSpec, _canonical_terms,
+                               _lower_symbols, _Series, gallery, gallery_names,
                                curvature_survey, gauss_curvature_batch,
                                geodesic_accel,
                                liouville_metric, load_metric, quadratic_form,
@@ -393,6 +393,35 @@ def test_point_fields_shares_and_skips(bump, monkeypatch):
     assert sorted(f) == sorted(bump.fields(np.array([0.1]), np.array([0.4])))
     assert (f["F"], f["Fx"], f["Fy"]) == (0.0, 0.0, 0.0)
     assert (f["G"], f["Gx"], f["Gy"]) == (f["E"], f["Ex"], f["Ey"])
+
+
+# distinct modes with negative entries and coefficients away from zero; term
+# counts fall on both sides of the Python sum's limit
+_point_term = st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                        st.floats(-1.0, 1.0), st.floats(0.01, 1.0))
+_point_terms = st.one_of(
+    st.just([(0, 0, 1.3, 0.0)]),
+    st.lists(_point_term, min_size=1, max_size=2 * _POINT_SUM_TERMS + 4,
+             unique_by=lambda t: t[:2]))
+
+
+@given(terms=_point_terms, xr=st.floats(0.0, 1.0, exclude_max=True),
+       yr=st.floats(0.0, 1.0, exclude_max=True))
+@example(terms=[(m, -m, 0.5, 0.25) for m in range(1, _POINT_SUM_TERMS + 1)],
+         xr=0.3, yr=0.7)
+@example(terms=[(m, -m, 0.5, 0.25) for m in range(1, _POINT_SUM_TERMS + 2)],
+         xr=0.3, yr=0.7)
+@settings(max_examples=300, deadline=None)
+def test_point_sum_matches_dot_reference(terms, xr, yr):
+    s = _Series(_canonical_terms(terms))
+    assert (s._point_terms is None) == (len(s.mx) > _POINT_SUM_TERMS)
+    got = s.eval_point(xr, yr)
+    assert all(type(v) is float for v in got)
+    # _accel_tol's rounding term for one series: 1e-15 times the l1 norm of
+    # the value's and first derivatives' coefficients
+    tol = 1e-15 * sum((1.0 + 2.0 * math.pi * (abs(mx) + abs(my))) * math.hypot(c, s_)
+                      for mx, my, c, s_ in _canonical_terms(terms))
+    assert np.abs(np.subtract(got, s._dot_point(xr, yr))).max() <= tol
 
 
 # ---------------------------------------------------------------------------
