@@ -186,8 +186,8 @@ def cmd_intersections(args, spec):
         "self_crossings": [sum(1 for e in self_events if e.t1 <= h and e.t2 <= h)
                            for h in census.horizons],
         "growing_classes": census.growing_classes(),
-        "classes": {key: {str(k): v for k, v in c.counts.items()}
-                    for key, c in census.classes.items()},
+        "classes": {key: {str(k): v for k, v in counts.items()}
+                    for key, counts in census.classes.items()},
     }
     if args.witness:
         pairs = cover.torus_self_crossings(traj)

@@ -123,31 +123,23 @@ def torus_self_crossings(traj):
 
 
 @dataclass
-class ClassCensus:
-    """Per-class intersection counts against a ladder of horizons."""
-
-    class_key: str
-    counts: dict            # power k -> list of counts, one per horizon
-    growing: bool
-
-
-@dataclass
 class IntersectionCensus:
     """Counts of a lift against translate families, per class and horizon.
 
-    A class is flagged `growing` when, for at least one power of its
-    representative, the counts strictly increase across the final three
-    horizon rungs.  Growth over a finite ladder is evidence that the lift
-    keeps meeting that translate family, not a proof of infinitely many
-    crossings.
+    `classes` maps a class key "m/n" to {power k: counts, one per rung}.  A
+    class is growing when, for at least one power of its representative,
+    the counts strictly increase across the final three horizon rungs.
+    Growth over a finite ladder is evidence that the lift keeps meeting
+    that translate family, not a proof of infinitely many crossings.
     """
 
     horizons: tuple
     class_radius: int
-    classes: dict           # class_key -> ClassCensus
+    classes: dict
 
     def growing_classes(self):
-        return [k for k, c in self.classes.items() if c.growing]
+        return [key for key, counts in self.classes.items() if _growing(counts)]
+
 
 def _growing(counts_by_power):
     for counts in counts_by_power.values():
@@ -193,11 +185,9 @@ def intersection_census(traj, class_radius, horizons):
         # bounds both parameters, so power -k counts what power k counts; on
         # float input an event within rounding of a segment end, of THETA_MIN
         # or of a rung edge is counted for -k as the +k solve counts it
-        counts = {k: list(rungs[abs(k) - 1])
-                  for k in range(-class_radius, class_radius + 1) if k != 0}
-        key = f"{m}/{n}"
-        classes[key] = ClassCensus(class_key=key, counts=counts,
-                                   growing=_growing(counts))
+        classes[f"{m}/{n}"] = {k: list(rungs[abs(k) - 1])
+                               for k in range(-class_radius, class_radius + 1)
+                               if k != 0}
     return IntersectionCensus(horizons=horizons, class_radius=class_radius,
                               classes=classes)
 

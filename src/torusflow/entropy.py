@@ -74,9 +74,6 @@ class EntropyParams:
     epsilons: tuple = (0.5, 0.25, 0.125)
     dt_probe: float = 0.05
     step_h: float = 0.0125
-    # smallest growth rate the ladder can tell apart from transient
-    # exploration of the phase box; calibrated on the integrable gallery
-    slope_floor: float = 0.04
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -109,10 +106,9 @@ PRESETS = {
     "calibration": EntropyParams(),
     # short horizons with epsilon above the torus position diameter, where
     # separation demands angle drift: the flat count is then constant in T
-    # and the integrable/chaotic contrast survives a finite sample budget;
-    # the floor is where this ladder's transient growth has died off
+    # and the integrable/chaotic contrast survives a finite sample budget
     "dichotomy": EntropyParams(n_samples=4096, horizons=(3.0, 6.0, 9.0, 12.0),
-                               epsilons=(1.5, 1.25), slope_floor=0.053),
+                               epsilons=(1.5, 1.25)),
 }
 
 

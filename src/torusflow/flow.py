@@ -36,6 +36,10 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 DEFAULT_DT = 0.01
 
+# sample rows (sample times of every member) one integration may allocate;
+# the largest grid in use is 2,048 calibration rays at 6,401 samples each
+MAX_SAMPLES = 2 ** 24
+
 
 def g_norm(spec, point, v):
     """Riemannian norm of a tangent vector at a cover point."""
@@ -120,7 +124,16 @@ def arclength_of(t, speeds):
     return np.concatenate([np.zeros(1), np.cumsum(ds)])
 
 
+def _check_samples(rows):
+    """Raise ValidationError, before allocating, when a samples array would
+    hold more than MAX_SAMPLES rows; `rows` is a float, so inf fails too."""
+    if not rows <= MAX_SAMPLES:
+        raise ValidationError(f"the sample grid would hold {rows:.3g} rows, "
+                              f"more than {MAX_SAMPLES}")
+
+
 def _sample_times(T, dt):
+    _check_samples(T / dt + 2.0)
     n = int(math.floor(T / dt + 1e-9))
     # rounding can put n * dt past T, where t_eval may not sample
     ts = np.minimum(np.arange(n + 1) * dt, T)
@@ -143,6 +156,7 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     Raises
     ------
     StepFailure if the adaptive integrator gives up before T.
+    ValidationError, before allocating, for more than MAX_SAMPLES samples.
     """
     if not all(map(math.isfinite, (T, v0.x, v0.y, v0.vx, v0.vy))):
         raise ValidationError("horizon T and the tangent must be finite")
@@ -319,7 +333,7 @@ def integrate_batch(spec, states, T, h, sample_dt):
     Returns
     -------
     times : (K,) sample times
-    samples : (M, K, 4) recorded states
+    samples : (M, K, 4) recorded states, refused when M * K > MAX_SAMPLES
 
     The state and the four stages live in preallocated (4, M) row buffers,
     one row per component, and every step updates them in place with `out=`
@@ -336,6 +350,7 @@ def integrate_batch(spec, states, T, h, sample_dt):
         raise ValidationError("horizon T, step h and sample_dt must be finite")
     if T <= 0:
         raise ValidationError("horizon T must be positive")
+    _check_samples(len(y) * (T / sample_dt + 1.0))
     nsteps = int(round(T / h))
     if abs(nsteps * h - T) > 1e-9 * max(1.0, T):
         raise ValidationError(f"horizon {T} is not a multiple of the step {h}")

@@ -40,8 +40,8 @@ Metric description files use a line-oriented key-value grammar::
 `name` and `lambda_min` appear once; `term` lines repeat.  Components may be
 listed in any order; g12 defaults to zero.  `lambda_min` declares the
 positive-definiteness margin: det g >= lambda_min is verified on a 64x64
-grid at construction time and certified analytically when the coefficient
-norms allow it.
+grid at construction time.  Coefficients must be finite and `lambda_min`
+positive and finite.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -100,6 +100,8 @@ def _canonical_terms(terms):
         mx, my, c, s = term
         mx, my = int(mx), int(my)
         c, s = float(c), float(s)
+        if not (math.isfinite(c) and math.isfinite(s)):
+            raise ValidationError(f"Fourier coefficients must be finite, got {term}")
         if (mx, my) == (0, 0):
             s = 0.0  # sin of zero phase contributes nothing
         cc, ss = acc.get((mx, my), (0.0, 0.0))
@@ -232,17 +234,6 @@ class _Series:
         powers = [1.0, *accumulate(repeat(cmath.exp(_TWO_PI_J * r), self._pos), mul)]
         return powers + list(map(complex.conjugate, powers[1:self._neg + 1]))
 
-    def l1_split(self):
-        """(constant term, l1 bound of the oscillatory rest)."""
-        const = 0.0
-        rest = 0.0
-        for mx, my, c, s in zip(self.mx, self.my, self.c, self.s):
-            if mx == 0 and my == 0:
-                const += c
-            else:
-                rest += math.hypot(c, s)
-        return const, rest
-
 
 @dataclass(eq=False)
 class MetricSpec:
@@ -261,8 +252,9 @@ class MetricSpec:
     Raises
     ------
     ValidationError
-        If the metric fails the 64x64 positivity sweep or violates the
-        declared margin.
+        If a coefficient is not finite, the metric fails the 64x64
+        positivity sweep, or lambda_min is not positive and finite or
+        exceeds the grid minimum of det g.
     """
 
     name: str
@@ -270,7 +262,6 @@ class MetricSpec:
     g12: tuple = ()
     g22: tuple = ()
     lambda_min: float | None = None
-    certificate: str = field(default="", init=False)
 
     def __post_init__(self):
         self.g11 = _canonical_terms(self.g11)
@@ -295,39 +286,22 @@ class MetricSpec:
         det = E * G - F * F
         min_E = float(E.min())
         min_det = float(det.min())
-        if min_E <= 0.0 or min_det <= 0.0:
+        # a NaN minimum fails the test too
+        if not (min_E > 0.0 and min_det > 0.0):
             raise ValidationError(
                 f"metric {self.name!r} is not positive definite on the "
                 f"verification grid (min g11={min_E:.3g}, min det={min_det:.3g})"
             )
         if self.lambda_min is None:
             self.lambda_min = 0.9 * min_det
-        elif self.lambda_min <= 0.0:
-            raise ValidationError("lambda_min must be positive")
-        elif min_det < self.lambda_min:
+        if not 0.0 < self.lambda_min < math.inf:
+            raise ValidationError(
+                f"lambda_min must be positive and finite, got {self.lambda_min}")
+        if min_det < self.lambda_min:
             raise ValidationError(
                 f"metric {self.name!r}: grid det minimum {min_det:.6g} falls "
                 f"below the declared margin {self.lambda_min:.6g}"
             )
-        self.certificate = self._l1_certificate()
-
-    def _l1_certificate(self):
-        """Analytic positivity certificate from coefficient norms.
-
-        The oscillatory part of each component is bounded by its l1
-        coefficient norm, which turns positivity of the diagonal and of the
-        determinant into an interval check.  Grid-only acceptance is flagged
-        so reports can distinguish certified from merely sampled margins.
-        """
-        cE, rE = self._series["g11"].l1_split()
-        cG, rG = self._series["g22"].l1_split()
-        cF, rF = self._series["g12"].l1_split()
-        lo_E = cE - rE
-        lo_G = cG - rG
-        hi_F = abs(cF) + rF
-        if lo_E > 0.0 and lo_G > 0.0 and lo_E * lo_G - hi_F * hi_F >= self.lambda_min:
-            return "l1"
-        return "grid-only"
 
     def fields(self, x, y, order=1):
         """Metric components and derivatives at cover points, vectorised.
@@ -371,7 +345,7 @@ class MetricSpec:
     def __repr__(self):
         nterms = len(self.g11) + len(self.g12) + len(self.g22)
         return (f"MetricSpec({self.name!r}, {nterms} terms, "
-                f"lambda_min={self.lambda_min:.4g}, certificate={self.certificate!r})")
+                f"lambda_min={self.lambda_min:.4g})")
 
 
 def quadratic_form(f, vx, vy):

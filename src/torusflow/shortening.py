@@ -128,8 +128,8 @@ def _edge_data(spec, nodes, deck):
 def _covariant_acceleration(spec, nodes, deck):
     """Discrete covariant second derivative in metric arclength at the nodes.
 
-    Returns (acc, x_ss, h, k): the acceleration, its flat part, the edge
-    lengths and the acceleration's metric norm, the last from the same
+    Returns (gamma_term, h, k): the acceleration less its flat part, the
+    edge lengths and the acceleration's metric norm, the last from the same
     metric evaluation at the nodes as the connection term.
     """
     e, h = _edge_data(spec, nodes, deck)
@@ -147,7 +147,7 @@ def _covariant_acceleration(spec, nodes, deck):
     # the geodesic acceleration is minus the quadratic form of the connection
     acc = x_ss - np.stack([ax, ay], axis=-1).reshape(x_ss.shape)
     k = np.sqrt(np.maximum(quadratic_form(f, *_xy(acc)), 0.0)).reshape(h.shape)
-    return acc, x_ss, h, k
+    return acc - x_ss, h, k
 
 
 def _solve_cyclic_tridiag(sub, diag, sup, rhs):
@@ -348,7 +348,7 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
     decks = np.array([c.deck for c in curves], dtype=float)
     # the geometry of the members still flowing, stacked in member order;
     # each accepted step evaluates the metric only on its own result
-    acc, x_ss, h, k = _covariant_acceleration(spec, nodes, decks)
+    gamma_term, h, k = _covariant_acceleration(spec, nodes, decks)
     members = [_Member(c.deck, rows, cap, snapshot_times) for c, rows, cap
                in zip(curves, zip(nodes, k, h), _jacobi_caps(spec, nodes))]
     active = members
@@ -359,8 +359,8 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
             if not going:
                 break
             active = [active[i] for i in going]
-            nodes, decks, acc, x_ss, h, k = (a[going] for a in
-                                             (nodes, decks, acc, x_ss, h, k))
+            nodes, decks, gamma_term, h, k = (a[going] for a in
+                                              (nodes, decks, gamma_term, h, k))
         refresh = [i for i, m in enumerate(active)
                    if m.res.steps % 10 == 0 and m.res.steps > 0]
         if refresh:
@@ -368,7 +368,6 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
             for i, cap in zip(refresh, _jacobi_caps(spec, nodes[refresh])):
                 active[i].jacobi_cap = cap
         dt = np.array([m.plan_step() for m in active])
-        gamma_term = acc - x_ss
         held, after = _try_step(spec, nodes, decks, h, gamma_term, dt)
         failed = np.flatnonzero(~held)
         while len(failed):
@@ -379,9 +378,9 @@ def evolve(spec, curves, max_steps=20000, k_tol=1e-5, snapshot_times=()):
             for a, r in zip(after, retry):
                 a[failed] = r
             failed = failed[~held]
-        for m, new_nodes, new_h in zip(active, after[0], after[3]):
+        for m, new_nodes, new_h in zip(active, after[0], after[2]):
             m.accept(new_nodes, new_h)
-        nodes, acc, x_ss, h, k = after
+        nodes, gamma_term, h, k = after
     return FlowResults(m.result() for m in members)
 
 
@@ -483,7 +482,7 @@ def _try_step(spec, nodes, decks, h, gamma_term, dt):
     """One trial step of every member of a stack, each at its own dt.
 
     Returns (held, after): held[i] says whether member i's step held, and
-    after = (nodes, acc, x_ss, h, k) is the stack's geometry after the step,
+    after = (nodes, gamma_term, h, k) is the stack's geometry after the step,
     valid in the rows that held.  A step fails on non-finite nodes or
     curvature, a collapsed polygon, or a curvature past 1 / (10 dt).  The
     first two send the trial one member at a time, since a non-finite
@@ -502,7 +501,7 @@ def _try_step(spec, nodes, decks, h, gamma_term, dt):
                 return kmax <= 1.0 / (10.0 * dt), after
     if len(new) == 1:
         return np.zeros(1, dtype=bool), tuple(np.full_like(a, np.nan)
-                                             for a in (nodes, nodes, nodes, h, h))
+                                             for a in (nodes, nodes, h, h))
     # a member's step broke down: find it by trying each member alone
     held, after = zip(*(_try_step(spec, nodes[i:i + 1], decks[i:i + 1], h[i:i + 1],
                                   gamma_term[i:i + 1], dt[i:i + 1])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,12 +230,50 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     ("entropy", "--metric", "flat", "--preset", "dichotomy", "--horizons", "3,6"),
     ("entropy", "--metric", "flat", "--preset", "dichotomy", "--epsilons", "1.5"),
     ("entropy", "--metric", "flat", "--preset", "calibration", "--dt-probe", "0.1"),
+    # a sample grid past flow.MAX_SAMPLES rows crashed both integrators with
+    # a raw numpy error (exit 1)
+    (*INTEGRATE, "--angle", "0.3", "--horizon", "20", "--dt", "1e-300"),
+    (*INTEGRATE, "--angle", "0.3", "--horizon", "1e300", "--dt", "1"),
+    ("rotation-field", "--metric", "flat", "--horizon", "1e300", "--dt", "1",
+     "--h", "1"),
+    ("entropy", "--metric", "flat", "--horizons", "1e300", "--dt-probe", "1"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    # refused before any large array is allocated
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("line", [
+    "term component=g11 mx=1 my=0 cos=nan sin=0",
+    "term component=g11 mx=1 my=0 cos=inf sin=0",
+    "term component=g22 mx=0 my=1 cos=0 sin=-inf",
+    "lambda_min nan",
+    "lambda_min inf",
+])
+@pytest.mark.parametrize("command", [
+    ("gallery", "--describe"),
+    ("integrate", "--angle", "0.4", "--horizon", "1", "--metric"),
+])
+def test_nonfinite_metric_file_exits_2(capsys, tmp_path, line, command):
+    # a NaN or infinite coefficient loaded with lambda_min NaN, and a NaN
+    # lambda_min was accepted: describe then died in the JSON writer (exit 1)
+    path = tmp_path / "bad.metric"
+    path.write_text("name bad\nterm component=g11 mx=0 my=0 cos=1 sin=0\n"
+                    f"term component=g22 mx=0 my=0 cos=1 sin=0\n{line}\n")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert ("coefficients must be finite" in err
+            or "lambda_min must be positive and finite" in err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,6 +371,24 @@ def test_intersections_class_radius_below_one_exits_2(capsys, radius):
                          "--class-radius", radius)
     assert code == 2
     assert not out and "census class radius must be at least 1" in err
+
+
+def test_intersections_census_blocks_are_pinned(capsys):
+    # recorded before the census became one counts table; no other test
+    # pins the manifest's classes block
+    code, out, _ = run(capsys, "intersections", "--metric", "two-frequency",
+                       "--angle", "0.437", "--horizons", "10,20,40",
+                       "--class-radius", "2")
+    assert code == 0
+    payload = loads(out)
+    assert payload["self_crossings"] == [0, 0, 0]
+    assert payload["growing_classes"] == ["1/1"]
+    empty = {"-1": [0, 0, 0], "-2": [0, 0, 0], "1": [0, 0, 0], "2": [0, 0, 0]}
+    assert payload["classes"] == {
+        **dict.fromkeys(["0/1", "1/-1", "1/-2", "1/0", "1/2", "2/-1", "2/1"], empty),
+        "1/1": {"-1": [6, 14, 31], "-2": [6, 14, 30],
+                "1": [6, 14, 31], "2": [6, 14, 30]},
+    }
 
 
 @pytest.mark.parametrize("flag,message", [
@@ -449,7 +506,7 @@ def test_csf_without_steps_reports_the_seed_curvature(capsys):
     payload = loads(out)
     seed = shortening.circle_curve((0.5, 0.5), 0.15, n=64)
     k = shortening._covariant_acceleration(metrics.gallery("flat"), seed.nodes[None],
-                                           [seed.deck])[3]
+                                           [seed.deck])[2]
     assert payload["steps"] == 0
     assert payload["max_curvature"] == float(k.max())
 

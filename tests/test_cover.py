@@ -165,8 +165,8 @@ def test_census_growth_on_spiral():
                                  horizons=(T / 2, 3 * T / 4, T))
     growing = census.growing_classes()
     assert growing                      # the spiral keeps meeting translates
-    for c in census.classes.values():
-        for counts in c.counts.values():
+    for by_power in census.classes.values():
+        for counts in by_power.values():
             assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -200,9 +200,9 @@ def test_census_scans_one_shift_of_each_pair(monkeypatch, radius):
                       for k in range(1, radius + 1)]]
     assert all(s > (0, 0) for s in calls[0])
     powers = [k for k in range(-radius, radius + 1) if k != 0]
-    for c in census.classes.values():
-        assert list(c.counts) == powers
-        assert all(c.counts[-k] == c.counts[k] for k in powers)
+    for by_power in census.classes.values():
+        assert list(by_power) == powers
+        assert all(by_power[-k] == by_power[k] for k in powers)
 
 
 def test_torus_self_crossings_unique_and_ordered():

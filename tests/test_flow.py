@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_tables
 from test_metrics import SHEARED
 
 from torusflow import cli, dop853_tables, flow
+from torusflow.entropy import PRESETS
 from torusflow.errors import StepFailure, ValidationError
-from torusflow.flow import (DEFAULT_ATOL, DEFAULT_RTOL, Trajectory,
+from torusflow.flow import (DEFAULT_ATOL, DEFAULT_RTOL, MAX_SAMPLES, Trajectory,
                             _sample_times, arclength_of, integrate,
                             integrate_batch, integrate_rays, unit_tangent)
 from torusflow.metrics import (gallery, gallery_names, geodesic_accel,
@@ -198,6 +200,25 @@ def test_batch_rejects_nonpositive_horizon(flat, T):
     with pytest.raises(ValidationError, match="horizon T must be positive"):
         integrate_batch(flat, np.array([[0.1, 0.2, 1.0, 0.0]]), T, h=0.01,
                         sample_dt=0.01)
+
+
+def test_sample_grid_past_the_bound_fails_before_allocating(flat):
+    # the largest grid in use, the calibration preset at half its probe step
+    # (criterion 09), fits under the bound
+    plan = PRESETS["calibration"]
+    assert plan.n_samples * (2 * plan.horizons[-1] / plan.dt_probe + 1) <= MAX_SAMPLES
+    v0 = unit_tangent(flat, (0.0, 0.0), 0.3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="sample grid"):
+            integrate(flat, v0, float(MAX_SAMPLES), dt=1.0)
+        with pytest.raises(ValidationError, match="sample grid"):
+            integrate_batch(flat, np.zeros((2 ** 12, 4)), 2.0 ** 12, h=1.0,
+                            sample_dt=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sample_times_stay_inside_horizon(flat):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
-from torusflow.metrics import (_POINT_SUM_TERMS, MetricSpec, _canonical_terms,
-                               _lower_symbols, _Series, gallery, gallery_names,
+from torusflow.metrics import (_POINT_SUM_TERMS, COMPONENTS, MetricSpec,
+                               _canonical_terms, _lower_symbols, _Series,
+                               _unit_grid, gallery, gallery_names,
                                curvature_survey, gauss_curvature_batch,
                                geodesic_accel,
                                liouville_metric, load_metric, quadratic_form,
@@ -71,13 +72,65 @@ def test_lambda_min_margin_enforced():
                    g12=[], g22=[(0, 0, 1.0, 0.0)], lambda_min=0.9)
 
 
-def test_certificate_labels():
-    assert gallery("liouville").certificate == "l1"
-    # positive on the grid but with oscillation beyond the l1 margin
+def _l1_split(series):
+    """(constant term, l1 norm of the oscillatory rest) of a series."""
+    const = 0.0
+    rest = 0.0
+    for mx, my, c, s in zip(series.mx, series.my, series.c, series.s):
+        if mx == 0 and my == 0:
+            const += c
+        else:
+            rest += math.hypot(c, s)
+    return const, rest
+
+
+def _l1_det_bound(spec):
+    """Lower bound of det g from the coefficient l1 norms, or -inf where the
+    bound on a diagonal component is not positive: each oscillatory part is
+    at most its l1 norm in absolute value."""
+    (cE, rE), (cF, rF), (cG, rG) = (_l1_split(spec._series[c]) for c in COMPONENTS)
+    lo_E, lo_G, hi_F = cE - rE, cG - rG, abs(cF) + rF
+    return lo_E * lo_G - hi_F * hi_F if lo_E > 0.0 and lo_G > 0.0 else -math.inf
+
+
+def test_grid_sweep_accepts_what_l1_cannot_certify():
+    liouville = gallery("liouville")
+    assert _l1_det_bound(liouville) >= liouville.lambda_min
+    # positive on the grid but with oscillation beyond the l1 margin: the
+    # grid sweep alone accepts it, and declares 90% of its det minimum
     spec = MetricSpec("sampled", g11=[(0, 0, 1.0, 0.0), (1, 0, 0.55, 0.0),
                                       (2, 0, 0.42, 0.0)],
                       g12=[], g22=[(0, 0, 1.0, 0.0)])
-    assert spec.certificate == "grid-only"
+    assert _l1_det_bound(spec) < spec.lambda_min
+    f = spec.fields(*_unit_grid(64), order=0)
+    assert spec.lambda_min == 0.9 * float((f["E"] * f["G"] - f["F"] * f["F"]).min())
+
+
+_ONE = [(0, 0, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_metric_input_rejected(bad):
+    # NaN compared false with every bound, so such a metric loaded with a
+    # NaN lambda_min
+    for term in [(1, 0, bad, 0.0), (1, 0, 0.0, bad), (0, 0, 0.0, bad)]:
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            MetricSpec("c", g11=_ONE + [term], g22=_ONE)
+    with pytest.raises(ValidationError, match="lambda_min must be positive and finite"):
+        MetricSpec("l", g11=_ONE, g22=_ONE, lambda_min=bad)
+
+
+def test_positivity_test_fails_nan_and_overflow():
+    # finite terms whose merged g11 overflows to inf: with an overflowing
+    # F * F the det is inf - inf, NaN, and without g12 it is inf everywhere,
+    # which would declare an infinite margin
+    huge = [(0, 0, 1e308, 0.0), (0, 0, 1e308, 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="not positive definite"):
+            MetricSpec("n", g11=huge, g12=huge[:1], g22=_ONE)
+        with pytest.raises(ValidationError,
+                           match="lambda_min must be positive and finite"):
+            MetricSpec("i", g11=huge, g22=_ONE)
 
 
 def test_eval_metric_value(liouville):
@@ -257,7 +310,7 @@ SHEARED = MetricSpec(
 
 
 def test_sheared_metric_certified():
-    assert SHEARED.certificate == "l1"
+    assert _l1_det_bound(SHEARED) >= SHEARED.lambda_min
     assert not SHEARED._conformal
 
 
@@ -453,7 +506,7 @@ _SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _assert_matches_reference(series, xr, yr, order):
-    const, rest = series.l1_split()
+    const, rest = _l1_split(series)
     m = max(1, int(np.abs(series.mx).max()), int(np.abs(series.my).max()))
     got = series.eval(xr, yr, order)
     want = _reference_eval(series, xr, yr, order)

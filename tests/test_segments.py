@@ -24,8 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusflow import cover, flow, segments as sg
-from torusflow.cover import (ClassCensus, IntersectionCensus, half_lattice,
-                             primitive_classes)
+from torusflow.cover import IntersectionCensus, half_lattice, primitive_classes
 from torusflow.errors import ValidationError
 from torusflow.metrics import gallery
 from torusflow.shortening import (ClosedCurve, circle_curve,
@@ -337,9 +336,7 @@ def census_reference(traj, class_radius, horizons, solve=None):
                 events, _ = solve(traj, (k * m, k * n))
             counts[k] = [sum(1 for e in events if e.t1 <= h and e.t2 <= h)
                          for h in horizons]
-        classes[f"{m}/{n}"] = ClassCensus(
-            class_key=f"{m}/{n}", counts=counts,
-            growing=cover._growing(counts))
+        classes[f"{m}/{n}"] = counts
     return IntersectionCensus(horizons=horizons, class_radius=class_radius,
                               classes=classes)
 
@@ -445,8 +442,8 @@ def test_census_equals_brute_force_census():
                 ray, 3, horizons, lambda traj, s: brute_force(
                     traj.xy, traj.t, traj.xy, traj.t, s))
             assert got == want
-            found[name] += sum(counts[-1] for c in got.classes.values()
-                               for counts in c.counts.values())
+            found[name] += sum(counts[-1] for by_power in got.classes.values()
+                               for counts in by_power.values())
     # liouville's lifts stay near straight lines and miss their translates
     # up to T = 25; two-frequency's cross several translate families
     assert found["liouville"] == 0 and found["two-frequency"] > 100
