@@ -5,13 +5,15 @@ Dormand and Prince's 8(5,3) Runge-Kutta pair (DOP853, tolerance 1e-10 by
 default) and samples its dense output on a uniform time grid that never
 passes the horizon.  It is the precision path used for exactness tests,
 shooting and certified runs; the time-t image of a tangent is
-`integrate(...).final_tangent()`.  The stepper `_dop853` is written out
-here on two complex numbers, position x + iy and velocity vx + i vy, with
-the step control of scipy's DOP853 and the coefficient tables of
-`dop853_tables`; it builds the dense interpolant only on steps that hold a
-sample.  Its right-hand side evaluates the metric point by point
-(`geodesic_accel` on Python floats).  `integrate_batch` advances many
-geodesics simultaneously with a fixed-step classical RK4; each trajectory
+`integrate(...).final_tangent()`.  The stepper `_dop853` runs on two complex
+numbers, position x + iy and velocity vx + i vy, with the step control of
+scipy's DOP853.  Its stage, solution, error and dense-output sums are
+straight-line code over the nonzero entries of `dop853_tables`, written out
+once at import (`_step`, `_dense`); it builds the dense interpolant only on
+steps that hold a sample.  Its right-hand side evaluates the metric point by
+point (`geodesic_accel` on Python floats, looked up as each ray starts).
+`integrate_batch` advances many geodesics simultaneously with a fixed-step
+classical RK4 on a sample grid that ends at the horizon; each trajectory
 in the batch is computed by arithmetic that does not depend on the rest of
 the batch, which the entropy sampler relies on for reproducibility.
 `integrate_rays` wraps each batch member as a Trajectory.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -177,19 +178,6 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
 # ---------------------------------------------------------------------------
 # DOP853 on a complex position z = x + iy and velocity w = vx + i vy
 
-def _complex(row):
-    # a complex coefficient times a complex stage is one C-level multiply;
-    # with a zero imaginary part it rounds like the two real products
-    return tuple(map(complex, row))
-
-
-_STAGE_ROWS = tuple(_complex(_tab.A[s, :s]) for s in range(1, _tab.N_STAGES))
-_EXTRA_ROWS = tuple(_complex(_tab.A[s, :s]) for s in
-                    range(_tab.N_STAGES + 1, _tab.N_STAGES_EXTENDED))
-_B = _complex(_tab.B)
-_E5 = _complex(_tab.E5[:_tab.N_STAGES])
-_E3 = _complex(_tab.E3[:_tab.N_STAGES])
-_D = tuple(map(_complex, _tab.D))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 
@@ -198,6 +186,48 @@ def _sq(z, w, sz, sw):
     """Squared 2-norm of the four real components of (z, w) over their scales."""
     a, b, c, d = z.real / sz.real, z.imag / sz.imag, w.real / sw.real, w.imag / sw.imag
     return a * a + b * b + c * c + d * d
+
+
+def _sum(row, v):
+    """Source of sum(map(mul, row, [v0, v1, ...])): the nonzero terms of the
+    table row with complex constants, in order, after a 0j that makes an exact
+    zero sum +0.0 as the sum from 0 does (a complex coefficient times a complex
+    stage is one C-level multiply and rounds like the two real products)."""
+    return "(0j" + "".join(f" + {complex(c)!r} * {v}{j}"
+                           for j, c in enumerate(row) if c) + ")"
+
+
+def _stage_lines(first, last):
+    """Source lines of the stages first..last-1 of A: velocity stage Ws and
+    acceleration stage Ks, each row combining the stages before it."""
+    return "".join(f"\n    W{s} = w + {_sum(_tab.A[s, :s], 'K')} * h"
+                   f"\n    K{s} = rhs(z + {_sum(_tab.A[s, :s], 'W')} * h, W{s})"
+                   for s in range(first, last))
+
+
+# The sums over the nonzero entries of dop853_tables, written out once:
+# `_step` runs a step's stages from (z, w) and K0 and returns the new state,
+# the E5 and E3 sums of W and K, and the stages; `_dense` adds the 3 extra
+# stages and returns the D rows' interpolant coefficients of z and of w.  A
+# NaN stage still fails the step: every stage reaches E5 by nonzero entries.
+_N, _NE = _tab.N_STAGES, _tab.N_STAGES_EXTENDED
+_WN, _KN = (", ".join(f"{v}{j}" for j in range(_N)) for v in "WK")
+_SUMS = {}
+exec(compile(f"""
+def _step(rhs, z, w, K0, h):
+    W0 = w{_stage_lines(1, _N)}
+    return (z + h * {_sum(_tab.B, 'W')}, w + h * {_sum(_tab.B, 'K')},
+            {', '.join(_sum(e[:_N], v) for e in (_tab.E5, _tab.E3) for v in 'WK')},
+            ({_WN}), ({_KN}))
+
+
+def _dense(rhs, z, w, h, W, K, W{_N}, K{_N}):
+    {_WN} = W
+    {_KN} = K{_stage_lines(_N + 1, _NE)}
+    return (({', '.join(f'h * {_sum(d, "W")}' for d in _tab.D[::-1])}),
+            ({', '.join(f'h * {_sum(d, "K")}' for d in _tab.D[::-1])}))
+""", "<dop853 sums>", "exec"), _SUMS)
+_step, _dense = _SUMS["_step"], _SUMS["_dense"]
 
 
 def _dop853(spec, z, w, T, ts, rtol, atol):
@@ -231,17 +261,14 @@ def _dop853(spec, z, w, T, ts, rtol, atol):
                                   "size fell below 10 ulp of t")
             t_new = min(t + h_abs, T)
             h = h_abs = t_new - t
-            W, K = [w], [a]
-            _stages(rhs, z, w, h, W, K, _STAGE_ROWS)
-            z_new = z + h * sum(map(mul, _B, W))
-            w_new = w + h * sum(map(mul, _B, K))
+            z_new, w_new, e5z, e5w, e3z, e3w, W, K = _step(rhs, z, w, a, h)
             a_new = rhs(z_new, w_new)
             sz = complex(atol + max(abs(z.real), abs(z_new.real)) * rtol,
                          atol + max(abs(z.imag), abs(z_new.imag)) * rtol)
             sw = complex(atol + max(abs(w.real), abs(w_new.real)) * rtol,
                          atol + max(abs(w.imag), abs(w_new.imag)) * rtol)
-            e5 = _sq(sum(map(mul, _E5, W)), sum(map(mul, _E5, K)), sz, sw)
-            e3 = _sq(sum(map(mul, _E3, W)), sum(map(mul, _E3, K)), sz, sw)
+            e5 = _sq(e5z, e5w, sz, sw)
+            e3 = _sq(e3z, e3w, sz, sw)
             denom = e5 + 0.01 * e3
             err = h * e5 / math.sqrt(denom * 4.0) if denom else 0.0
             if err < 1.0:
@@ -252,11 +279,9 @@ def _dop853(spec, z, w, T, ts, rtol, atol):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
         if k < n and ts[k] <= t_new:
-            W.append(w_new)
-            K.append(a_new)
-            _stages(rhs, z, w, h, W, K, _EXTRA_ROWS)
-            fz = _interpolant(z, z_new, w, w_new, W, h)
-            fw = _interpolant(w, w_new, a, a_new, K, h)
+            tz, tw = _dense(rhs, z, w, h, W, K, w_new, a_new)
+            fz = _interpolant(z, z_new, w, w_new, tz, h)
+            fw = _interpolant(w, w_new, a, a_new, tw, h)
             while k < n and ts[k] <= t_new:
                 x = (ts[k] - t) / h
                 z_out.append(_evaluate(z, fz, x))
@@ -264,15 +289,6 @@ def _dop853(spec, z, w, T, ts, rtol, atol):
                 k += 1
         t, z, w, a = t_new, z_new, w_new, a_new
     return z_out, w_out
-
-
-def _stages(rhs, z, w, h, W, K, rows):
-    """Append the stages of the tableau rows to the velocity stages W and
-    the acceleration stages K (a row of length j combines the first j)."""
-    for row in rows:
-        wj = w + sum(map(mul, row, K)) * h
-        K.append(rhs(z + sum(map(mul, row, W)) * h, wj))
-        W.append(wj)
 
 
 def _initial_step(rhs, z, w, a, T, rtol, atol):
@@ -293,11 +309,11 @@ def _initial_step(rhs, z, w, a, T, rtol, atol):
     return min(100.0 * h0, h1, T)
 
 
-def _interpolant(y, y_new, f, f_new, K, h):
-    """The seven coefficients of a step's dense output, last one first."""
+def _interpolant(y, y_new, f, f_new, tail, h):
+    """The seven coefficients of a step's dense output, last one first: the
+    D rows' four (`tail`, from `_dense`) and three from the step's ends."""
     dy = y_new - y
-    tail = [h * sum(map(mul, row, K)) for row in _D]
-    return (*reversed(tail), 2.0 * dy - h * (f_new + f), h * f - dy, dy)
+    return (*tail, 2.0 * dy - h * (f_new + f), h * f - dy, dy)
 
 
 def _evaluate(y, coef, x):
@@ -324,11 +340,12 @@ def integrate_batch(spec, states, T, h, sample_dt):
     Parameters
     ----------
     states : (M, 4) array of (x, y, vx, vy)
-    T : positive horizon; T/h must be an integer count of steps (within
-        roundoff)
+    T : positive horizon; T/h must be a positive integer count of steps
+        (within roundoff) of at most MAX_SAMPLES
     h : positive RK4 step
-    sample_dt : positive sampling interval, an integer multiple of h; the
-        initial state is always the first sample
+    sample_dt : positive sampling interval, an integer multiple of h of at
+        most MAX_SAMPLES steps; the initial state is always the first sample
+        and the state at T the last
 
     Returns
     -------
@@ -350,17 +367,26 @@ def integrate_batch(spec, states, T, h, sample_dt):
         raise ValidationError("horizon T, step h and sample_dt must be finite")
     if T <= 0:
         raise ValidationError("horizon T must be positive")
-    _check_samples(len(y) * (T / sample_dt + 1.0))
+    # no more steps than a grid may hold rows: a quotient that overflows, or a
+    # step that would take 1e301 steps, fails here before int() and any step
+    span = max(T, sample_dt)
+    if not span / h <= MAX_SAMPLES:
+        raise ValidationError(f"T or sample_dt {span:g} spans {span / h:.3g} "
+                              f"steps of h = {h:g}, more than {MAX_SAMPLES}")
     nsteps = int(round(T / h))
-    if abs(nsteps * h - T) > 1e-9 * max(1.0, T):
-        raise ValidationError(f"horizon {T} is not a multiple of the step {h}")
+    if nsteps < 1 or abs(nsteps * h - T) > 1e-9 * max(1.0, T):
+        raise ValidationError(f"horizon {T} is not a positive multiple of the step {h}")
     sample_every = int(round(sample_dt / h))
-    if abs(sample_every * h - sample_dt) > 1e-12:
-        raise ValidationError("sample_dt must be a multiple of the step h")
-    nsamp = nsteps // sample_every + 1
+    if sample_every < 1 or abs(sample_every * h - sample_dt) > 1e-12:
+        raise ValidationError("sample_dt must be a positive multiple of the step h")
+    # a horizon off the sample grid adds the state at T as the last sample
+    nsamp = -(-nsteps // sample_every) + 1
+    _check_samples(len(y) * float(nsamp))
     samples = np.empty((y.shape[0], nsamp, 4))
     samples[:, 0] = y
     times = np.arange(nsamp) * (sample_every * h)
+    if nsteps % sample_every:
+        times[-1] = T
     y = np.ascontiguousarray(y.T)
     k1, k2, k3, k4, arg = np.empty((5,) + y.shape)
     half, sixth = 0.5 * h, h / 6.0
@@ -377,7 +403,7 @@ def integrate_batch(spec, states, T, h, sample_dt):
         np.add(k1, arg, out=k1)
         np.add(k1, k4, out=k1)
         np.add(y, np.multiply(sixth, k1, out=k1), out=y)
-        if n % sample_every == 0:
+        if n % sample_every == 0 or n == nsteps:
             samples[:, k] = y.T
             k += 1
     return times, samples

@@ -373,26 +373,29 @@ def geodesic_accel(spec, x, y, vx, vy):
     the one-point path, arrays through the blocked batch path."""
     point = isinstance(x, float)
     if spec._conformal:
-        # the flows call this every step: skip building fields()' full dict
+        # the flows call this every step: no fields() dict
         s = spec._series["g11"]
         u, ux, uy = (s.eval_point(x - math.floor(x), y - math.floor(y)) if point
                      else s.eval(x - np.floor(x), y - np.floor(y), 1))
-        f = {"E": u, "Ex": ux, "Ey": uy}
-    else:
-        f = spec.point_fields(x, y) if point else spec.fields(x, y, order=1)
+        return _conformal_accel(u, ux, uy, vx, vy)
+    f = spec.point_fields(x, y) if point else spec.fields(x, y, order=1)
     return accel_from_fields(spec, f, vx, vy)
+
+
+def _conformal_accel(u, ux, uy, vx, vy):
+    """geodesic_accel of u (dx^2 + dy^2) from u and its gradient:
+    a = -(ux a2 + uy b2, ux b2 - uy a2) / 2u with a2 = vx^2 - vy^2 and
+    b2 = 2 vx vy."""
+    a2 = vx * vx - vy * vy
+    b2 = 2.0 * vx * vy
+    h = -0.5 / u
+    return (ux * a2 + uy * b2) * h, (ux * b2 - uy * a2) * h
 
 
 def accel_from_fields(spec, f, vx, vy):
     """geodesic_accel from an order >= 1 fields() dict of the same points."""
     if spec._conformal:
-        # u (dx^2 + dy^2): a = -(ux a2 + uy b2, ux b2 - uy a2) / 2u with
-        # a2 = vx^2 - vy^2 and b2 = 2 vx vy
-        ux, uy = f["Ex"], f["Ey"]
-        a2 = vx * vx - vy * vy
-        b2 = 2.0 * vx * vy
-        h = -0.5 / f["E"]
-        return (ux * a2 + uy * b2) * h, (ux * b2 - uy * a2) * h
+        return _conformal_accel(f["E"], f["Ex"], f["Ey"], vx, vy)
     L111, L112, L122, L211, L212, L222 = _lower_symbols(f)
     A1 = L111 * vx * vx + 2.0 * L112 * vx * vy + L122 * vy * vy
     A2 = L211 * vx * vx + 2.0 * L212 * vx * vy + L222 * vy * vy

@@ -237,6 +237,12 @@ INTEGRATE = ("integrate", "--metric", "liouville")
     ("rotation-field", "--metric", "flat", "--horizon", "1e300", "--dt", "1",
      "--h", "1"),
     ("entropy", "--metric", "flat", "--horizons", "1e300", "--dt-probe", "1"),
+    # a step whose T / h overflows crashed int() with a raw OverflowError
+    # (exit 1); a tiny normal one would have run about 1e301 RK4 steps
+    ("rotation-field", "--metric", "flat", "--n-angles", "4", "--horizon", "10",
+     "--dt", "1", "--h", "1e-320"),
+    ("rotation-field", "--metric", "flat", "--n-angles", "4", "--horizon", "10",
+     "--dt", "1", "--h", "1e-300"),
 ])
 def test_nonfinite_input_exits_2(capsys, argv):
     tracemalloc.start()

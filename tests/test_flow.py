@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_tables
-from test_metrics import SHEARED
+from test_metrics import SHEARED, random_conformal_metric
 
 from torusflow import cli, dop853_tables, flow
 from torusflow.entropy import PRESETS
@@ -181,6 +183,140 @@ def test_nan_from_the_start_fails_fast(liouville, monkeypatch):
         integrate(liouville, unit_tangent(liouville, (0.2, 0.3), 0.7), 10.0)
 
 
+# ---------------------------------------------------------------------------
+# the stepper before its sums were written out: every tableau row summed by
+# sum(map(mul, row, stages)), zero entries included
+
+def _complex(row):
+    return tuple(map(complex, row))
+
+
+_TAB = dop853_tables
+_STAGE_ROWS = tuple(_complex(_TAB.A[s, :s]) for s in range(1, _TAB.N_STAGES))
+_EXTRA_ROWS = tuple(_complex(_TAB.A[s, :s]) for s in
+                    range(_TAB.N_STAGES + 1, _TAB.N_STAGES_EXTENDED))
+_B = _complex(_TAB.B)
+_E5 = _complex(_TAB.E5[:_TAB.N_STAGES])
+_E3 = _complex(_TAB.E3[:_TAB.N_STAGES])
+_D = tuple(map(_complex, _TAB.D))
+
+
+def _reference_stages(rhs, z, w, h, W, K, rows):
+    for row in rows:
+        wj = w + sum(map(mul, row, K)) * h
+        K.append(rhs(z + sum(map(mul, row, W)) * h, wj))
+        W.append(wj)
+
+
+def _reference_interpolant(y, y_new, f, f_new, K, h):
+    dy = y_new - y
+    tail = [h * sum(map(mul, row, K)) for row in _D]
+    return (*reversed(tail), 2.0 * dy - h * (f_new + f), h * f - dy, dy)
+
+
+def _reference_dop853(spec, z, w, T, ts, rtol, atol):
+    """flow._dop853 with the row sums of the tables taken at run time."""
+    accel = flow.geodesic_accel
+
+    def rhs(z, w):
+        ax, ay = accel(spec, z.real, z.imag, w.real, w.imag)
+        return complex(ax, ay)
+
+    a = rhs(z, w)
+    h_abs = flow._initial_step(rhs, z, w, a, T, rtol, atol)
+    z_out, w_out = [z], [w]
+    t, k, n = 0.0, 1, len(ts)
+    while t < T:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepFailure(f"integration stalled at t={t:g}: the step "
+                                  "size fell below 10 ulp of t")
+            t_new = min(t + h_abs, T)
+            h = h_abs = t_new - t
+            W, K = [w], [a]
+            _reference_stages(rhs, z, w, h, W, K, _STAGE_ROWS)
+            z_new = z + h * sum(map(mul, _B, W))
+            w_new = w + h * sum(map(mul, _B, K))
+            a_new = rhs(z_new, w_new)
+            sz = complex(atol + max(abs(z.real), abs(z_new.real)) * rtol,
+                         atol + max(abs(z.imag), abs(z_new.imag)) * rtol)
+            sw = complex(atol + max(abs(w.real), abs(w_new.real)) * rtol,
+                         atol + max(abs(w.imag), abs(w_new.imag)) * rtol)
+            e5 = flow._sq(sum(map(mul, _E5, W)), sum(map(mul, _E5, K)), sz, sw)
+            e3 = flow._sq(sum(map(mul, _E3, W)), sum(map(mul, _E3, K)), sz, sw)
+            denom = e5 + 0.01 * e3
+            err = h * e5 / math.sqrt(denom * 4.0) if denom else 0.0
+            if err < 1.0:
+                factor = (flow._MAX_FACTOR if err == 0.0 else
+                          min(flow._MAX_FACTOR,
+                              flow._SAFETY * err ** flow._ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(flow._MIN_FACTOR,
+                         flow._SAFETY * err ** flow._ERROR_EXPONENT)
+            rejected = True
+        if k < n and ts[k] <= t_new:
+            W.append(w_new)
+            K.append(a_new)
+            _reference_stages(rhs, z, w, h, W, K, _EXTRA_ROWS)
+            fz = _reference_interpolant(z, z_new, w, w_new, W, h)
+            fw = _reference_interpolant(w, w_new, a, a_new, K, h)
+            while k < n and ts[k] <= t_new:
+                x = (ts[k] - t) / h
+                z_out.append(flow._evaluate(z, fz, x))
+                w_out.append(flow._evaluate(w, fw, x))
+                k += 1
+        t, z, w, a = t_new, z_new, w_new, a_new
+    return z_out, w_out
+
+
+def _run(spec, v0, T, dt, rtol, atol, nan_call, nan_after):
+    """integrate's pickled Trajectory, or the type and message of what it
+    raised, and its geodesic_accel calls; with nan_call set, that call (and
+    with nan_after every later one) returns a NaN acceleration."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if nan_call is not None and (calls[0] == nan_call
+                                     or nan_after and calls[0] > nan_call):
+            return math.nan, math.nan
+        return geodesic_accel(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "geodesic_accel", counted)
+        try:
+            out = pickle.dumps(integrate(spec, v0, T, dt=dt, rtol=rtol, atol=atol))
+        except (StepFailure, ValueError) as exc:
+            out = (type(exc), str(exc))
+    return out, calls[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=st.sampled_from(_ORACLE_SPECS) | random_conformal_metric(),
+       x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       angle=st.floats(0.0, 2.0 * math.pi), T=st.floats(0.05, 6.0),
+       dt=st.floats(0.01, 3.0), rtol_exp=st.floats(-13.0, -4.0),
+       atol_exp=st.floats(-14.0, -6.0),
+       nan_call=st.none() | st.integers(1, 400), nan_after=st.booleans())
+def test_straight_line_step_matches_reference(spec, x, y, angle, T, dt,
+                                              rtol_exp, atol_exp, nan_call,
+                                              nan_after):
+    # every sample bit-equal, every failure equal, after the same RHS calls;
+    # a NaN stage (every one after nan_call, or only that one) must fail the
+    # step or the run exactly where the sums over zero coefficients did
+    v0 = unit_tangent(spec, (x, y), angle)
+    args = (spec, v0, T, dt, 10.0 ** rtol_exp, 10.0 ** atol_exp, nan_call,
+            nan_after)
+    got = _run(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_dop853", _reference_dop853)
+        want = _run(*args)
+    assert got == want
+
+
 @pytest.mark.parametrize("field", ["x", "y", "vx", "vy"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_integrate_rejects_nonfinite_tangent(flat, field, bad):
@@ -313,6 +449,37 @@ def test_batch_sampling_grid(flat):
     with pytest.raises(ValidationError):
         integrate_batch(flat, np.array([[0, 0, 1, 0.0]]), 2.0, h=0.01,
                         sample_dt=0.013)   # not a multiple of h
+
+
+def test_batch_records_the_state_at_an_off_grid_horizon(liouville):
+    # T = 10 is not a multiple of dt = 0.3: the grid used to end at 9.9 and
+    # drop the state at T that the loop had computed
+    v = unit_tangent(liouville, (0.2, 0.3), 0.7)
+    ray, = integrate_rays(liouville, [v], 10.0, dt=0.3, h=0.1)
+    fine, = integrate_rays(liouville, [v], 10.0, dt=0.1, h=0.1)
+    assert ray.horizon == 10.0 and len(ray) == 35
+    assert np.array_equal(ray.t[:-1], np.arange(34) * (3 * 0.1))
+    # the same steps: the grid rows are every third row of the dt = h run
+    assert np.array_equal(ray.xy[:-1], fine.xy[:-1:3])
+    assert np.array_equal(ray.xy[-1], fine.xy[-1])
+    assert np.array_equal(ray.v[-1], fine.v[-1])
+
+
+@pytest.mark.parametrize("T, h, sample_dt, match", [
+    (10.0, 1e-320, 1.0, "steps of h"),      # T / h overflows to inf
+    (10.0, 1e-300, 1.0, "steps of h"),      # about 1e301 steps
+    (1.0, 0.1, 1e308, "steps of h"),        # sample_dt / h overflows
+    (1e-13, 0.1, 0.1, "positive multiple of the step"),   # no step at all
+    (1e-6, 1e-6, 1e-13, "positive multiple of the step"),  # sampled every 0 steps
+])
+def test_batch_refuses_step_counts_before_any_step(flat, T, h, sample_dt, match):
+    def no_field(*args):
+        raise AssertionError("a step was taken")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "geodesic_accel", no_field)
+        with pytest.raises(ValidationError, match=match):
+            integrate_batch(flat, np.array([[0.0, 0.0, 1.0, 0.0]]), T, h=h,
+                            sample_dt=sample_dt)
 
 
 def _arclength_reference(spec, xy, v, t):

@@ -10,8 +10,8 @@ from torusflow.flow import integrate, unit_tangent
 from torusflow.metrics import (_POINT_SUM_TERMS, COMPONENTS, MetricSpec,
                                _canonical_terms, _lower_symbols, _Series,
                                _unit_grid, gallery, gallery_names,
-                               curvature_survey, gauss_curvature_batch,
-                               geodesic_accel,
+                               accel_from_fields, curvature_survey,
+                               gauss_curvature_batch, geodesic_accel,
                                liouville_metric, load_metric, quadratic_form,
                                resolve_metric, save_metric)
 
@@ -369,6 +369,14 @@ def _random_metric(draw):
     return MetricSpec("random", g11=g11, g12=g12, g22=g22)
 
 
+@st.composite
+def random_conformal_metric(draw):
+    """u (dx^2 + dy^2) with up to 16 small terms on a unit constant, so both
+    sides of the one-point path's Python sum limit are drawn."""
+    g = [(0, 0, 1.0, 0.0)] + draw(st.lists(_small_term, max_size=16))
+    return MetricSpec("random-conformal", g11=g, g22=g)
+
+
 _cover = st.floats(-1e3, 1e3)
 _speed = st.floats(-3.0, 3.0)
 _ORACLE_SPECS = {name: gallery(name) for name in gallery_names()}
@@ -426,6 +434,23 @@ def test_point_accel_deck_shift_bit_equal(name):
         assert (geodesic_accel(spec, x, y, vx, vy)
                 == geodesic_accel(spec, x + 1.0, y + 1.0, vx, vy))
         assert spec.point_fields(x, y) == spec.point_fields(x + 1.0, y + 1.0)
+
+
+@given(spec=st.sampled_from([gallery(n) for n in gallery_names()])
+       | random_conformal_metric(), x=_cover, y=_cover, vx=_speed, vy=_speed)
+@settings(max_examples=150, deadline=None)
+def test_conformal_accel_equals_fields_dict(spec, x, y, vx, vy):
+    # geodesic_accel forms a conformal metric's acceleration from (u, ux, uy)
+    # with no fields() dict; the dict route gives the same bits, on the
+    # one-point path and on the batch path
+    assert spec._conformal
+    got = geodesic_accel(spec, x, y, vx, vy)
+    want = accel_from_fields(spec, spec.point_fields(x, y), vx, vy)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    p = [np.array([v]) for v in (x, y, vx, vy)]
+    got = geodesic_accel(spec, *p)
+    want = accel_from_fields(spec, spec.fields(p[0], p[1], order=1), p[2], p[3])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_point_fields_shares_and_skips(bump, monkeypatch):

@@ -15,7 +15,7 @@ import torusflow
 # defaults other than None
 DEFAULTED_PARAMETER_BUDGET = 29
 # lines of src/torusflow/*.py, counted as `cat src/torusflow/*.py | wc -l` counts
-SOURCE_LINE_BUDGET = 3860
+SOURCE_LINE_BUDGET = 3889
 
 
 def _sources():
