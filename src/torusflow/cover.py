@@ -33,8 +33,8 @@ from .metrics import circle_distance
 IntersectionEvent = sg.IntersectionEvent
 
 # a ray must end at least this far from its launch point for its escape
-# direction to be estimated
-_MIN_ESCAPE_NORM = 10.0
+# direction to be estimated; a straight ray at horizon 10 clears it
+_MIN_ESCAPE_NORM = 9.5
 
 
 # ---------------------------------------------------------------------------

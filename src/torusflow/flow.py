@@ -156,7 +156,7 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
 
     Raises
     ------
-    StepFailure if the adaptive integrator gives up before T.
+    StepFailure if the integrator gives up before T or a stage is not finite.
     ValidationError, before allocating, for more than MAX_SAMPLES samples.
     """
     if not all(map(math.isfinite, (T, v0.x, v0.y, v0.vx, v0.vy))):
@@ -167,8 +167,11 @@ def integrate(spec, v0, T, dt=DEFAULT_DT, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     if not 0 < dt < math.inf:
         raise ValidationError("sampling step dt must be positive and finite")
     ts = _sample_times(T, dt)
-    zs, ws = _dop853(spec, complex(v0.x, v0.y), complex(v0.vx, v0.vy), T, ts,
-                     rtol, atol)
+    try:
+        zs, ws = _dop853(spec, complex(v0.x, v0.y), complex(v0.vx, v0.vy), T, ts,
+                         rtol, atol)
+    except (ValueError, OverflowError) as exc:   # math.floor of a stage position
+        raise StepFailure(f"a stage position is not finite: {exc}") from None
     # a complex array viewed as floats is its (real, imag) pairs
     xy = np.array(zs).view(float).reshape(-1, 2)
     v = np.array(ws).view(float).reshape(-1, 2)

@@ -23,10 +23,11 @@ rows are contracted with each point's terms by one `np.einsum` without
 never across points, so a point's value does not depend on the batch or
 block it was evaluated in.  A constant series, whose only mode is (0, 0),
 skips the phases: its value is the constant and every derivative is an
-exact zero.  Next to this blocked batch path, Python floats take a
-one-point path (`geodesic_accel`, `MetricSpec.point_fields`): the same tables
-summed as Python complex numbers up to `_POINT_SUM_TERMS` terms, by one dot
-product beyond, and none of the batch path's fixed per-call cost.
+exact zero.  Python floats take a one-point path (`geodesic_accel`,
+`MetricSpec.point_fields`) with none of the batch path's fixed per-call
+cost: each series' `eval_point`, straight-line code written out when the
+series is built, forms the powers its modes use and sums up to
+`_POINT_SUM_TERMS` terms as Python complex numbers, or dots longer ones.
 
 Metric description files use a line-oriented key-value grammar::
 
@@ -50,8 +51,6 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 
 import numpy as np
 
@@ -147,14 +146,14 @@ class _Series:
         # of z viewed as float pairs with conj(a) viewed the same way
         coef = np.conj(rows).view(float)
         self._coef = tuple(coef[:r] for r in (1, 3, 6))
-        # eval_point's Python sum: each term's table rows and v, vx, vy coefficients
-        self._point_terms = (tuple(zip(*(v.tolist() for v in (
-            row(self.mx), row(self.my), a, a * wx, a * wy))))
-            if len(terms) <= _POINT_SUM_TERMS else None)
+        self.eval_point = _point_evaluator(self, (a, a * wx, a * wy))
         self._block_points = max(1, _BLOCK_TERMS // len(terms))
         # the value of a series with only the (0, 0) mode, else None; eval
         # returns it and +0.0 derivatives, which is what the contraction gives
         self._const = self.c[0] if self._pos == 0 else None
+
+    def __reduce__(self):   # rebuilt from its terms: eval_point cannot be pickled
+        return _Series, (tuple(zip(*(v.tolist() for v in (self.mx, self.my, self.c, self.s)))),)
 
     def eval(self, xr, yr, order):
         """Evaluate value and partial derivatives at reduced coordinates.
@@ -209,30 +208,42 @@ class _Series:
         k = len(self.mx)
         return (g[:, :k] * g[:, k:]).view(float)
 
-    def eval_point(self, xr, yr):
-        """(v, vx, vy) at one reduced point as floats, equal to `eval` to
-        rounding: a few-term series sums its terms in Python, others dot them."""
-        if self._point_terms is None:
-            return self._dot_point(xr, yr)
-        px, py = self._point_powers(xr), self._point_powers(yr)
-        v = vx = vy = 0.0
-        for i, j, a, ax, ay in self._point_terms:
-            z = px[i] * py[j]
-            v += (z * a).real
-            vx += (z * ax).real
-            vy += (z * ay).real
-        return [v, vx, vy]
 
-    def _dot_point(self, xr, yr):
-        """eval_point's terms gathered as in `_terms` and summed by one dot."""
-        g = np.array(self._point_powers(xr) + self._point_powers(yr),
-                     dtype=complex).take(self._take).reshape(2, -1)
-        return self._coef[1].dot((g[0] * g[1]).view(float)).tolist()
+def _power_lines(v, r, modes):
+    """Source lines of axis v's powers e**m, named like X2 and Xm2, that modes
+    use: e**0 the float 1.0, e = exp(J * r), the rest by accumulate's
+    left-to-right products and negative modes as conjugates."""
+    top = max(map(abs, modes))
+    return ([f"{v}0 = 1.0"] + [f"{v}1 = exp(J * {r})"] * (top > 0)
+            + [f"{v}{k} = {v}{k - 1} * {v}1" for k in range(2, top + 1)]
+            + [f"{v}m{k} = {v}{k}.conjugate()" for k in sorted({-m for m in modes if m < 0})])
 
-    def _point_powers(self, r):
-        """`_terms`' rows of one axis: e**0..e**pos, then e**-1..e**-neg as conjugates."""
-        powers = [1.0, *accumulate(repeat(cmath.exp(_TWO_PI_J * r), self._pos), mul)]
-        return powers + list(map(complex.conjugate, powers[1:self._neg + 1]))
+
+def _point_evaluator(series, cols):
+    """A series' eval_point(xr, yr), (v, vx, vy) at one reduced point as floats
+    equal to `eval` to rounding, as straight-line code: up to _POINT_SUM_TERMS
+    terms it sums Re(X**mx * Y**my * c) from 0.0 in term order, each c of the
+    columns `cols` bound by name; a longer series dots all `_terms`' rows."""
+    mx, my = series.mx.tolist(), series.my.tolist()
+    ns = {"exp": cmath.exp, "J": _TWO_PI_J, "array": np.array,
+          "take": series._take, "coef": series._coef[1]}
+    if len(mx) <= _POINT_SUM_TERMS:
+        ns.update((f"c{d}_{k}", c) for d, col in enumerate(cols)
+                  for k, c in enumerate(col.tolist()))
+        lines = (_power_lines("X", "xr", mx) + _power_lines("Y", "yr", my)
+                 + [f"z{k} = X{i} * Y{j}".replace("-", "m")
+                    for k, (i, j) in enumerate(zip(mx, my))]
+                 + ["return " + ", ".join("0.0" + "".join(
+                     f" + (z{k} * c{d}_{k}).real" for k in range(len(mx))) for d in range(3))])
+    else:
+        rows = [*range(series._pos + 1), *range(-1, -series._neg - 1, -1)]
+        table = ", ".join(f"{v}{m}" for v in "XY" for m in rows).replace("-", "m")
+        lines = _power_lines("X", "xr", rows) + _power_lines("Y", "yr", rows) + [
+            f"g = array([{table}], dtype=complex).take(take).reshape(2, -1)",
+            "return coef.dot((g[0] * g[1]).view(float)).tolist()"]
+    exec(compile("def eval_point(xr, yr):\n    " + "\n    ".join(lines),
+                 "<eval_point>", "exec"), ns)
+    return ns["eval_point"]
 
 
 @dataclass(eq=False)

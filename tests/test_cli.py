@@ -341,6 +341,15 @@ def test_rotation_field_single_angle_exits_2(capsys):
     assert "two estimates" in err
 
 
+def test_straight_rays_at_horizon_10_escape(capsys):
+    # a straight unit-speed ray covers exactly the horizon; at horizon 10 it
+    # once fell short of a threshold of 10 by roundoff and exited 1
+    code, out, _ = run(capsys, "rotation-field", "--metric", "flat", "--n-angles",
+                       "4", "--horizon", "10", "--dt", "1", "--h", "0.1")
+    assert code == 0
+    assert loads(out)["n_angles"] == 4
+
+
 @pytest.mark.parametrize("n_angles", ["-3", "0", "1"])
 def test_rotation_field_below_two_angles_exits_2_before_any_ray(
         capsys, monkeypatch, n_angles):

@@ -1,4 +1,8 @@
+import cmath
 import math
+import pickle
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
-from torusflow.metrics import (_POINT_SUM_TERMS, COMPONENTS, MetricSpec,
+from torusflow.metrics import (_POINT_SUM_TERMS, COMPONENTS, TWO_PI, MetricSpec,
                                _canonical_terms, _lower_symbols, _Series,
                                _unit_grid, gallery, gallery_names,
                                accel_from_fields, curvature_survey,
@@ -473,6 +477,50 @@ def test_point_fields_shares_and_skips(bump, monkeypatch):
     assert (f["G"], f["Gx"], f["Gy"]) == (f["E"], f["Ex"], f["Ey"])
 
 
+# ---------------------------------------------------------------------------
+# the one-point path before eval_point was written out as straight-line code:
+# power lists built by accumulate, a loop over each term's table rows and
+# coefficients up to _POINT_SUM_TERMS terms, a dot product beyond
+
+def _reference_point_powers(series, r):
+    """`_terms`' rows of one axis: e**0..e**pos, then e**-1..e**-neg as conjugates."""
+    powers = [1.0, *accumulate(repeat(cmath.exp(1j * TWO_PI * r), series._pos), mul)]
+    return powers + list(map(complex.conjugate, powers[1:series._neg + 1]))
+
+
+def _reference_point_terms(series):
+    """Each term's table rows and v, vx, vy coefficients, as _Series forms them."""
+    row = lambda m: np.where(m >= 0, m, series._pos - m)
+    a = series.c - 1j * series.s
+    wx = 1j * TWO_PI * series.mx
+    wy = 1j * TWO_PI * series.my
+    return tuple(zip(*(v.tolist() for v in (row(series.mx), row(series.my),
+                                            a, a * wx, a * wy))))
+
+
+def _reference_sum_point(series, xr, yr):
+    px = _reference_point_powers(series, xr)
+    py = _reference_point_powers(series, yr)
+    v = vx = vy = 0.0
+    for i, j, a, ax, ay in _reference_point_terms(series):
+        z = px[i] * py[j]
+        v += (z * a).real
+        vx += (z * ax).real
+        vy += (z * ay).real
+    return [v, vx, vy]
+
+
+def _reference_dot_point(series, xr, yr):
+    g = np.array(_reference_point_powers(series, xr) + _reference_point_powers(series, yr),
+                 dtype=complex).take(series._take).reshape(2, -1)
+    return series._coef[1].dot((g[0] * g[1]).view(float)).tolist()
+
+
+def _reference_eval_point(series, xr, yr):
+    few = len(series.mx) <= _POINT_SUM_TERMS
+    return (_reference_sum_point if few else _reference_dot_point)(series, xr, yr)
+
+
 # distinct modes with negative entries and coefficients away from zero; term
 # counts fall on both sides of the Python sum's limit
 _point_term = st.tuples(st.integers(-6, 6), st.integers(-6, 6),
@@ -492,14 +540,70 @@ _point_terms = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_point_sum_matches_dot_reference(terms, xr, yr):
     s = _Series(_canonical_terms(terms))
-    assert (s._point_terms is None) == (len(s.mx) > _POINT_SUM_TERMS)
     got = s.eval_point(xr, yr)
     assert all(type(v) is float for v in got)
     # _accel_tol's rounding term for one series: 1e-15 times the l1 norm of
     # the value's and first derivatives' coefficients
     tol = 1e-15 * sum((1.0 + 2.0 * math.pi * (abs(mx) + abs(my))) * math.hypot(c, s_)
                       for mx, my, c, s_ in _canonical_terms(terms))
-    assert np.abs(np.subtract(got, s._dot_point(xr, yr))).max() <= tol
+    assert np.abs(np.subtract(got, _reference_dot_point(s, xr, yr))).max() <= tol
+
+
+_signed = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+_HEX_MODES = [(mx, my) for mx in range(-6, 7) for my in range(-6, 7)]
+
+
+@st.composite
+def _hex_terms(draw):
+    """Terms on distinct modes in -6..6 as _Series takes them, signed zero
+    coefficients kept; about half the draws have exactly 12 or 13 terms, on
+    either side of the Python sum's limit."""
+    n = draw(st.sampled_from([_POINT_SUM_TERMS, _POINT_SUM_TERMS + 1])
+             | st.integers(0, 2 * _POINT_SUM_TERMS + 4))
+    modes = draw(st.lists(st.sampled_from(_HEX_MODES), min_size=n, max_size=n,
+                          unique=True))
+    return [(mx, my, draw(_signed), draw(_signed)) for mx, my in modes]
+
+
+@given(terms=st.just([(0, 0, 1.3, 0.0)]) | _hex_terms(),
+       xr=st.floats(0.0, 1.0, exclude_max=True),
+       yr=st.floats(0.0, 1.0, exclude_max=True))
+@example(terms=[], xr=0.3, yr=0.7)
+@example(terms=[(0, 0, -0.0, 0.0)], xr=0.3, yr=0.7)
+@example(terms=[(0, 0, 1.3, 0.0), (0, 2, -0.0, -0.5), (-6, 6, 0.5, -0.0)],
+         xr=0.0, yr=0.25)
+@settings(max_examples=400, deadline=None)
+def test_point_evaluator_is_bit_equal_to_reference(terms, xr, yr):
+    # the generated evaluator against the sum loop (up to _POINT_SUM_TERMS
+    # terms) and the dot product (beyond), every bit including zero signs
+    s = _Series(terms)
+    got = s.eval_point(xr, yr)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in _reference_eval_point(s, xr, yr)]
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+def test_spec_pickles_with_its_point_evaluators(name):
+    spec = _ORACLE_SPECS[name]
+    # the generated eval_point is rebuilt, and a conformal metric's g11 and
+    # g22 stay one series
+    copy = pickle.loads(pickle.dumps(spec))
+    assert ((copy._series["g22"] is copy._series["g11"])
+            == (spec._series["g22"] is spec._series["g11"]))
+    for comp in COMPONENTS:
+        assert (copy._series[comp].eval_point(0.3, 0.7)
+                == spec._series[comp].eval_point(0.3, 0.7))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+def test_integrate_unchanged_by_reference_point_evaluator(name, monkeypatch):
+    spec = _ORACLE_SPECS[name]
+    v0 = unit_tangent(spec, (0.137, 0.271), 0.437)
+    got = pickle.dumps(integrate(spec, v0, 10.0, dt=0.5))
+    for series in set(spec._series.values()):
+        monkeypatch.setattr(series, "eval_point",
+                            lambda xr, yr, s=series: _reference_eval_point(s, xr, yr))
+    assert pickle.dumps(integrate(spec, v0, 10.0, dt=0.5)) == got
 
 
 # ---------------------------------------------------------------------------
