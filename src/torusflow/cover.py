@@ -33,8 +33,9 @@ from .metrics import circle_distance
 IntersectionEvent = sg.IntersectionEvent
 
 # a ray must end at least this far from its launch point for its escape
-# direction to be estimated; a straight ray at horizon 10 clears it
-_MIN_ESCAPE_NORM = 9.5
+# direction to be estimated; the slack lets a straight unit-speed ray at
+# horizon 10, which ends 10 away up to roundoff, pass
+_MIN_ESCAPE_NORM = 10.0 * (1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
