@@ -82,7 +82,7 @@ def self_intersections(traj):
     has t1 < t2.  Pairs closer than segments.SELF_T_SEP in parameter are not
     crossings of distinct strands and are excluded.
     """
-    return sg.crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v, traj.v)
+    return sg.crossings(traj.xy, traj.t, traj.xy, traj.t)
 
 
 def translate_intersections(traj, shift):
@@ -91,7 +91,7 @@ def translate_intersections(traj, shift):
     if m == 0 and n == 0:
         raise ValidationError("translate_intersections needs a nonzero translation")
     return sg.crossings_by_shift(traj.xy, traj.t, traj.xy, traj.t,
-                                 [(m, n)], traj.v, traj.v)[0]
+                                 [(m, n)])[0]
 
 
 def torus_self_crossings(traj):
@@ -105,8 +105,7 @@ def torus_self_crossings(traj):
     (m, n) by which the loop run from t1 to t2 advances, (0, 0) for
     contractible ones.
     """
-    found = sg.torus_crossings(traj.xy, traj.t, traj.xy, traj.t, traj.v,
-                               traj.v)
+    found = sg.torus_crossings(traj.xy, traj.t, traj.xy, traj.t)
     out = []
     for (m, n), (events, _) in found.items():
         # an event (ta, tb) asserts lift(ta) = lift(tb) + (m, n); the loop
@@ -247,8 +246,8 @@ def asymptotic_direction(traj):
     final = disp[-1]
     norm = float(np.hypot(final[0], final[1]))
     if norm < _MIN_ESCAPE_NORM:
-        raise NotEscaping(f"displacement {norm:.3g} at horizon {traj.horizon:g} "
-                          f"is below {_MIN_ESCAPE_NORM:g}")
+        raise NotEscaping(f"displacement {norm!r} at horizon {traj.horizon:g} "
+                          f"is below {_MIN_ESCAPE_NORM!r}")
     d = (final[0] / norm, final[1] / norm)
     # a component at roundoff scale is a zero component; without the snap a
     # vertical ray would report slope ~1e16 instead of the vertical point

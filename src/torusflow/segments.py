@@ -15,10 +15,10 @@ candidate pair reads its shift from the lattice cells of its pieces.  Both
 list candidates with one sorted-key join.  Candidate pairs get an exact
 closed-form solve, and crossings whose |sin| of intersection angle falls
 below a margin threshold are reported separately as tangential events
-rather than being counted.  When node velocities are available the crossing
-is polished on a local cubic Hermite model of each curve, which recovers the
-intersection of the underlying smooth curves to about 1e-8 for sampling
-steps near 0.01.
+rather than being counted.  Every crossing is this exact polyline solve,
+its sign and margin taken from the two segments.  `_refine_hermite`, a
+polish on cubic Hermite arcs through node velocities, is on no engine path;
+the tests use it as the smooth-curve reference and perfbench's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -180,16 +180,16 @@ def _refine_hermite(xyA, vA, tA, iA, a0, xyB, vB, tB, iB, b0):
     return a, b, 0.5 * (Pa + Qb), da, db, ok
 
 
-def crossings(xyA, tA, xyB, tB, vA=None, vB=None):
+def crossings(xyA, tA, xyB, tB):
     """All transversal crossings between two polylines: (events, tangential).
 
     The single-shift case of `crossings_by_shift`, which documents the
     arguments and the result.
     """
-    return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)], vA=vA, vB=vB)[0]
+    return crossings_by_shift(xyA, tA, xyB, tB, [(0, 0)])[0]
 
 
-def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
+def crossings_by_shift(xyA, tA, xyB, tB, shifts):
     """Crossings of polyline A with each translate B + shift, A hashed once.
 
     Parameters
@@ -197,8 +197,6 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
     xyA, xyB : (N, 2) node positions; tA, tB: (N,) node parameters
     shifts : sequence of integer (m, n) deck shifts of B; a non-finite or
         non-integer entry raises ValidationError
-    vA, vB : optional node velocities; when both are given every crossing
-        is polished on the local cubic Hermite model
 
     A and B are hashed once on the unit lattice's 1/G grid.  A shift s moves
     every cell of B by exactly s * G, so the cell keys of B + s are B's keys
@@ -210,10 +208,11 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
     Returns
     -------
     One (events, tangential) pair per shift, in order: two lists of
-    IntersectionEvent, events sorted by (t1, t2).  Tangential events carry
-    the same fields but margins below THETA_MIN and are never counted by
-    callers.  Each shift is solved and refined as its own batch, so its
-    events do not depend on which other shifts share the call.
+    IntersectionEvent, events sorted by (t1, t2), each the exact solve of
+    its two segments.  Tangential events carry the same fields but margins
+    below THETA_MIN and are never counted by callers.  Each shift is solved
+    as its own batch, so its events do not depend on which other shifts
+    share the call.
     """
     self_query = xyB is xyA
     xyA, xyB, tA, tB, shifts = (np.asarray(v, dtype=float)
@@ -225,8 +224,6 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
     out = [([], []) for _ in shifts]
     if len(xyA) < 2 or len(xyB) < 2:
         return out
-    if vA is None or vB is None:
-        vA = vB = None
     G = max(int(1.0 / _cell_size(xyA, xyB)), 1)
     cellA, segA = _grid_entries(xyA, G)
     cellB, segB = (cellA, segA) if self_query else _grid_entries(xyB, G)
@@ -250,8 +247,7 @@ def crossings_by_shift(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
         same_curve = self_query and not shifts[i].any()
         iA, iB = _candidate_pairs(keyA, segA, keyB + off, segB, len(xyB) - 1,
                                   same_curve)
-        out[i] = _events(xyA, tA, vA, xyB + shifts[i], tB, vB, iA, iB,
-                         same_curve)
+        out[i] = _events(xyA, tA, xyB + shifts[i], tB, iA, iB, same_curve)
     return out
 
 
@@ -262,7 +258,7 @@ def _cell_size(xyA, xyB):
     return 2.0 * max(np.percentile(lensA, 95), np.percentile(lensB, 95), 1e-9)
 
 
-def torus_crossings(xyA, tA, xyB, tB, vA, vB):
+def torus_crossings(xyA, tA, xyB, tB):
     """Crossings of polyline A with every integer translate of polyline B.
 
     Answers `crossings_by_shift` over all deck shifts without listing them:
@@ -276,8 +272,8 @@ def torus_crossings(xyA, tA, xyB, tB, vA, vB):
 
     Returns {(m, n): (events, tangential)} in ascending shift order over
     the shifts with candidates, each entry what `crossings_by_shift`
-    returns for that shift, as each shift is solved and refined as its own
-    batch.  vA and vB are both velocities or both None.
+    returns for that shift (the exact polyline solve of its candidate
+    pairs), as each shift is solved as its own batch.
     """
     self_query = xyB is xyA
     xyA, xyB, tA, tB = (np.asarray(v, dtype=float)
@@ -312,8 +308,8 @@ def torus_crossings(xyA, tA, xyB, tB, vA, vB):
         m, n = (int(v) for v in divmod(shift[lo], rows))
         s = (m + int(x0), n + int(y0))
         iA, iB = np.divmod(pair[lo:hi], nB)
-        out[s] = _events(xyA, tA, vA, xyB + np.array(s, dtype=float), tB, vB,
-                         iA, iB, self_query and s == (0, 0))
+        out[s] = _events(xyA, tA, xyB + np.array(s, dtype=float), tB, iA, iB,
+                         self_query and s == (0, 0))
     return out
 
 
@@ -325,8 +321,9 @@ def _torus_entries(xy, G):
     return wrapped[0] * G + wrapped[1], seg, lattice
 
 
-def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve):
-    """Exact crossings of the candidate segment pairs, refined when vA is set."""
+def _events(xyA, tA, xyB, tB, iA, iB, same_curve):
+    """Exact crossings of the candidate segment pairs; the segment vectors
+    r and s give each crossing's sign and margin."""
     a = xyA[iA]
     r = xyA[iA + 1] - a
     c = xyB[iB]
@@ -350,24 +347,11 @@ def _events(xyA, tA, vA, xyB, tB, vB, iA, iB, same_curve):
         return [], []
     iA, iB = iA[hit], iB[hit]
     tpar, upar = tpar[hit], upar[hit]
-    r, s, a = r[hit], s[hit], a[hit]
-    pts = a + tpar[:, None] * r
-    tanA, tanB = r, s
-
-    if vA is not None:
-        ra, rb, rpts, da, db, ok = _refine_hermite(
-            xyA, np.asarray(vA, float), tA, iA, tpar,
-            xyB, np.asarray(vB, float), tB, iB, upar)
-        tpar = np.where(ok, ra, tpar)
-        upar = np.where(ok, rb, upar)
-        pts = np.where(ok[:, None], rpts, pts)
-        tanA = np.where(ok[:, None], da, tanA)
-        tanB = np.where(ok[:, None], db, tanB)
-
+    r, s, cross = r[hit], s[hit], denom[hit]
+    pts = a[hit] + tpar[:, None] * r
     t1 = tA[iA] + tpar * (tA[iA + 1] - tA[iA])
     t2 = tB[iB] + upar * (tB[iB + 1] - tB[iB])
-    cross = tanA[:, 0] * tanB[:, 1] - tanA[:, 1] * tanB[:, 0]
-    margin = np.abs(cross) / (np.hypot(*tanA.T) * np.hypot(*tanB.T))
+    margin = np.abs(cross) / (np.hypot(*r.T) * np.hypot(*s.T))
 
     if same_curve:
         keep = np.abs(t1 - t2) > SELF_T_SEP

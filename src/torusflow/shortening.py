@@ -542,7 +542,7 @@ def torus_crossing_count(curveA, curveB):
     tA = np.arange(len(pA), dtype=float)
     pB = curveB.closed_polyline()
     tB = np.arange(len(pB), dtype=float)
-    found = sg.torus_crossings(pA, tA, pB, tB, None, None)
+    found = sg.torus_crossings(pA, tA, pB, tB)
     return sum(len(ev) for ev, _ in found.values())
 
 

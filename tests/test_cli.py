@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from test_segments import box_shift_crossings
-from torusflow import cli, flow, metrics, shortening
+from torusflow import cli, cover, flow, metrics, shortening
 
 
 def _no_constant(name):
@@ -350,6 +350,21 @@ def test_straight_rays_at_horizon_10_escape(capsys):
     assert loads(out)["n_angles"] == 4
 
 
+def test_not_escaping_message_shows_the_shortfall(capsys):
+    # a straight ray to horizon 9.9996 ends 9.9996 away, just short of the
+    # escape threshold; rounded to 3 digits the message read "displacement
+    # 10 ... is below 10"
+    code, out, _ = run(capsys, "strip", "--metric", "flat", "--angle", "0.4",
+                       "--horizon", "9.9996", "--dt", "0.1")
+    assert code == 1
+    manifest = loads(out)
+    assert manifest["failure"] == "NotEscaping"
+    words = manifest["message"].split()
+    shown, threshold = float(words[1]), float(words[-1])
+    assert shown < threshold
+    assert threshold == cover._MIN_ESCAPE_NORM
+
+
 @pytest.mark.parametrize("n_angles", ["-3", "0", "1"])
 def test_rotation_field_below_two_angles_exits_2_before_any_ray(
         capsys, monkeypatch, n_angles):
@@ -597,7 +612,7 @@ def test_witness_counts_every_torus_self_crossing(capsys):
     spec = metrics.gallery("two-frequency")
     ray = flow.integrate(spec, flow.unit_tangent(spec, (0.0, 0.0), 0.437),
                          40.0, dt=0.05)
-    found = box_shift_crossings(ray.xy, ray.t, ray.xy, ray.t, ray.v, ray.v)
+    found = box_shift_crossings(ray.xy, ray.t, ray.xy, ray.t)
     assert payload["torus_crossings"] == sum(len(ev) for ev, _ in
                                              found.values())
     assert payload["double_loop"] is not None

@@ -129,16 +129,14 @@ def test_half_lattice_lists_one_of_each_pair(rx, ry):
 
 def test_self_intersections_simple_cross():
     traj = synth([(0, 0), (1, 1), (1, 0), (0, 1)])
-    # without velocities the polyline solve is reported as is
     events, tangential = sg.crossings(traj.xy, traj.t, traj.xy, traj.t)
     assert len(events) == 1 and not tangential
     ev = events[0]
     assert (ev.x, ev.y) == pytest.approx((0.5, 0.5), abs=1e-12)
     assert ev.t1 < ev.t2
-    # self_intersections polishes the same crossing on the Hermite arcs
-    polished, tangential = self_intersections(traj)
-    assert len(polished) == 1 and not tangential
-    assert polished[0].t1 < polished[0].t2
+    # self_intersections is that engine call: the same events, bit for bit
+    assert (pickle.dumps(self_intersections(traj))
+            == pickle.dumps((events, tangential)))
 
 
 def test_translate_intersections_equivariance():
@@ -186,9 +184,9 @@ def test_census_horizon_validation():
 def test_census_scans_one_shift_of_each_pair(monkeypatch, radius):
     calls, engine = [], sg.crossings_by_shift
 
-    def spy(xyA, tA, xyB, tB, shifts, vA=None, vB=None):
+    def spy(xyA, tA, xyB, tB, shifts):
         calls.append(list(shifts))
-        return engine(xyA, tA, xyB, tB, shifts, vA, vB)
+        return engine(xyA, tA, xyB, tB, shifts)
 
     monkeypatch.setattr(sg, "crossings_by_shift", spy)
     traj = spiral()

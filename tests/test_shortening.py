@@ -31,7 +31,7 @@ def test_circle_geometry(flat):
     # of its translates on the torus
     p = c.closed_polyline()
     t = np.arange(len(p), dtype=float)
-    found = sg.torus_crossings(p, t, p, t, None, None)
+    found = sg.torus_crossings(p, t, p, t)
     assert found and not any(ev for ev, _ in found.values())
 
 
