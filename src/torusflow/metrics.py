@@ -14,20 +14,21 @@ matching distance on a circle of any period.
 
 Evaluation forms X = e^{2 pi i x} and Y = e^{2 pi i y} once per point and
 builds each axis's mode powers by repeated multiplication (negative modes
-are conjugates), so a term costs a gather and a few multiplies instead of
-one cos and one sin.  Derivatives are the same sums with coefficients
-multiplied by 2 pi i m.  Large inputs are evaluated in blocks of a fixed
-number of point-terms, which keeps temporaries cache-sized.  The coefficient
-rows are contracted with each point's terms by one `np.einsum` without
-`optimize` (no BLAS), whose sum runs over one point's terms at a time and
-never across points, so a point's value does not depend on the batch or
-block it was evaluated in.  A constant series, whose only mode is (0, 0),
-skips the phases: its value is the constant and every derivative is an
-exact zero.  Python floats take a one-point path (`geodesic_accel`,
-`MetricSpec.point_fields`) with none of the batch path's fixed per-call
-cost: each series' `eval_point`, straight-line code written out when the
-series is built, forms the powers its modes use and sums up to
-`_POINT_SUM_TERMS` terms as Python complex numbers, or dots longer ones.
+are conjugates), so a term costs a few multiplies instead of one cos and one
+sin.  Derivatives are the same sums with coefficients multiplied by 2 pi i m.
+A series of at most `_POINT_SUM_TERMS` terms is straight-line code written
+out when the series is built, one function per derivative order: it forms
+only the powers its modes use and sums each term's Re(z c) = z.real c.real -
+z.imag c.imag from 0.0 in term order, zero parts skipped.  The same source
+runs on arrays with `np.exp` (`_Series.eval`) and, for order 1, on Python
+floats with `cmath.exp` (`eval_point`): the one-point path of
+`geodesic_accel` and `MetricSpec.point_fields`, with none of numpy's fixed
+per-call cost.  A longer series gathers its terms from the power tables and
+contracts them with the coefficient rows, by one `np.einsum` without
+`optimize` (no BLAS) on arrays and one dot product on floats.  Arrays are
+evaluated in blocks of a fixed number of point-terms, which keeps
+temporaries cache-sized, and no sum runs across points, so a point's value
+does not depend on the batch or block it was evaluated in.
 
 Metric description files use a line-oriented key-value grammar::
 
@@ -51,6 +52,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,8 +74,9 @@ _TWO_PI_J = 1j * TWO_PI
 # thousand points.
 _BLOCK_TERMS = 1 << 12
 
-# eval_point sums series of at most this many terms in Python, where numpy's
-# fixed cost per call outweighs its cheaper terms (crossover 12-16 terms)
+# series of at most this many terms are summed by straight-line code, on
+# floats and on arrays; a longer one gathers its terms and contracts them
+# (on one point, the crossover with numpy's dot is at 12-16 terms)
 _POINT_SUM_TERMS = 12
 
 # fields() keys per order: E, F and G with derivative suffixes in
@@ -146,13 +149,20 @@ class _Series:
         # of z viewed as float pairs with conj(a) viewed the same way
         coef = np.conj(rows).view(float)
         self._coef = tuple(coef[:r] for r in (1, 3, 6))
-        self.eval_point = _point_evaluator(self, (a, a * wx, a * wy))
         self._block_points = max(1, _BLOCK_TERMS // len(terms))
-        # the value of a series with only the (0, 0) mode, else None; eval
-        # returns it and +0.0 derivatives, which is what the contraction gives
-        self._const = self.c[0] if self._pos == 0 else None
+        if len(terms) <= _POINT_SUM_TERMS:
+            # one source per order, run by numpy on arrays; order 1's also
+            # by cmath on floats
+            mx, my = self.mx.tolist(), self.my.tolist()
+            body = [_sum_lines(mx, my, rows[:r].T.tolist()) for r in (1, 3, 6)]
+            self._eval = [_bind(b, {"exp": np.exp, "fill": np.full_like}) for b in body]
+            self.eval_point = _bind(body[1], {"exp": cmath.exp, "fill": lambda r, v: v})
+        else:
+            self._eval = [partial(self._block, c) for c in self._coef]
+            self.eval_point = _bind(_dot_lines(self), {
+                "exp": cmath.exp, "array": np.array, "take": self._take, "coef": self._coef[1]})
 
-    def __reduce__(self):   # rebuilt from its terms: eval_point cannot be pickled
+    def __reduce__(self):   # rebuilt from its terms: generated code cannot be pickled
         return _Series, (tuple(zip(*(v.tolist() for v in (self.mx, self.my, self.c, self.s)))),)
 
     def eval(self, xr, yr, order):
@@ -161,27 +171,22 @@ class _Series:
         Returns a tuple whose layout depends on `order`:
         0 -> (v,); 1 -> (v, vx, vy); 2 -> (v, vx, vy, vxx, vxy, vyy).
         Inputs are 1-D arrays of coordinates already reduced to [0, 1).
-        Points are evaluated in blocks of _BLOCK_TERMS // (number of terms);
-        the arithmetic is elementwise plus one `einsum` contraction over each
-        point's own terms, so results do not depend on how points are batched
-        or blocked.  A constant series returns its constant and exact zeros
-        without forming phases.
+        Points are evaluated in blocks of _BLOCK_TERMS // (number of terms).
+        The arithmetic is elementwise, plus for a series longer than
+        _POINT_SUM_TERMS one `einsum` contraction over each point's own terms,
+        so results do not depend on how points are batched or blocked.
         """
-        coef = self._coef[order]
+        f = self._eval[order]
         n = len(xr)
-        if self._const is not None:
-            out = np.zeros((len(coef), n))
-            out[0] = self._const
-            return tuple(out)
         b = self._block_points
         if n <= b:
-            return tuple(self._block(xr, yr, coef))
-        out = np.empty((len(coef), n))
+            return tuple(f(xr, yr))
+        out = np.empty((len(self._coef[order]), n))
         for lo in range(0, n, b):
-            out[:, lo:lo + b] = self._block(xr[lo:lo + b], yr[lo:lo + b], coef)
+            out[:, lo:lo + b] = f(xr[lo:lo + b], yr[lo:lo + b])
         return tuple(out)
 
-    def _block(self, xr, yr, coef):
+    def _block(self, coef, xr, yr):
         # no optimize=: that could route through BLAS, whose summation order
         # may depend on the batch
         return np.einsum("nk,rk->rn", self._terms(xr, yr), coef)
@@ -210,40 +215,60 @@ class _Series:
 
 
 def _power_lines(v, r, modes):
-    """Source lines of axis v's powers e**m, named like X2 and Xm2, that modes
-    use: e**0 the float 1.0, e = exp(J * r), the rest by accumulate's
-    left-to-right products and negative modes as conjugates."""
-    top = max(map(abs, modes))
-    return ([f"{v}0 = 1.0"] + [f"{v}1 = exp(J * {r})"] * (top > 0)
+    """Source lines of axis v's powers e**m, m != 0, named like X2 and Xm2,
+    that modes use: e = exp(J * r), the rest by accumulate's left-to-right
+    products and negative modes as conjugates."""
+    top = max(map(abs, modes), default=0)
+    return ([f"{v}1 = exp(J * {r})"] * (top > 0)
             + [f"{v}{k} = {v}{k - 1} * {v}1" for k in range(2, top + 1)]
             + [f"{v}m{k} = {v}{k}.conjugate()" for k in sorted({-m for m in modes if m < 0})])
 
 
-def _point_evaluator(series, cols):
-    """A series' eval_point(xr, yr), (v, vx, vy) at one reduced point as floats
-    equal to `eval` to rounding, as straight-line code: up to _POINT_SUM_TERMS
-    terms it sums Re(X**mx * Y**my * c) from 0.0 in term order, each c of the
-    columns `cols` bound by name; a longer series dots all `_terms`' rows."""
-    mx, my = series.mx.tolist(), series.my.tolist()
-    ns = {"exp": cmath.exp, "J": _TWO_PI_J, "array": np.array,
-          "take": series._take, "coef": series._coef[1]}
-    if len(mx) <= _POINT_SUM_TERMS:
-        ns.update((f"c{d}_{k}", c) for d, col in enumerate(cols)
-                  for k, c in enumerate(col.tolist()))
-        lines = (_power_lines("X", "xr", mx) + _power_lines("Y", "yr", my)
-                 + [f"z{k} = X{i} * Y{j}".replace("-", "m")
-                    for k, (i, j) in enumerate(zip(mx, my))]
-                 + ["return " + ", ".join("0.0" + "".join(
-                     f" + (z{k} * c{d}_{k}).real" for k in range(len(mx))) for d in range(3))])
-    else:
-        rows = [*range(series._pos + 1), *range(-1, -series._neg - 1, -1)]
-        table = ", ".join(f"{v}{m}" for v in "XY" for m in rows).replace("-", "m")
-        lines = _power_lines("X", "xr", rows) + _power_lines("Y", "yr", rows) + [
-            f"g = array([{table}], dtype=complex).take(take).reshape(2, -1)",
-            "return coef.dot((g[0] * g[1]).view(float)).tolist()"]
-    exec(compile("def eval_point(xr, yr):\n    " + "\n    ".join(lines),
-                 "<eval_point>", "exec"), ns)
-    return ns["eval_point"]
+def _sum_lines(mx, my, cols):
+    """Body of f(xr, yr) returning, for each column of complex coefficients c
+    (one row per term), 0.0 plus Re(X**mx * Y**my * c) = z.real * c.real -
+    z.imag * c.imag in term order, zero parts skipped and no product formed
+    with a zero mode; a column with no term in X or Y is fill(xr, its
+    constant), an array like xr on the batch path."""
+    names = [(f"z{k}" if i and j else f"X{i}" if i else f"Y{j}" if j else "").replace("-", "m")
+             for k, (i, j) in enumerate(zip(mx, my))]
+    used, sums = set(), []
+    for col in zip(*cols):
+        expr, live = "0.0", False
+        for k, (z, c) in enumerate(zip(names, col)):
+            p, q = c.real, c.imag
+            if not z:
+                expr += f" + {p!r}" * (p != 0.0)
+            elif p or q:
+                used.add(k)
+                live = True
+                expr += (f" + ({z}.real * {p!r} - {z}.imag * {q!r})" if p and q
+                         else f" + {z}.real * {p!r}" if p else f" - {z}.imag * {q!r}")
+        sums.append(expr if live else f"fill(xr, {expr})")
+    used = sorted(used)
+    return (_power_lines("X", "xr", [mx[k] for k in used])
+            + _power_lines("Y", "yr", [my[k] for k in used])
+            + [f"{names[k]} = X{mx[k]} * Y{my[k]}".replace("-", "m")
+               for k in used if names[k][0] == "z"]
+            + [f"return ({', '.join(sums)},)"])
+
+
+def _dot_lines(series):
+    """Body of a longer series' eval_point: one list literal of `_terms`' power
+    rows, gathered, multiplied and dotted with the order-1 coefficient rows."""
+    rows = [*range(series._pos + 1), *range(-1, -series._neg - 1, -1)]
+    table = ", ".join(f"{v}{m}" if m else "1.0" for v in "XY" for m in rows).replace("-", "m")
+    return _power_lines("X", "xr", rows) + _power_lines("Y", "yr", rows) + [
+        f"g = array([{table}], dtype=complex).take(take).reshape(2, -1)",
+        "return coef.dot((g[0] * g[1]).view(float)).tolist()"]
+
+
+def _bind(lines, names):
+    """The function f(xr, yr) with body `lines`, run with `names`, J and the
+    names of repr's non-finite floats as globals."""
+    ns = {"J": _TWO_PI_J, "inf": math.inf, "nan": math.nan, **names}
+    exec(compile("def f(xr, yr):\n    " + "\n    ".join(lines), "<series>", "exec"), ns)
+    return ns["f"]
 
 
 @dataclass(eq=False)
@@ -380,8 +405,10 @@ def _lower_symbols(f):
 
 
 def geodesic_accel(spec, x, y, vx, vy):
-    """Acceleration of the geodesic equation: Python floats in and out through
-    the one-point path, arrays through the blocked batch path."""
+    """Acceleration of the geodesic equation: real scalars in, Python floats
+    out through the one-point path; arrays through the blocked batch path."""
+    if not isinstance(x, float) and np.ndim(x) == 0:
+        x, y, vx, vy = float(x), float(y), float(vx), float(vy)
     point = isinstance(x, float)
     if spec._conformal:
         # the flows call this every step: no fields() dict

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from torusflow.errors import MetricFormatError, ValidationError
 from torusflow.flow import integrate, unit_tangent
-from torusflow.metrics import (_POINT_SUM_TERMS, COMPONENTS, TWO_PI, MetricSpec,
-                               _canonical_terms, _lower_symbols, _Series,
+from torusflow.metrics import (_KEYS, _POINT_SUM_TERMS, COMPONENTS, TWO_PI, MetricSpec,
+                               _canonical_terms, _conformal_accel,
+                               _lower_symbols, _Series,
                                _unit_grid, gallery, gallery_names,
                                accel_from_fields, curvature_survey,
                                gauss_curvature_batch, geodesic_accel,
@@ -634,11 +635,11 @@ def _reference_eval(series, xr, yr, order):
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
-def _assert_matches_reference(series, xr, yr, order):
+def _assert_matches_reference(series, xr, yr, order, reference=_reference_eval):
     const, rest = _l1_split(series)
     m = max(1, int(np.abs(series.mx).max()), int(np.abs(series.my).max()))
     got = series.eval(xr, yr, order)
-    want = _reference_eval(series, xr, yr, order)
+    want = reference(series, xr, yr, order)
     assert len(got) == len(want)
     for d, (a, b) in enumerate(zip(got, want)):
         # derivative rows of order 1 and 2 scale with (2 pi m)^order
@@ -703,48 +704,130 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def test_fields_blocks_equal_one_point_calls(bump):
-    # the bump's 71 terms make its blocks a few hundred points long
-    b = bump._series["g11"]._block_points
-    n = 2 * b + 37
+def test_fields_blocks_equal_one_point_calls(bump, liouville):
+    # the bump's 71 terms make its blocks 57 points long, contracted by
+    # einsum; liouville's 3 terms make them 1,365 points, summed by its
+    # emitted code
     rng = np.random.default_rng(12)
-    x = rng.uniform(-3, 3, n)
-    y = rng.uniform(-3, 3, n)
-    for spec in (bump, SHEARED):
-        for order in (0, 1, 2):
-            whole = spec.fields(x, y, order=order)
-            parts = [spec.fields(x[i:i + 1], y[i:i + 1], order=order) for i in range(n)]
+    for spec in (bump, liouville):
+        b = spec._series["g11"]._block_points
+        n = 2 * b + 37
+        x = rng.uniform(-3, 3, n)
+        y = rng.uniform(-3, 3, n)
+        for s in (spec, SHEARED):
+            for order in (0, 1, 2):
+                whole = s.fields(x, y, order=order)
+                parts = [s.fields(x[i:i + 1], y[i:i + 1], order=order) for i in range(n)]
+                for key, val in whole.items():
+                    assert np.array_equal(_bits(val), _bits([p[key][0] for p in parts]))
+        # batches that straddle the first and second block boundaries
+        whole = spec.fields(x, y, order=2)
+        for lo, hi in ((b - 5, b + 9), (1, 2 * b + 1), (b - 1, n)):
+            part = spec.fields(x[lo:hi], y[lo:hi], order=2)
             for key, val in whole.items():
-                assert np.array_equal(_bits(val), _bits([p[key][0] for p in parts]))
-    # batches that straddle the first and second block boundaries
-    whole = bump.fields(x, y, order=2)
-    for lo, hi in ((b - 5, b + 9), (1, 2 * b + 1), (b - 1, n)):
-        part = bump.fields(x[lo:hi], y[lo:hi], order=2)
-        for key, val in whole.items():
-            assert np.array_equal(_bits(val[lo:hi]), _bits(part[key]))
-    ax, ay = geodesic_accel(bump, x, y, np.cos(x), np.sin(y))
-    one = [geodesic_accel(bump, x[i:i + 1], y[i:i + 1], np.cos(x[i:i + 1]),
-                          np.sin(y[i:i + 1])) for i in range(n)]
-    assert np.array_equal(_bits(ax), _bits([a[0] for a, _ in one]))
-    assert np.array_equal(_bits(ay), _bits([c[0] for _, c in one]))
+                assert np.array_equal(_bits(val[lo:hi]), _bits(part[key]))
+        ax, ay = geodesic_accel(spec, x, y, np.cos(x), np.sin(y))
+        one = [geodesic_accel(spec, x[i:i + 1], y[i:i + 1], np.cos(x[i:i + 1]),
+                              np.sin(y[i:i + 1])) for i in range(n)]
+        assert np.array_equal(_bits(ax), _bits([a[0] for a, _ in one]))
+        assert np.array_equal(_bits(ay), _bits([c[0] for _, c in one]))
 
 
-def test_constant_series_equals_general_path(flat, monkeypatch):
-    # the flat metric's one series is constant, and eval skips its phases
+def _einsum_eval(series, xr, yr, order):
+    """eval before series of at most _POINT_SUM_TERMS terms were written out:
+    each point's `_terms` contracted with the coefficient rows by one einsum
+    (longer series still evaluate this way)."""
+    return tuple(np.einsum("nk,rk->rn", series._terms(xr, yr), series._coef[order]))
+
+
+def test_constant_series_equals_general_path(flat):
+    # the flat metric's one series is constant: its emitted columns, the
+    # constant and +0.0 filled out to the batch, are the contraction's bits
     rng = np.random.default_rng(15)
     x = rng.uniform(-3, 3, 50)
     y = rng.uniform(-3, 3, 50)
     vx, vy = rng.uniform(-2, 2, (2, 50))
+    xr, yr = x - np.floor(x), y - np.floor(y)
     series = flat._series["g11"]
-    assert series._const == 1.0
-    fast = [flat.fields(x, y, order=order) for order in (0, 1, 2)]
-    fast_accel = geodesic_accel(flat, x, y, vx, vy)
-    monkeypatch.setattr(series, "_const", None)
-    for order, f in enumerate(fast):
-        for key, val in flat.fields(x, y, order=order).items():
-            assert np.array_equal(_bits(f[key]), _bits(val))
-    for a, b in zip(fast_accel, geodesic_accel(flat, x, y, vx, vy)):
+    for order in (0, 1, 2):
+        want = _einsum_eval(series, xr, yr, order)
+        f = flat.fields(x, y, order=order)
+        for got in (series.eval(xr, yr, order), [f[k] for k in _KEYS[order][0]],
+                    [f[k] for k in _KEYS[order][2]]):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(_bits(a), _bits(b))
+    want = _conformal_accel(*_einsum_eval(series, xr, yr, 1), vx, vy)
+    for a, b in zip(geodesic_accel(flat, x, y, vx, vy), want):
         assert np.array_equal(_bits(a), _bits(b))
+
+
+_few_coefficient = st.sampled_from([0.0, -0.0, _SUBNORMAL, -_SUBNORMAL]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _few_terms(draw):
+    """At most _POINT_SUM_TERMS terms on distinct modes in -6..6 as _Series
+    takes them, signed zero and subnormal coefficients kept; about half the
+    draws have exactly _POINT_SUM_TERMS terms."""
+    n = draw(st.just(_POINT_SUM_TERMS) | st.integers(0, _POINT_SUM_TERMS))
+    modes = draw(st.lists(st.sampled_from(_HEX_MODES), min_size=n, max_size=n,
+                          unique=True))
+    return [(mx, my, draw(_few_coefficient), draw(_few_coefficient)) for mx, my in modes]
+
+
+@given(terms=st.just([(0, 0, 1.3, 0.0)]) | _few_terms(),
+       pts=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=20),
+       order=st.integers(0, 2), block=st.integers(1, 7))
+@example(terms=[], pts=[(0.3, 0.7), (0.0, 0.5)], order=2, block=1)
+@example(terms=[(0, 0, 1.3, 0.0), (0, 2, -0.0, -0.5), (-6, 6, _SUBNORMAL, -0.0)],
+         pts=[(0.0, 0.25), (0.5, 0.0), (0.25, 0.5)], order=2, block=2)
+@settings(max_examples=300, deadline=None)
+def test_few_term_eval_matches_einsum_reference(terms, pts, order, block):
+    series = _Series(terms)
+    xr = np.array([p[0] for p in pts])
+    yr = np.array([p[1] for p in pts])
+    _assert_matches_reference(series, xr, yr, order, _einsum_eval)
+    # a point's value depends neither on its batch nor on its block
+    one = [series.eval(xr[i:i + 1], yr[i:i + 1], order) for i in range(len(xr))]
+    series._block_points = block
+    got = series.eval(xr, yr, order)
+    assert len(got) == len(one[0])
+    for d, row in enumerate(got):
+        assert np.array_equal(_bits(row), _bits(np.concatenate([o[d] for o in one])))
+
+
+@pytest.mark.parametrize("name", ["liouville", "two-frequency"])
+def test_few_term_series_never_call_terms(name, bump, monkeypatch):
+    # equal results cannot show a silent fallback to the einsum contraction
+    def boom(*args):
+        raise AssertionError("_Series._terms was called")
+    monkeypatch.setattr(_Series, "_terms", boom)
+    spec = gallery(name)
+    x = np.linspace(-2.0, 3.0, 3001)   # crosses liouville's 1,365-point blocks
+    y = np.linspace(4.0, -1.5, 3001)
+    geodesic_accel(spec, x, y, np.cos(x), np.sin(y))
+    geodesic_accel(spec, x[:64], y[:64], np.cos(x[:64]), np.sin(y[:64]))
+    for order in (0, 1, 2):
+        spec.fields(x, y, order=order)
+    for series in spec._series.values():
+        series.eval_point(0.3, 0.7)
+    geodesic_accel(spec, 0.3, 0.7, 1.0, -0.5)
+    # the spy sees the contraction of a longer series
+    with pytest.raises(AssertionError, match="_terms"):
+        bump.fields(x[:8], y[:8], order=1)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+def test_real_scalars_take_the_point_path(name):
+    # integers used to fall into the batch path as 0-d values and fail there
+    spec = _ORACLE_SPECS[name]
+    want = [v.hex() for v in geodesic_accel(spec, 2.0, -1.0, 1.0, 3.0)]
+    for args in ((2, -1, 1, 3), tuple(np.int64(v) for v in (2, -1, 1, 3)),
+                 tuple(np.array(v) for v in (2.0, -1.0, 1.0, 3.0))):
+        got = geodesic_accel(spec, *args)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == want
 
 
 def _trailing_sum_eval(series, xr, yr, order):
