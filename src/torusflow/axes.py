@@ -358,8 +358,6 @@ class FoliationReport:
     collapse onto a few distinct axes.
     """
 
-    klass: tuple
-    n_seeds: int
     n_distinct: int
     max_gap_fraction: float
     crossing_free: bool
@@ -378,7 +376,7 @@ def check_foliation(spec, klass, n_seeds, n=192):
     """
     if n_seeds < 1:
         raise ValidationError(f"a foliation check needs at least 1 seed, got {n_seeds}")
-    p, q, norm, _, e_w = class_frame(klass)
+    _, _, norm, _, e_w = class_frame(klass)
     period_w = 1.0 / norm
     seeds = _straight_seeds(klass, [i / n_seeds for i in range(n_seeds)], n)
     results = sh.evolve(spec, seeds, max_steps=30000)
@@ -401,8 +399,7 @@ def check_foliation(spec, klass, n_seeds, n=192):
     # without a limit curve there is no family to call foliated
     foliated = (bool(curves) and len(reps) >= n_seeds // 2
                 and max_gap < 2.0 / n_seeds and crossing_free)
-    return FoliationReport(klass=(p, q), n_seeds=n_seeds,
-                           n_distinct=len(reps), max_gap_fraction=max_gap,
+    return FoliationReport(n_distinct=len(reps), max_gap_fraction=max_gap,
                            crossing_free=crossing_free, foliated=foliated,
                            intercepts=icpt.tolist(), verdicts=verdicts)
 
@@ -424,8 +421,6 @@ class FlatnessReport:
     """
 
     curvature: CurvatureSurvey
-    curvature_flat: bool
-    witness_found: bool
     witness_classes: list
     verdict: str
 
@@ -441,8 +436,5 @@ def flatness_test(spec, grid_n=256):
         horizons=(_WITNESS_HORIZON / 2, 0.75 * _WITNESS_HORIZON, _WITNESS_HORIZON))
     growing = census.growing_classes()
 
-    curvature_flat = survey.max_abs < 1e-9
-    return FlatnessReport(
-        curvature=survey, curvature_flat=curvature_flat,
-        witness_found=bool(growing), witness_classes=growing,
-        verdict="flat" if curvature_flat else "not flat")
+    return FlatnessReport(curvature=survey, witness_classes=growing,
+                          verdict="flat" if survey.max_abs < 1e-9 else "not flat")

@@ -278,7 +278,7 @@ def cmd_flatness(args, spec):
         "verdict": report.verdict,
         "max_abs_curvature": report.curvature.max_abs,
         "total_curvature": report.curvature.total,
-        "witness_found": report.witness_found,
+        "witness_found": bool(report.witness_classes),
         "witness_classes": report.witness_classes,
     }
 

@@ -9,8 +9,11 @@ This module tracks how a lifted geodesic meets its own deck translates
 (self-intersections, per-class intersection censuses, and every
 self-crossing of its torus projection, found by one complete scan that
 lists no shifts), where it escapes to (asymptotic direction, rotation
-number as a point of the projective line, bounding strip), and detects the
-double loop on one lift that certifies dynamical complexity.
+number as a point of the projective line, bounding strip), and detects a
+double loop: two self-crossings whose loops are traversed one after the
+other.  That witness is finite-horizon evidence that does not yet separate
+the gallery (it fires on the integrable liouville metric too); a
+class-aware rule is ROADMAP item 1.
 
 All finite-horizon counts and estimates are evidence about the sampled
 window, never proofs about infinite rays; report consumers are expected to
@@ -29,8 +32,6 @@ from . import segments as sg
 from .errors import NotEscaping, ValidationError
 from .flow import integrate_rays, unit_tangent
 from .metrics import circle_distance
-
-IntersectionEvent = sg.IntersectionEvent
 
 # a ray must end at least this far from its launch point for its escape
 # direction to be estimated; the slack lets a straight unit-speed ray at
@@ -272,8 +273,7 @@ def direction_antisymmetry(fwd_traj, bwd_traj):
     dminus = asymptotic_direction(bwd_traj)
     dot = -(dplus.direction[0] * dminus.direction[0]
             + dplus.direction[1] * dminus.direction[1])
-    gap = float(np.arccos(np.clip(dot, -1.0, 1.0)))
-    return {"angle_gap": gap, "forward": dplus, "backward": dminus}
+    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,6 @@ class DoubleLoopWitness:
     t2: float
     t3: float
     t4: float
-    first: IntersectionEvent
-    second: IntersectionEvent
 
 
 def detect_double_loop(events):
@@ -325,7 +323,7 @@ def detect_double_loop(events):
     best = None     # among scanned events, the one closing earliest
     for ev in sorted(events, key=lambda e: (e.t1, e.t2)):
         if best is not None and best.t2 <= ev.t1:
-            return DoubleLoopWitness(best.t1, best.t2, ev.t1, ev.t2, best, ev)
+            return DoubleLoopWitness(best.t1, best.t2, ev.t1, ev.t2)
         if best is None or ev.t2 < best.t2:
             best = ev
     return None

@@ -34,14 +34,15 @@ numerically:
                batch-size-independent arithmetic, and the greedy scan never
                lets a later sample influence an earlier decision.
 
-Determinism: with equal parameters and seed, every count and every slope
-is bit-for-bit reproducible.
+Every run integrates at the one RK4 step STEP_H and probes every dt_probe,
+a multiple of it.  Determinism: with equal parameters and seed, every
+count and every slope is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +60,16 @@ _CHUNK = 512
 # slope inversion across the eps ladder, so they are not trusted
 SATURATION_FRACTION = 0.4
 
+# RK4 step of every entropy run
+STEP_H = 0.0125
+
 
 @dataclass(frozen=True)
 class EntropyParams:
     """Sampling plan of one entropy run.
 
     horizons must be ascending, epsilons descending; dt_probe must be an
-    integer multiple of step_h and divide every horizon.
+    integer multiple of STEP_H and divide every horizon.
     """
 
     n_samples: int = 2048
@@ -73,7 +77,6 @@ class EntropyParams:
     horizons: tuple = (20.0, 40.0, 80.0, 160.0)
     epsilons: tuple = (0.5, 0.25, 0.125)
     dt_probe: float = 0.05
-    step_h: float = 0.0125
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -82,19 +85,19 @@ class EntropyParams:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not all(0 < eps < math.inf for eps in self.epsilons):
             raise ValidationError("every epsilon must be positive and finite")
-        if not all(map(math.isfinite, (*self.horizons, self.dt_probe, self.step_h))):
-            raise ValidationError("horizons, dt_probe and step_h must be finite")
+        if not all(map(math.isfinite, (*self.horizons, self.dt_probe))):
+            raise ValidationError("horizons and dt_probe must be finite")
         if not all(T > 0 for T in self.horizons):
             raise ValidationError("every horizon must be positive")
         if list(self.horizons) != sorted(self.horizons):
             raise ValidationError("horizons must be ascending")
         if list(self.epsilons) != sorted(self.epsilons, reverse=True):
             raise ValidationError("epsilons must be descending")
-        if not (self.dt_probe > 0 and self.step_h > 0):
-            raise ValidationError("dt_probe and step_h must be positive")
-        ratio = self.dt_probe / self.step_h
+        if not self.dt_probe > 0:
+            raise ValidationError("dt_probe must be positive")
+        ratio = self.dt_probe / STEP_H
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError("dt_probe must be a multiple of step_h")
+            raise ValidationError(f"dt_probe must be a multiple of the RK4 step {STEP_H}")
         for T in self.horizons:
             n = T / self.dt_probe
             if abs(n - round(n)) > 1e-9:
@@ -130,13 +133,14 @@ def sample_phase_points(spec, n_samples, seed):
     return np.stack([x, y, cx / norm, sy / norm], axis=1)
 
 
-def probe_trajectories(spec, states, t_max, dt_probe, step_h):
-    """Integrate a batch and keep compact probes (x mod 1, y mod 1, angle).
+def probe_trajectories(spec, states, t_max, dt_probe):
+    """Integrate a batch at step STEP_H and keep compact probes (x mod 1,
+    y mod 1, angle).
 
     float32 is plenty: the separation scales of interest sit at 1e-1, nine
     decades above the storage grain.
     """
-    times, samples = integrate_batch(spec, states, float(t_max), h=step_h,
+    times, samples = integrate_batch(spec, states, float(t_max), h=STEP_H,
                                      sample_dt=dt_probe)
     probes = np.empty(samples.shape[:2] + (3,), dtype=np.float32)
     probes[:, :, 0] = np.mod(samples[:, :, 0], 1.0)
@@ -260,14 +264,12 @@ class EntropyEstimate:
     """
 
     metric: str
-    params: EntropyParams
     counts: list
     slopes: list
     headline: float
     headline_epsilon: float
     sample_limited: bool
     saturated: list
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _slope_of_counts(horizons, counts):
@@ -295,7 +297,7 @@ def estimate_entropy(spec, params, probes=None):
     if probes is None:
         states = sample_phase_points(spec, params.n_samples, params.seed)
         _, probes = probe_trajectories(spec, states, params.horizons[-1],
-                                       params.dt_probe, params.step_h)
+                                       params.dt_probe)
     m = params.n_samples
     k_limits = [int(round(T / params.dt_probe)) + 1 for T in params.horizons]
     raw = np.empty((len(params.horizons), len(params.epsilons)), dtype=int)
@@ -314,9 +316,7 @@ def estimate_entropy(spec, params, probes=None):
     sample_limited = not usable
     j_head = usable[-1] if usable else 0
     return EntropyEstimate(
-        metric=spec.name, params=params,
-        counts=counts.tolist(), slopes=slopes,
+        metric=spec.name, counts=counts.tolist(), slopes=slopes,
         headline=slopes[j_head],
         headline_epsilon=params.epsilons[j_head],
-        sample_limited=sample_limited, saturated=saturated,
-        diagnostics={"raw_counts": raw.tolist()})
+        sample_limited=sample_limited, saturated=saturated)

@@ -200,12 +200,8 @@ class _Series:
         if pos:
             e = np.exp(_TWO_PI_J * np.array([xr, yr]))
             powers[:, 1:pos + 1] = e[:, None]
-            # repeated multiplication; accumulate runs a short inner loop per
-            # point, which one plain multiply avoids when it is all there is
-            if pos == 2:
-                np.multiply(e, e, out=powers[:, 2])
-            elif pos > 2:
-                np.multiply.accumulate(powers[:, 1:pos + 1], axis=1, out=powers[:, 1:pos + 1])
+            # repeated multiplication
+            np.multiply.accumulate(powers[:, 1:pos + 1], axis=1, out=powers[:, 1:pos + 1])
             if neg:
                 np.conjugate(powers[:, 1:neg + 1], out=powers[:, pos + 1:])
         # one gather for both axes, each point's terms contiguous
@@ -342,26 +338,25 @@ class MetricSpec:
     def fields(self, x, y, order=1):
         """Metric components and derivatives at cover points, vectorised.
 
-        `x`, `y` are 1-D arrays of equal length (cover coordinates;
-        reduction modulo 1 happens here and in geodesic_accel only).
-        Returns a dict with keys 'E','F','G' plus 'Ex','Ey',... for
-        order >= 1 and 'Exx','Exy','Eyy', ... for order == 2.  A metric without g12 terms gets one shared
-        all-zero array for F and its derivatives.
+        `x`, `y` are 1-D arrays of equal length, or real scalars, which are
+        one-point arrays (cover coordinates; reduction modulo 1 happens here
+        and in geodesic_accel only).  Returns a dict with keys 'E','F','G'
+        plus 'Ex','Ey',... for order >= 1 and 'Exx','Exy','Eyy', ... for
+        order == 2.  A metric without g12 terms gets the scalar 0.0 for F and
+        its derivatives, as in point_fields.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
         xr = x - np.floor(x)
         yr = y - np.floor(y)
-        return self._components(_KEYS[order], lambda s: s.eval(xr, yr, order),
-                                lambda: np.zeros(len(xr)))
+        return self._components(_KEYS[order], lambda s: s.eval(xr, yr, order))
 
     def point_fields(self, x, y):
         """fields(x, y, order=1) at one cover point, as a dict of floats."""
         xr, yr = x - math.floor(x), y - math.floor(y)
-        return self._components(_KEYS[1], lambda s: s.eval_point(xr, yr), float)
+        return self._components(_KEYS[1], lambda s: s.eval_point(xr, yr))
 
-    def _components(self, keys, evaluate, zeros):
-        # zeros() runs last and only for an empty g12, to keep peak memory
+    def _components(self, keys, evaluate):
         s11, s22 = self._series["g11"], self._series["g22"]
         v11 = evaluate(s11)
         out = dict(zip(keys[0], v11))
@@ -370,7 +365,7 @@ class MetricSpec:
         if self.g12:
             out.update(zip(keys[1], evaluate(self._series["g12"])))
         else:
-            out.update(dict.fromkeys(keys[1], zeros()))
+            out.update(dict.fromkeys(keys[1], 0.0))
         return out
 
     def terms_of(self, component):

@@ -67,7 +67,7 @@ def dichotomy_tables():
     spec = gallery("liouville")
     states = sample_phase_points(spec, params.n_samples, params.seed)
     _, probes = probe_trajectories(spec, states, params.horizons[-1],
-                                   params.dt_probe, params.step_h)
+                                   params.dt_probe)
     out["liouville_probes"] = probes
     out["liouville"] = estimate_entropy(spec, params, probes=probes)
     out["flat"] = estimate_entropy(gallery("flat"), params)
@@ -239,10 +239,8 @@ def test_criterion_06_integrable_phenomenology(liouville_fan,
 
     res200, res400 = [], []
     for k in range(32):
-        res200.append(direction_antisymmetry(
-            rays200[k], rays200[k + 32])["angle_gap"])
-        res400.append(direction_antisymmetry(
-            rays[k], rays[k + 32])["angle_gap"])
+        res200.append(direction_antisymmetry(rays200[k], rays200[k + 32]))
+        res400.append(direction_antisymmetry(rays[k], rays[k + 32]))
     med2, med4 = float(np.median(res200)), float(np.median(res400))
     max2, max4 = max(res200), max(res400)
     assert med4 < med2, f"median antisymmetry {med2:.2e} -> {med4:.2e}"
@@ -301,8 +299,7 @@ def test_criterion_07_chaotic_consistency(dichotomy_tables):
 def test_criterion_08_flatness_verdicts():
     flat_report = flatness_test(gallery("flat"))
     assert flat_report.verdict == "flat"
-    assert flat_report.curvature_flat
-    assert not flat_report.witness_found
+    assert not flat_report.witness_classes
 
     bump_report = flatness_test(gallery("conformal-bump"))
     assert bump_report.verdict == "not flat"

@@ -25,8 +25,8 @@ def test_params_validation():
         EntropyParams(horizons=(4.0, 2.0))
     with pytest.raises(ValidationError):
         EntropyParams(epsilons=(0.25, 0.5))
-    with pytest.raises(ValidationError):
-        EntropyParams(dt_probe=0.03, step_h=0.02)
+    with pytest.raises(ValidationError, match="multiple of the RK4 step"):
+        EntropyParams(dt_probe=0.03)
     with pytest.raises(ValidationError):
         EntropyParams(horizons=(1.03, 2.0))
     for horizons in ((-3.0, 6.0), (0.0, 6.0)):
@@ -114,7 +114,7 @@ def dynamical_distance(spec, u, v, t_max):
     """
     states = np.stack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
     _, probes = probe_trajectories(spec, states, float(t_max),
-                                   EntropyParams.dt_probe, EntropyParams.step_h)
+                                   EntropyParams.dt_probe)
     probes = probes.astype(np.float64)
     return float(_phase_gap(probes[0], probes[1]).max())
 
@@ -190,7 +190,7 @@ def test_estimate_entropy_flat_structure(flat):
 def test_estimate_entropy_accepts_external_probes(flat):
     states = sample_phase_points(flat, TINY.n_samples, TINY.seed)
     _, probes = probe_trajectories(flat, states, TINY.horizons[-1],
-                                   TINY.dt_probe, TINY.step_h)
+                                   TINY.dt_probe)
     res = estimate_entropy(flat, TINY, probes=probes)
     assert res.counts == estimate_entropy(flat, TINY).counts
     short = probes[: TINY.n_samples - 1]
@@ -217,8 +217,7 @@ def test_estimate_entropy_rejects_short_windows(flat):
     params = EntropyParams(n_samples=32, horizons=(2.0, 4.0),
                            epsilons=(1.25, 1.0))
     states = sample_phase_points(flat, params.n_samples, params.seed)
-    _, probes = probe_trajectories(flat, states, 2.0, params.dt_probe,
-                                   params.step_h)
+    _, probes = probe_trajectories(flat, states, 2.0, params.dt_probe)
     with pytest.raises(ValidationError):
         estimate_entropy(flat, params, probes=probes)
 
@@ -333,7 +332,7 @@ def test_separated_counts_match_pairwise_scan_on_flows(name, seed):
     spec = gallery(name)
     states = sample_phase_points(spec, 512, seed)
     _, probes = probe_trajectories(spec, states, params.horizons[-1],
-                                   params.dt_probe, params.step_h)
+                                   params.dt_probe)
     k_limits = [int(round(T / params.dt_probe)) + 1 for T in params.horizons]
     for eps in params.epsilons:
         got = separated_counts(probes, eps, k_limits)

@@ -32,7 +32,7 @@ def test_unit_tangent_angle_and_direction_agree(liouville):
 def test_unit_tangent_is_g_unit(twofreq):
     v = unit_tangent(twofreq, (0.13, 0.77), 1.1)
     f = twofreq.fields(np.array([v.x]), np.array([v.y]), order=0)
-    n2 = f["E"][0] * v.vx ** 2 + 2 * f["F"][0] * v.vx * v.vy + f["G"][0] * v.vy ** 2
+    n2 = f["E"][0] * v.vx ** 2 + 2 * f["F"] * v.vx * v.vy + f["G"][0] * v.vy ** 2
     assert n2 == pytest.approx(1.0, abs=1e-14)
 
 

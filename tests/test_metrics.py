@@ -51,7 +51,7 @@ def test_fields_periodic(x, y, mx, my):
     a = spec.fields(np.array([x]), np.array([y]), order=1)
     b = spec.fields(np.array([x + mx]), np.array([y + my]), order=1)
     for key in a:
-        assert a[key][0] == pytest.approx(b[key][0], rel=0, abs=5e-13)
+        assert _first(a[key]) == pytest.approx(_first(b[key]), rel=0, abs=5e-13)
 
 
 def test_positive_definite_everywhere():
@@ -140,13 +140,20 @@ def test_positivity_test_fails_nan_and_overflow():
 
 def test_eval_metric_value(liouville):
     f = liouville.fields(np.array([0.25]), np.array([0.5]), order=1)
-    E, F, G = f["E"][0], f["F"][0], f["G"][0]
+    E, F, G = f["E"][0], f["F"], f["G"][0]
     # u(x,y) = 1 + 0.3 cos(2 pi x) + 0.2 cos(2 pi y); at (1/4, 1/2) u = 0.8
     assert E == pytest.approx(0.8, abs=1e-14)
     assert G == pytest.approx(0.8, abs=1e-14)
-    assert F == 0.0
+    # no g12 terms: F and its derivatives are the scalar zero
+    assert (F, f["Fx"], f["Fy"]) == (0.0, 0.0, 0.0)
     assert E * G - F * F == pytest.approx(0.64, abs=1e-14)
-    assert all(len(f[k]) == 1 for k in ("Ex", "Ey", "Fx", "Fy", "Gx", "Gy"))
+    assert all(len(f[k]) == 1 for k in ("Ex", "Ey", "Gx", "Gy"))
+
+
+def _first(v):
+    """The first point's value of a fields() entry; an absent g12 is the
+    scalar 0.0."""
+    return np.ravel(v)[0]
 
 
 def christoffel(spec, point):
@@ -159,7 +166,7 @@ def christoffel(spec, point):
     x, y = float(point[0]), float(point[1])
     f = spec.fields(np.array([x]), np.array([y]), order=1)
     L111, L112, L122, L211, L212, L222 = (v[0] for v in _lower_symbols(f))
-    E, F, G = f["E"][0], f["F"][0], f["G"][0]
+    E, F, G = (_first(f[k]) for k in "EFG")
     det = E * G - F * F
     iE, iF, iG = G / det, -F / det, E / det
     gamma = np.empty((2, 2, 2))
@@ -184,7 +191,8 @@ def test_christoffel_against_finite_differences(bump):
 
     def g_at(x, y):
         f = bump.fields(np.array([x]), np.array([y]), order=0)
-        return np.array([[f["E"][0], f["F"][0]], [f["F"][0], f["G"][0]]])
+        E, F, G = (_first(f[k]) for k in "EFG")
+        return np.array([[E, F], [F, G]])
 
     dgx = (g_at(x0 + eps, y0) - g_at(x0 - eps, y0)) / (2 * eps)
     dgy = (g_at(x0, y0 + eps) - g_at(x0, y0 - eps)) / (2 * eps)
@@ -719,13 +727,16 @@ def test_fields_blocks_equal_one_point_calls(bump, liouville):
                 whole = s.fields(x, y, order=order)
                 parts = [s.fields(x[i:i + 1], y[i:i + 1], order=order) for i in range(n)]
                 for key, val in whole.items():
-                    assert np.array_equal(_bits(val), _bits([p[key][0] for p in parts]))
+                    # an absent g12's scalar zero stands for every point
+                    assert np.array_equal(_bits(np.broadcast_to(val, n)),
+                                          _bits([_first(p[key]) for p in parts]))
         # batches that straddle the first and second block boundaries
         whole = spec.fields(x, y, order=2)
         for lo, hi in ((b - 5, b + 9), (1, 2 * b + 1), (b - 1, n)):
             part = spec.fields(x[lo:hi], y[lo:hi], order=2)
             for key, val in whole.items():
-                assert np.array_equal(_bits(val[lo:hi]), _bits(part[key]))
+                assert np.array_equal(_bits(np.broadcast_to(val, n)[lo:hi]),
+                                      _bits(np.broadcast_to(part[key], hi - lo)))
         ax, ay = geodesic_accel(spec, x, y, np.cos(x), np.sin(y))
         one = [geodesic_accel(spec, x[i:i + 1], y[i:i + 1], np.cos(x[i:i + 1]),
                               np.sin(y[i:i + 1])) for i in range(n)]
@@ -859,7 +870,62 @@ def test_fields_skips_empty_g12(bump, monkeypatch):
     monkeypatch.setattr(bump._series["g12"], "eval", boom)
     f = bump.fields(np.array([0.1, 0.7]), np.array([0.4, 0.2]), order=2)
     for key in ("F", "Fx", "Fy", "Fxx", "Fxy", "Fyy"):
-        assert np.all(f[key] == 0.0) and f[key].shape == (2,)
+        assert f[key] == 0.0 and np.ndim(f[key]) == 0
+
+
+class _ArrayZeroSpec(MetricSpec):
+    """A metric whose fields() gives an absent g12 the all-zero arrays that
+    fields() used to return: the reference for the scalar zero."""
+
+    def fields(self, x, y, order=1):
+        f = super().fields(x, y, order)
+        if not self.g12:
+            f.update(dict.fromkeys(_KEYS[order][1], np.zeros(np.shape(f["E"]))))
+        return f
+
+
+_NO_G12 = {**{name: _ORACLE_SPECS[name] for name in gallery_names()},
+           "anisotropic": MetricSpec("anisotropic",
+                                     g11=[(0, 0, 1.0, 0.0), (1, 0, 0.3, 0.0)],
+                                     g22=[(0, 0, 1.2, 0.0), (0, 1, 0.2, 0.0),
+                                          (1, 1, 0.1, 0.0)])}
+_NO_G12_PAIRS = {name: (s, _ArrayZeroSpec(s.name, s.g11, s.g12, s.g22, s.lambda_min))
+                 for name, s in _NO_G12.items()}
+
+
+@given(name=st.sampled_from(sorted(_NO_G12_PAIRS)), order=st.integers(0, 2),
+       pts=st.lists(st.tuples(_cover, _cover, _speed, _speed), min_size=1, max_size=40),
+       grid=st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_scalar_zero_f_matches_zero_arrays(name, order, pts, grid):
+    # adding a +-0 product never changes these sums, so the scalar gives
+    # the bits of the arrays
+    spec, ref = _NO_G12_PAIRS[name]
+    x, y, vx, vy = np.array(pts).T
+    f, g = spec.fields(x, y, order=order), ref.fields(x, y, order=order)
+    assert np.array_equal(_bits(quadratic_form(f, vx, vy)), _bits(quadratic_form(g, vx, vy)))
+    if order:
+        assert np.array_equal(_bits(accel_from_fields(spec, f, vx, vy)),
+                              _bits(accel_from_fields(ref, g, vx, vy)))
+    assert np.array_equal(_bits(gauss_curvature_batch(spec, x, y)),
+                          _bits(gauss_curvature_batch(ref, x, y)))
+    a, b = curvature_survey(spec, grid), curvature_survey(ref, grid)
+    assert _bits([a.max_abs, *a.range, a.total]).tolist() == _bits(
+        [b.max_abs, *b.range, b.total]).tolist()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fields_take_real_scalars_as_one_point(liouville, order):
+    # 0-d input used to raise a raw TypeError from len()
+    for spec in (liouville, SHEARED):
+        for x, y in ((0.5, 0.25), (np.float64(0.5), np.float64(0.25))):
+            f, want = spec.fields(x, y, order=order), spec.fields([0.5], [0.25], order=order)
+            assert sorted(f) == sorted(want)
+            for key in want:
+                assert np.shape(f[key]) == np.shape(want[key])
+                assert np.array_equal(_bits(f[key]), _bits(want[key]))
+        assert np.array_equal(_bits(gauss_curvature_batch(spec, 0.5, 0.25)),
+                              _bits(gauss_curvature_batch(spec, [0.5], [0.25])))
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -15,7 +15,7 @@ import torusflow
 # defaults other than None
 DEFAULTED_PARAMETER_BUDGET = 25
 # lines of src/torusflow/*.py, counted as `cat src/torusflow/*.py | wc -l` counts
-SOURCE_LINE_BUDGET = 3914
+SOURCE_LINE_BUDGET = 3899
 
 
 def _sources():
